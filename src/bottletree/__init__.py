@@ -20,12 +20,12 @@ from .datasets import (Dataset, DatasetParseError, gen_blobs, gen_regression,
 from .entropy import (AdjacencyMatrix, AssignmentMatrix, AssignmentModeError,
                       DegenerateBatchError, EncodingTree, build_adjacency,
                       entropy_report, hard_assignment,
-                      intermediate_layer_entropy, se_loss_matrix,
+                      intermediate_layer_entropy, se_loss, se_loss_matrix,
                       structural_entropy_definition, tree_from_assignment)
 from .metrics import (accuracy, average_ranks, macro_f1, macro_recall,
                       pearson, per_class_f1, spearman)
 from .softbins import (BinSpec, distance_matrix, make_bins, nearest_bin,
-                       soft_cuts, soft_se_loss, soft_volumes, soften)
+                       soft_cuts, soft_volumes, soften)
 from .sweep import ExperimentSpec, Perturbation, run_sweep
 from .training import (Adam, ClassificationTask, MetricsReport,
                        RegressionTask, TrainConfig, TrainResult,

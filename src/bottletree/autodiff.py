@@ -358,11 +358,15 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # exp(min(x, 0)) / (1 + exp(-|x|)): 1 / (1 + exp(-x)) for x >= 0 and
+    # exp(x) / (1 + exp(x)) below, bit for bit, without masked gathers.
+    out = np.minimum(x, 0.0, out=np.empty_like(x))
+    np.exp(out, out=out)
+    den = np.abs(x, out=np.empty_like(x))
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    out /= den
     return out
 
 

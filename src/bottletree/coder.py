@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import DimensionError, Tensor, constant, parameter
-from .entropy import AssignmentMatrix, build_adjacency, se_loss_matrix
+from .entropy import AssignmentMatrix, se_loss
 
 LOGVAR_MIN = -10.0
 LOGVAR_MAX = 10.0
@@ -226,7 +226,7 @@ def combined_loss(params: EncoderParams,
         else:
             raise ValueError(f"unknown task kind {kind!r}")
         graph_source = post.mu if use_mu_for_graph else z
-        se_terms.append(se_loss_matrix(build_adjacency(graph_source), assignment))
+        se_terms.append(se_loss(graph_source, assignment))
 
     task = _average(task_terms)
     se = _average(se_terms)

@@ -7,9 +7,15 @@ Two independent routes to the same quantity live here on purpose:
   loops, not differentiable - this is the oracle.
 * ``se_loss_matrix`` evaluates the closed matrix form
   ``-sum_j ((1-C)^T A C)_jj / sum(A) * log2((1^T A C)_jj / sum(A))``
-  on the autodiff tape, so gradients flow back into the embeddings.
+  on the autodiff tape for an arbitrary graph ``A``.  It is the on-tape
+  reference, and the only route for graphs that are not ``sigmoid(HH^T)``.
 
-Tests pin the two routes against each other; never collapse them.
+``se_loss`` is the training route: the same matrix form on
+``A = sigmoid(HH^T)``, fused into one tape node whose forward and backward
+passes visit ``A`` in row blocks, so graph memory is O(block * n + n * r)
+instead of several n x n arrays.
+
+Tests pin the routes against each other; never collapse them.
 """
 
 from __future__ import annotations
@@ -19,7 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import DimensionError, Tensor, constant
+from .autodiff import (_LN2, LOG_EPS, DimensionError, Tensor, _stable_sigmoid,
+                       constant)
+
+# Graph entries per row block of ``se_loss``.  A batch of up to 1024 rows is
+# one block, whose graph the backward pass keeps instead of recomputing.
+SE_BLOCK_ENTRIES = 1 << 20
 
 
 class DegenerateBatchError(ValueError):
@@ -60,18 +71,22 @@ class AdjacencyMatrix:
         return float(self.weights.values.sum())
 
 
-def build_adjacency(embeddings: Tensor) -> AdjacencyMatrix:
-    """Similarity graph over a batch of embeddings: sigmoid of the Gram matrix.
-
-    Symmetric with entries in (0, 1); the diagonal (self-similarity) is kept.
-    Differentiable with respect to the embeddings.
-    """
+def _check_embeddings(embeddings: Tensor) -> None:
     if embeddings.values.ndim != 2:
         raise DimensionError(f"embeddings must be 2-D, got shape {embeddings.shape}")
     if embeddings.shape[0] < 2:
         raise DegenerateBatchError("need at least 2 points to build a similarity graph")
     if not np.all(np.isfinite(embeddings.values)):
         raise ValueError("embeddings must be finite")
+
+
+def build_adjacency(embeddings: Tensor) -> AdjacencyMatrix:
+    """Similarity graph over a batch of embeddings: sigmoid of the Gram matrix.
+
+    Symmetric with entries in (0, 1); the diagonal (self-similarity) is kept.
+    Differentiable with respect to the embeddings.
+    """
+    _check_embeddings(embeddings)
     return AdjacencyMatrix((embeddings @ embeddings.T).sigmoid())
 
 
@@ -247,6 +262,73 @@ def se_loss_matrix(adj: AdjacencyMatrix, assignment: AssignmentMatrix) -> Tensor
     cuts = ((1.0 - c) * ac).sum(axis=0)   # diag((1-C)^T A C)
     vols = ac.sum(axis=0)                 # diag(1^T A C)
     return -((cuts / total) * (vols / total).log2()).sum()
+
+
+def se_loss(embeddings: Tensor, assignment: AssignmentMatrix) -> Tensor:
+    """``se_loss_matrix(build_adjacency(embeddings), assignment)`` as one tape node.
+
+    The forward pass accumulates ``AC`` and ``S = sum(A)`` over row blocks
+    ``A_I = sigmoid(H_I H^T)`` of at most ``SE_BLOCK_ENTRIES`` entries.  The
+    backward pass uses the closed form ``dL/dA = s + 1 u^T - C diag(a) C^T``
+    and recomputes each block, except when one block covers the whole graph:
+    then it reuses the forward's ``A``.  The assignment is data; gradients
+    flow only into the embeddings.
+    """
+    _check_embeddings(embeddings)
+    if assignment.n != embeddings.shape[0]:
+        raise DimensionError(
+            f"assignment has {assignment.n} rows but graph has "
+            f"{embeddings.shape[0]} vertices")
+    if assignment.membership.requires_grad:
+        raise ValueError("se_loss treats the assignment as data; "
+                         "its membership must not require grad")
+    h = embeddings.values
+    # Contiguous, as ``Tensor.T`` makes it, so the Gram blocks equal the
+    # composite's bit for bit.
+    h_t = h.T.copy()
+    c = assignment.membership.values
+    n = h.shape[0]
+    rows = max(1, SE_BLOCK_ENTRIES // n)
+    blocks = [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
+
+    def graph_block(block: slice) -> np.ndarray:
+        return _stable_sigmoid(h[block] @ h_t)
+
+    ac = np.empty(c.shape)
+    total = 0.0
+    for block in blocks:
+        a = graph_block(block)
+        ac[block] = a @ c
+        total += a.sum()
+    kept = a if len(blocks) == 1 else None
+    cuts = ((1.0 - c) * ac).sum(axis=0)
+    vols = ac.sum(axis=0)
+    ratio = vols / total
+    clamped = np.maximum(ratio, LOG_EPS)
+    loss = -((cuts / total) * np.log2(clamped)).sum()
+
+    def grad_fn(g):
+        # dL/dcuts = a, dL/dvols = b, dL/dS = s; G = s + 1 u^T - C diag(a) C^T
+        mask = ratio >= LOG_EPS
+        a_j = -np.log2(clamped) / total
+        b_j = -cuts * mask / (total * total * _LN2 * clamped)
+        s = -float(a_j @ cuts + b_j @ vols) / total
+        u = c @ (a_j + b_j)
+        ca = c * a_j
+        dh = np.empty_like(h)
+        for block in blocks:
+            a = kept if kept is not None else graph_block(block)
+            # rows of G + G^T, times the sigmoid slope A * (1 - A)
+            w = ca[block] @ c.T
+            w *= -2.0
+            w += (2.0 * s + u[block])[:, None]
+            w += u
+            w *= a
+            w *= 1.0 - a
+            dh[block] = w @ h
+        return dh * float(g)
+
+    return Tensor._from_op(np.asarray(loss), [(embeddings, grad_fn)])
 
 
 def class_cut_weights(adj: AdjacencyMatrix, assignment: AssignmentMatrix) -> np.ndarray:

@@ -3,8 +3,9 @@
 Continuous labels are binned into r uniform classes, distances to the bin
 centers are softened row-wise with a softmax, and the resulting row-stochastic
 membership matrix plays the role of the assignment matrix in the structural
-entropy loss.  ``soft_cuts`` / ``soft_volumes`` are brute-force summation
-oracles for the matrix form.
+entropy loss (``entropy.se_loss_matrix`` / ``entropy.se_loss`` with C = Y').
+``soft_cuts`` / ``soft_volumes`` are brute-force summation oracles for the
+matrix form.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import DimensionError, Tensor, constant
-from .entropy import AdjacencyMatrix, AssignmentMatrix, se_loss_matrix
+from .entropy import AdjacencyMatrix, AssignmentMatrix
 
 
 @dataclass(frozen=True)
@@ -119,12 +120,3 @@ def soft_cuts(adj: AdjacencyMatrix, assignment: AssignmentMatrix) -> np.ndarray:
                 acc += a[i, k] * m[k, j] * (1.0 - m[i, j])
         out[j] = acc
     return out
-
-
-def soft_se_loss(adj: AdjacencyMatrix, assignment: AssignmentMatrix) -> Tensor:
-    """Structural entropy loss over a probabilistic (soft) assignment.
-
-    Same matrix formula as the hard case with C = Y'; the membership matrix
-    is treated as a constant, so gradients reach only the adjacency side.
-    """
-    return se_loss_matrix(adj, assignment)

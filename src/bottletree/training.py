@@ -292,7 +292,8 @@ def evaluate(params: EncoderParams, X: np.ndarray, y: np.ndarray,
     """Deterministic evaluation on one split using the posterior mean.
 
     The loss breakdown is evaluated on the whole split in one batch with zero
-    sampling noise (so z = mu); fine at desk scale, quadratic in split size.
+    sampling noise (so z = mu).  ``entropy.se_loss`` visits the split's graph
+    in row blocks, so graph memory is O(block * n + n * r), not n x n.
     """
     if X.shape[0] == 0:
         raise ValueError("cannot evaluate an empty split")

@@ -19,9 +19,9 @@ from .autodiff import constant, finite_difference_check
 from .coder import combined_loss, init_params, kl_to_standard_normal
 from .coder import GaussianPosterior
 from .entropy import (AdjacencyMatrix, AssignmentMatrix, build_adjacency,
-                      hard_assignment, intermediate_layer_entropy,
+                      hard_assignment, intermediate_layer_entropy, se_loss,
                       se_loss_matrix, tree_from_assignment)
-from .softbins import make_bins, soft_cuts, soft_se_loss, soft_volumes
+from .softbins import make_bins, soft_cuts, soft_volumes
 from .training import batch_assignment, RegressionTask
 
 
@@ -47,19 +47,22 @@ def _random_soft(rng, n: int, r: int) -> AssignmentMatrix:
 
 
 def check_matrix_definition(instances: int = 100, seed: int = 1001) -> CheckResult:
-    """Matrix-form loss == intermediate-layer entropy from the definition."""
+    """Matrix-form and fused losses == intermediate-layer entropy from the definition."""
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
+    worst_fused = 0.0
     for _ in range(instances):
         h, labels, n, d, r = _random_instance(rng)
         adj = build_adjacency(h)
         c = hard_assignment(labels, r)
-        matrix_val = se_loss_matrix(adj, c).item()
         oracle_val = intermediate_layer_entropy(adj, tree_from_assignment(c))
-        worst = max(worst, abs(matrix_val - oracle_val))
-    return CheckResult("oracle", worst <= 1e-9,
-                       f"max |matrix - definition| = {worst:.3e} over {instances} instances",
+        worst = max(worst, abs(se_loss_matrix(adj, c).item() - oracle_val))
+        worst_fused = max(worst_fused, abs(se_loss(h, c).item() - oracle_val))
+    return CheckResult("oracle", worst <= 1e-9 and worst_fused <= 1e-9,
+                       f"max |matrix - definition| = {worst:.3e}, "
+                       f"max |fused - definition| = {worst_fused:.3e} "
+                       f"over {instances} instances",
                        time.perf_counter() - start)
 
 
@@ -73,7 +76,7 @@ def check_soft_reduction(instances: int = 100, seed: int = 1002) -> CheckResult:
         adj = build_adjacency(h)
         hard = hard_assignment(labels, r)
         onehot = AssignmentMatrix(constant(hard.membership.values.copy()), mode="soft")
-        worst = max(worst, abs(soft_se_loss(adj, onehot).item()
+        worst = max(worst, abs(se_loss_matrix(adj, onehot).item()
                                - se_loss_matrix(adj, hard).item()))
     return CheckResult("reduction", worst <= 1e-12,
                        f"max one-hot gap = {worst:.3e} over {instances} instances",
@@ -81,10 +84,11 @@ def check_soft_reduction(instances: int = 100, seed: int = 1002) -> CheckResult:
 
 
 def check_soft_consistency(instances: int = 100, seed: int = 1003) -> CheckResult:
-    """Matrix form == summation form built from brute-force cuts/volumes."""
+    """Matrix and fused forms == summation form built from brute-force cuts/volumes."""
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
+    worst_fused = 0.0
     worst_cons = 0.0
     for _ in range(instances):
         h, _, n, d, r = _random_instance(rng)
@@ -95,11 +99,13 @@ def check_soft_consistency(instances: int = 100, seed: int = 1003) -> CheckResul
         vol = adj.volume
         summation = -sum((g / vol) * math.log2(max(v / vol, 1e-12))
                          for g, v in zip(cuts, vols))
-        worst = max(worst, abs(soft_se_loss(adj, soft).item() - summation))
+        worst = max(worst, abs(se_loss_matrix(adj, soft).item() - summation))
+        worst_fused = max(worst_fused, abs(se_loss(h, soft).item() - summation))
         worst_cons = max(worst_cons, abs(vols.sum() - vol))
-    passed = worst <= 1e-9 and worst_cons <= 1e-9
+    passed = worst <= 1e-9 and worst_fused <= 1e-9 and worst_cons <= 1e-9
     return CheckResult("soft", passed,
                        f"max |matrix - summation| = {worst:.3e}, "
+                       f"max |fused - summation| = {worst_fused:.3e}, "
                        f"max volume-conservation gap = {worst_cons:.3e}",
                        time.perf_counter() - start)
 

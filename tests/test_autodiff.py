@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bottletree.autodiff import (DimensionError, GraphConsumedError, Tensor,
-                                 constant, finite_difference_check, parameter,
-                                 zero_grads)
+                                 _stable_sigmoid, constant,
+                                 finite_difference_check, parameter, zero_grads)
 
 
 def grad_of(build, x_vals):
@@ -21,6 +21,19 @@ class TestElementwise:
         assert y.values[0] == 0.5
         y.sum().backward()
         assert x.grad[0] == 0.25
+
+    def test_sigmoid_equals_two_branch_form_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        x = np.concatenate([30.0 * rng.standard_normal(4000),
+                            [0.0, -0.0, 1e-300, -1e-300, 800.0, -800.0,
+                             np.inf, -np.inf]])
+        pos = x >= 0
+        ref = np.empty_like(x)
+        ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        ref[~pos] = ex / (1.0 + ex)
+        assert np.array_equal(_stable_sigmoid(x), ref)
+        assert _stable_sigmoid(np.asarray(-2.0)).shape == ()
 
     def test_log2_exact_power(self):
         assert constant([8.0]).log2().values[0] == 3.0

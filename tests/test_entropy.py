@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bottletree import entropy
 from bottletree.autodiff import constant, finite_difference_check, parameter
 from bottletree.entropy import (AdjacencyMatrix, AssignmentMatrix,
                                 AssignmentModeError, DegenerateBatchError,
                                 DimensionError, EncodingTree, build_adjacency,
                                 class_cut_weights, class_volumes,
                                 entropy_report, hard_assignment,
-                                intermediate_layer_entropy, se_loss_matrix,
+                                intermediate_layer_entropy, se_loss,
+                                se_loss_matrix,
                                 structural_entropy_definition,
                                 tree_from_assignment)
 
@@ -231,6 +233,59 @@ class TestSeLossMatrix:
             return se_loss_matrix(build_adjacency(params[0]), c)
 
         assert finite_difference_check(f, [h], h=1e-5) < 1e-4
+
+
+class TestFusedSeLoss:
+    """``se_loss`` pinned to the on-tape composite it replaces in training."""
+
+    @staticmethod
+    def assert_matches_composite(h_values, c):
+        h_ref = parameter(h_values.copy())
+        ref = se_loss_matrix(build_adjacency(h_ref), c)
+        ref.backward()
+        h_new = parameter(h_values.copy())
+        fused = se_loss(h_new, c)
+        fused.backward()
+        assert abs(fused.item() - ref.item()) <= 1e-12
+        scale = np.abs(h_ref.grad).max()
+        assert np.abs(h_new.grad - h_ref.grad).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("block_rows", [None, 3, 1])
+    @pytest.mark.parametrize("case", ["hard", "soft", "empty-class", "two-points"])
+    def test_matches_composite(self, monkeypatch, case, block_rows):
+        rng = np.random.default_rng(60)
+        n = 2 if case == "two-points" else 23
+        h = 1.5 * rng.standard_normal((n, 3))
+        if case == "soft":
+            c = AssignmentMatrix(constant(rng.dirichlet(np.ones(4), size=n)), mode="soft")
+        elif case == "empty-class":
+            c = hard_assignment(rng.integers(0, 2, size=n), 3)
+        else:
+            c = hard_assignment(rng.integers(0, 2, size=n), 2)
+        if block_rows is not None:
+            monkeypatch.setattr(entropy, "SE_BLOCK_ENTRIES", block_rows * n)
+        self.assert_matches_composite(h, c)
+
+    def test_gradient_on_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(entropy, "SE_BLOCK_ENTRIES", 2 * 7)
+        rng = np.random.default_rng(61)
+        c = AssignmentMatrix(constant(rng.dirichlet(np.ones(3), size=7)), mode="soft")
+        h = parameter(rng.standard_normal((7, 2)))
+        assert finite_difference_check(lambda p: se_loss(p[0], c), [h]) < 1e-6
+
+    def test_rejects_bad_inputs(self):
+        c = hard_assignment([0, 1, 0], 2)
+        with pytest.raises(DimensionError):
+            se_loss(constant(np.zeros(3)), c)
+        with pytest.raises(DimensionError):
+            se_loss(constant(np.zeros((4, 2))), c)
+        with pytest.raises(DegenerateBatchError):
+            se_loss(constant(np.zeros((1, 2))), hard_assignment([0], 2))
+        with pytest.raises(ValueError, match="embeddings must be finite"):
+            se_loss(constant([[0.0], [np.nan], [1.0]]), c)
+        graded = AssignmentMatrix(parameter(c.membership.values), mode="hard")
+        with pytest.raises(ValueError, match="must not require grad"):
+            se_loss(constant(np.zeros((3, 2))), graded)
 
 
 class TestDebugReport:

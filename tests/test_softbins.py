@@ -9,8 +9,7 @@ from bottletree.autodiff import constant
 from bottletree.entropy import (AssignmentMatrix, build_adjacency,
                                 hard_assignment, se_loss_matrix)
 from bottletree.softbins import (BinSpec, distance_matrix, make_bins,
-                                 nearest_bin, soft_cuts, soft_se_loss,
-                                 soft_volumes, soften)
+                                 nearest_bin, soft_cuts, soft_volumes, soften)
 
 
 def random_adj(rng, n):
@@ -170,7 +169,7 @@ class TestSoftSeLoss:
         hard = hard_assignment(labels, 3)
         onehot = AssignmentMatrix(constant(hard.membership.values.copy()),
                                   mode="soft")
-        assert soft_se_loss(adj, onehot).item() == se_loss_matrix(adj, hard).item()
+        assert se_loss_matrix(adj, onehot).item() == se_loss_matrix(adj, hard).item()
 
     def test_uniform_membership_closed_form(self):
         # every class: volume vol/r, cut (1-1/r)*vol/r -> loss (r-1)/r*log2(r)
@@ -181,8 +180,8 @@ class TestSoftSeLoss:
             uniform = AssignmentMatrix(constant(np.full((n, r), 1.0 / r)),
                                        mode="soft")
             expected = (r - 1) / r * math.log2(r)
-            assert soft_se_loss(adj, uniform).item() == pytest.approx(expected,
-                                                                      abs=1e-9)
+            assert se_loss_matrix(adj, uniform).item() == pytest.approx(expected,
+                                                                        abs=1e-9)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -195,14 +194,14 @@ class TestSoftSeLoss:
         vol = adj.volume
         expected = -sum((g / vol) * math.log2(max(v / vol, 1e-12))
                         for g, v in zip(cuts, vols))
-        assert soft_se_loss(adj, soft).item() == pytest.approx(expected, abs=1e-9)
+        assert se_loss_matrix(adj, soft).item() == pytest.approx(expected, abs=1e-9)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_bounds(self, seed):
         rng = np.random.default_rng(seed)
         n, r = int(rng.integers(3, 12)), int(rng.integers(2, 5))
-        value = soft_se_loss(random_adj(rng, n), random_soft(rng, n, r)).item()
+        value = se_loss_matrix(random_adj(rng, n), random_soft(rng, n, r)).item()
         assert -1e-12 <= value <= math.log2(r) + 1e-12
 
 

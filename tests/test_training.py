@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bottletree.coder import init_params
 from bottletree.datasets import gen_blobs, gen_regression
 from bottletree.softbins import make_bins
 from bottletree.training import (ClassificationTask, RegressionTask,
@@ -93,6 +94,22 @@ class TestTrain:
             train(cfg, (X * 1e200, y), easy_blobs.subset("dev"))
         assert excinfo.value.step > 0
         assert "total" in excinfo.value.breakdown
+
+    def test_graph_memory_stays_below_one_split_graph(self):
+        import tracemalloc
+
+        n = 3000
+        rng = np.random.default_rng(51)
+        X, y = rng.standard_normal((n, 8)), rng.uniform(0.0, 5.0, size=n)
+        cfg = TrainConfig(task=RegressionTask(make_bins(0.0, 5.0, 5)), hidden=(16,))
+        params = init_params(8, cfg.hidden, cfg.task.latent_dim, seed=0)
+        tracemalloc.start()
+        try:
+            evaluate(params, X, y, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n  # one n x n float64 graph
 
     def test_empty_split_rejected(self, easy_blobs):
         cfg = blob_config(easy_blobs)
