@@ -4,8 +4,8 @@ A dynamic tape: every operation records its parent tensors together with a
 closure mapping the output gradient to each parent's gradient contribution.
 Graphs are rebuilt per training step and consumed by a single ``backward()``
 call.  Everything is 64-bit; elementwise broadcasting is restricted to
-scalar-with-tensor and equal-shape operands, which is all the losses here
-need.
+equal shapes, a scalar with a tensor, and a (1, h) row against an (n, h)
+matrix (a bias added to every row), which is all the model here needs.
 """
 
 from __future__ import annotations
@@ -34,14 +34,20 @@ def _as_array(values) -> np.ndarray:
 
 
 def _is_scalar_shape(shape: tuple[int, ...]) -> bool:
-    return int(np.prod(shape, dtype=np.int64)) == 1
+    return all(d == 1 for d in shape)
+
+
+def _is_row_of(row: tuple[int, ...], full: tuple[int, ...]) -> bool:
+    return len(row) == 2 == len(full) and row[0] == 1 and row[1] == full[1]
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Collapse a gradient back to a (possibly scalar) operand shape."""
+    """Collapse a gradient back to a scalar or (1, h) row operand shape."""
     if grad.shape == shape:
         return grad
-    return np.asarray(grad.sum(), dtype=np.float64).reshape(shape)
+    if _is_scalar_shape(shape):
+        return np.asarray(grad.sum(), dtype=np.float64).reshape(shape)
+    return grad.sum(axis=0, keepdims=True)
 
 
 class Tensor:
@@ -101,8 +107,11 @@ class Tensor:
             return
         if _is_scalar_shape(self.shape) or _is_scalar_shape(other.shape):
             return
+        if _is_row_of(self.shape, other.shape) or _is_row_of(other.shape, self.shape):
+            return
         raise DimensionError(
-            f"elementwise op needs equal shapes or a scalar operand, got {self.shape} and {other.shape}")
+            "elementwise op needs equal shapes, a scalar operand or a (1, h) row "
+            f"against (n, h), got {self.shape} and {other.shape}")
 
     # -- elementwise arithmetic ----------------------------------------------
 
@@ -327,7 +336,10 @@ class Tensor:
             g = pending.pop(id(node), None)
             if g is None:
                 continue
-            if not np.all(np.isfinite(g)):
+            # Every grad_fn multiplies, copies or sums g, so a non-finite
+            # interior gradient reaches some leaf as inf or nan (inf * 0 is
+            # nan): checking the leaves, the parameter gradients, suffices.
+            if not node._parents and not np.isfinite(g).all():
                 raise FloatingPointError("non-finite gradient encountered during backward")
             node.grad = g if node.grad is None else node.grad + g
             for parent, grad_fn in node._parents:

@@ -15,10 +15,9 @@ import sys
 from .coder import save_checkpoint
 from .datasets import gen_blobs, gen_regression, load_csv, save_csv
 from .softbins import make_bins
-from .sweep import ExperimentSpec, run_sweep
-from .training import (ClassificationTask, RegressionTask, TrainConfig,
-                       TrainingDiverged, evaluate, train, write_history_csv,
-                       write_report_json)
+from .sweep import ExperimentSpec, build_task, run_sweep
+from .training import (TrainConfig, TrainingDiverged, evaluate, train,
+                       write_history_csv, write_report_json)
 from .verify import ALL_CHECKS, run_checks
 
 OUT_ENV = "BOTTLETREE_OUT"
@@ -132,18 +131,6 @@ def _train_kwargs(args) -> dict:
             "samples_per_input": args.samples}
 
 
-def _build_task(args, ds):
-    if args.task == "classification":
-        if not ds.is_classification:
-            raise ValueError("dataset labels are continuous; use --task regression")
-        return ClassificationTask(ds.num_classes)
-    lo = args.lo if args.lo is not None else float(ds.y.min())
-    hi = args.hi if args.hi is not None else float(ds.y.max())
-    return RegressionTask(make_bins(lo, hi, args.bins),
-                          soft_labels=not args.hard_labels,
-                          temperature=args.tau)
-
-
 def cmd_gen(args) -> int:
     if args.generator == "blobs":
         ds = gen_blobs(args.classes, args.n, args.dim, args.spread, args.seed)
@@ -163,7 +150,8 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     ds = load_csv(args.data)
-    task = _build_task(args, ds)
+    task = build_task(ds, args.task, args.bins, args.lo, args.hi,
+                      not args.hard_labels, args.tau)
     config = TrainConfig(task=task, beta=args.beta, gamma=args.gamma,
                          seed=args.seed, **_train_kwargs(args))
     out_dir = args.out_dir or _default_out()

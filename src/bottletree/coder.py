@@ -81,24 +81,16 @@ class GaussianPosterior:
     logvar: Tensor
 
 
-def _broadcast_rows(row: Tensor, n: int) -> Tensor:
-    # (1, h) bias replicated over n rows via a ones matmul; keeps elementwise
-    # broadcasting restricted to scalars while the backward pass still sums
-    # gradients per column.
-    return constant(np.ones((n, 1))) @ row
-
-
 def encode(params: EncoderParams, inputs: Tensor) -> GaussianPosterior:
     """Forward pass; the last layer splits into mean and log-variance halves."""
     x = inputs if isinstance(inputs, Tensor) else constant(inputs)
     if x.values.ndim != 2 or x.shape[1] != params.input_dim:
         raise DimensionError(
             f"inputs must be (batch, {params.input_dim}), got {x.shape}")
-    n = x.shape[0]
     h = x
     last = len(params.weights) - 1
     for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w + _broadcast_rows(b, n)
+        h = h @ w + b
         if layer < last:
             h = h.relu() if params.activation == "relu" else h.sigmoid()
     latent = params.latent_dim

@@ -3,7 +3,8 @@
 Generators are deterministic per seed.  Label-noise injection and train-set
 subsampling touch only the train split.  The CSV schema is
 ``split,y,x0..x{d-1}`` with a leading provenance comment; floats are written
-with 17 significant digits so round trips are exact.
+with 17 significant digits so round trips are exact.  Loading rejects
+non-finite features and labels.
 """
 
 from __future__ import annotations
@@ -156,17 +157,14 @@ def subsample_train(ds: Dataset, fraction: float, seed: int) -> Dataset:
     return Dataset(ds.X[mask].copy(), ds.y[mask].copy(), ds.split[mask].copy(), prov)
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def save_csv(ds: Dataset, path) -> None:
     lines = [f"# {ds.provenance}",
              "split,y," + ",".join(f"x{i}" for i in range(ds.dim))]
-    for i in range(ds.n):
-        y_str = str(int(ds.y[i])) if ds.is_classification else _fmt(float(ds.y[i]))
-        feats = ",".join(_fmt(float(v)) for v in ds.X[i])
-        lines.append(f"{ds.split[i]},{y_str},{feats}")
+    # one %-format per row over Python scalars; %.17g round-trips float64
+    row_fmt = ",".join(["%s", "%d" if ds.is_classification else "%.17g"]
+                       + ["%.17g"] * ds.dim)
+    lines.extend(row_fmt % (tag, y, *row) for tag, y, row
+                 in zip(ds.split.tolist(), ds.y.tolist(), ds.X.tolist()))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -214,6 +212,10 @@ def load_csv(path) -> Dataset:
             raise DatasetParseError(f"line {lineno}: non-numeric label {y_str!r}") from None
     X = np.array([r[3] for r in rows], dtype=np.float64)
     y = np.array(y_vals, dtype=np.int64 if classification else np.float64)
+    finite = np.isfinite(X).all(axis=1) & np.isfinite(y)
+    if not finite.all():
+        lineno = rows[int(np.argmin(finite))][0]
+        raise DatasetParseError(f"line {lineno}: non-finite feature or label")
     split = np.array([r[1] for r in rows])
     return Dataset(X, y, split, provenance)
 

@@ -83,22 +83,25 @@ def apply_perturbation(ds: Dataset, p: Perturbation) -> Dataset:
     raise ValueError(f"unknown perturbation kind {p.kind!r}")
 
 
-def build_task(spec: ExperimentSpec, ds: Dataset):
-    if spec.task_kind == "classification":
+def build_task(ds: Dataset, kind: str, bins: int = 5,
+               lo: float | None = None, hi: float | None = None,
+               soft_labels: bool = True, temperature: float = 1.0):
+    """The task for ``ds``; regression bins default to the label range."""
+    if kind == "classification":
         if not ds.is_classification:
             raise ValueError("dataset labels are continuous; use --task regression")
         return ClassificationTask(ds.num_classes)
-    lo = spec.lo if spec.lo is not None else float(ds.y.min())
-    hi = spec.hi if spec.hi is not None else float(ds.y.max())
-    return RegressionTask(make_bins(lo, hi, spec.bins), spec.soft_labels,
-                          spec.temperature)
+    lo = lo if lo is not None else float(ds.y.min())
+    hi = hi if hi is not None else float(ds.y.max())
+    return RegressionTask(make_bins(lo, hi, bins), soft_labels, temperature)
 
 
 def run_cell(spec: ExperimentSpec,
              cell: tuple[float, float, Perturbation, int]) -> dict:
     beta, gamma, perturbation, seed = cell
     ds = apply_perturbation(load_csv(spec.data_path), perturbation)
-    task = build_task(spec, ds)
+    task = build_task(ds, spec.task_kind, spec.bins, spec.lo, spec.hi,
+                      spec.soft_labels, spec.temperature)
     config = TrainConfig(task=task, beta=beta, gamma=gamma, seed=seed,
                          **spec.train_kwargs)
     result = train(config, ds.subset("train"), ds.subset("dev"))

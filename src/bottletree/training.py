@@ -102,10 +102,10 @@ class TrainConfig:
 
 
 class TrainingDiverged(RuntimeError):
-    """The loss went non-finite; carries a diagnostic payload."""
+    """The loss or a gradient went non-finite; carries a diagnostic payload."""
 
-    def __init__(self, step: int, breakdown: dict[str, float]):
-        super().__init__(f"non-finite loss at step {step}")
+    def __init__(self, step: int, breakdown: dict[str, float], what: str = "loss"):
+        super().__init__(f"non-finite {what} at step {step}")
         self.step = step
         self.breakdown = breakdown
 
@@ -207,7 +207,10 @@ def train(config: TrainConfig,
             scalars = breakdown.scalars()
             if not np.isfinite(scalars["total"]):
                 raise TrainingDiverged(step, scalars)
-            breakdown.total.backward()
+            try:
+                breakdown.total.backward()
+            except FloatingPointError as exc:
+                raise TrainingDiverged(step, scalars, "gradient") from exc
             opt.step(lr_scale=min(1.0, step / warmup_steps))
             for key in sums:
                 sums[key] += scalars[key]

@@ -73,6 +73,43 @@ class TestElementwise:
         np.testing.assert_array_equal(g, [-1.0, 1.0])
 
 
+ROW_OPS = [("add", lambda a, b: a + b), ("sub", lambda a, b: a - b),
+           ("mul", lambda a, b: a * b), ("div", lambda a, b: a / b)]
+
+
+class TestRowBroadcast:
+    @pytest.mark.parametrize("row_first", [False, True], ids=["nh_1h", "1h_nh"])
+    @pytest.mark.parametrize("name,op", ROW_OPS, ids=[n for n, _ in ROW_OPS])
+    def test_values_and_gradients(self, name, op, row_first):
+        rng = np.random.default_rng(17)
+        m_vals = rng.uniform(0.5, 2.0, (4, 3))
+        r_vals = rng.uniform(0.5, 2.0, (1, 3))
+
+        def apply(row, mat):
+            return op(row, mat) if row_first else op(mat, row)
+
+        out = apply(constant(r_vals), constant(m_vals))
+        assert out.shape == (4, 3)
+        np.testing.assert_array_equal(out.values, apply(r_vals, m_vals))
+
+        row, mat = parameter(r_vals), parameter(m_vals)
+
+        def f(params):
+            y = apply(params[0], params[1])
+            return (y * y).sum()
+
+        assert finite_difference_check(f, [row, mat], h=1e-6) < 1e-6
+
+    @pytest.mark.parametrize("a,b", [((2, 3), (1, 2)), ((2, 3), (3, 3)),
+                                     ((1, 2), (2, 3)), ((3, 1), (3, 4)),
+                                     ((1, 3), (3,)), ((1, 3), (2, 2, 3))])
+    def test_other_shape_mismatches_raise(self, a, b):
+        with pytest.raises(DimensionError):
+            constant(np.ones(a)) + constant(np.ones(b))
+        with pytest.raises(DimensionError):
+            constant(np.ones(b)) * constant(np.ones(a))
+
+
 class TestMatmul:
     def test_identity(self):
         m = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -176,6 +213,22 @@ class TestBackward:
         y = (x * x + x).sum()  # dy/dx = 2x + 1 = 5
         y.backward()
         assert x.grad[0] == pytest.approx(5.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("value,build", [
+        # 1e200 * 0 = 0; the leaf gets -0 * 1 / (1e-200)^2 = -0 / 0 = nan
+        (1e-200, lambda x: (1.0 / x) * 0.0),
+        # the interior node z = 1e-200 x gets -1e-200 / z^2 = -inf, which its
+        # grad_fn scales by 1e-200 into the leaf: still -inf
+        (1.0, lambda x: (1.0 / (x * 1e-200)) * 1e-200),
+        # the same -inf meets a zero factor on its way to the leaf: nan
+        (1.0, lambda x: (1.0 / (x * 0.0 + 1e-200)) * 1e-200),
+    ], ids=["leaf_nan", "interior_inf", "interior_inf_times_zero"])
+    def test_nonfinite_gradient_from_finite_loss_raises(self, value, build):
+        loss = build(parameter([[value]])).sum()
+        assert np.isfinite(loss.item())
+        with pytest.raises(FloatingPointError, match="non-finite gradient"):
+            loss.backward()
 
 
 SMOOTH_OPS = [

@@ -112,6 +112,24 @@ class TestTrain:
                    "--task", "classification", *FAST])
         assert rc == 2
 
+    def test_gradient_blow_up_exits_two_with_dump(self, blob_csv, tmp_path,
+                                                  monkeypatch, capsys):
+        from bottletree.autodiff import Tensor
+
+        def blow_up(self):
+            raise FloatingPointError("non-finite gradient encountered during backward")
+
+        monkeypatch.setattr(Tensor, "backward", blow_up)
+        out = tmp_path / "blown"
+        rc = main(["train", "--data", blob_csv, "--task", "classification",
+                   "--seed", "0", "--out-dir", str(out), *FAST])
+        assert rc == 2
+        dump = json.loads((out / "diverged.json").read_text())
+        assert dump["step"] == 1
+        assert "total" in dump["breakdown"]
+        assert "diverged at step 1" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_task_mismatch_is_runtime_error(self, regression_csv, tmp_path):
         rc = main(["train", "--data", regression_csv, "--task", "classification",
                    "--out-dir", str(tmp_path), *FAST])

@@ -175,6 +175,36 @@ class TestCsvRoundTrip:
         with pytest.raises(DatasetParseError, match="line 3"):
             load_csv(path)
 
+    @pytest.mark.parametrize("text,line", [
+        ("split,y,x0,x1\ntrain,1,0.5,0.5\ntrain,2,0.5,inf\ntest,0,0.5,nan\n", 3),
+        ("split,y,x0,x1\ntrain,1,0.5,0.5\ntrain,2,-inf,0.5\n", 3),
+        ("# comment\nsplit,y,x0\ntrain,0.5,0.5\ntrain,nan,0.5\n", 4),
+    ], ids=["inf_feature", "neg_inf_feature", "nan_label"])
+    def test_non_finite_cell_names_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(DatasetParseError, match=f"line {line}: non-finite"):
+            load_csv(path)
+
+    def test_save_csv_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "pinned.csv"
+        save_csv(gen_blobs(2, 4, 2, 0.5, seed=0), path)
+        assert path.read_bytes() == (
+            b"# generator=blobs;seed=0;params=classes=2,n=4,dim=2,spread=0.5\n"
+            b"split,y,x0,x1\n"
+            b"train,1,1.638849130919066,0.63518465046941097\n"
+            b"test,0,0.33754617972078904,-1.3570784706170607\n"
+            b"test,0,0.37777656635560924,-0.70370474542041261\n"
+            b"train,1,-0.17566627896541975,0.05224833693851702\n")
+        save_csv(gen_regression(3, 2, 0.1, 0.0, 1.0, seed=0), path)
+        assert path.read_bytes() == (
+            b"# generator=regression;seed=0;params=n=3,dim=2,"
+            b"noise_std=0.10000000000000001,lo=0,hi=1\n"
+            b"split,y,x0,x1\n"
+            b"train,0.46378380101019778,0.1257302210933933,-0.13210486329130189\n"
+            b"test,0.56651741473705786,0.64042265044328206,0.10490011715303971\n"
+            b"test,0.17593552858236783,-0.53566937316111096,0.36159505490948474\n")
+
     def test_inconsistent_columns_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("split,y,x0,x1\ntrain,1,0.5,0.5\ntrain,2,0.5\n")
