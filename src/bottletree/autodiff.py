@@ -194,11 +194,12 @@ class Tensor:
             raise ValueError("clamp needs at least one bound")
         x = self.values
         out_vals = np.clip(x, lo, hi)
-        mask = np.ones_like(x)
-        if lo is not None:
-            mask = mask * (x >= lo)
-        if hi is not None:
-            mask = mask * (x <= hi)
+        if lo is None:
+            mask = x <= hi
+        elif hi is None:
+            mask = x >= lo
+        else:
+            mask = (x >= lo) & (x <= hi)
         return Tensor._from_op(out_vals, [(self, lambda g: g * mask)])
 
     def relu(self):
@@ -369,12 +370,14 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return post
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+def _stable_sigmoid(x: np.ndarray, out: np.ndarray | None = None,
+                    den: np.ndarray | None = None) -> np.ndarray:
     # exp(min(x, 0)) / (1 + exp(-|x|)): 1 / (1 + exp(-x)) for x >= 0 and
     # exp(x) / (1 + exp(x)) below, bit for bit, without masked gathers.
-    out = np.minimum(x, 0.0, out=np.empty_like(x))
+    # ``out`` and the scratch ``den`` are optional buffers; ``den`` may be x.
+    out = np.minimum(x, 0.0, out=np.empty_like(x) if out is None else out)
     np.exp(out, out=out)
-    den = np.abs(x, out=np.empty_like(x))
+    den = np.abs(x, out=np.empty_like(x) if den is None else den)
     np.negative(den, out=den)
     np.exp(den, out=den)
     den += 1.0

@@ -11,9 +11,10 @@ Two independent routes to the same quantity live here on purpose:
   reference, and the only route for graphs that are not ``sigmoid(HH^T)``.
 
 ``se_loss`` is the training route: the same matrix form on
-``A = sigmoid(HH^T)``, fused into one tape node whose forward and backward
-passes visit ``A`` in row blocks, so graph memory is O(block * n + n * r)
-instead of several n x n arrays.
+``A = sigmoid(HH^T)``, fused into one tape node.  Its forward pass visits
+``A`` once, in cache-sized row tiles, and also accumulates the n x d(r+1)
+panel its gradient needs; the backward pass reads only that panel.  Graph
+memory is O(tile + n * r * d) instead of several n x n arrays.
 
 Tests pin the routes against each other; never collapse them.
 """
@@ -28,9 +29,12 @@ import numpy as np
 from .autodiff import (_LN2, LOG_EPS, DimensionError, Tensor, _stable_sigmoid,
                        constant)
 
-# Graph entries per row block of ``se_loss``.  A batch of up to 1024 rows is
-# one block, whose graph the backward pass keeps instead of recomputing.
-SE_BLOCK_ENTRIES = 1 << 20
+# Graph entries per row tile of ``se_loss``.  The tile's two buffers (Gram
+# and graph, 512 KiB each, allocated once per call) fit a 2 MiB per-core L2.
+# Timed against 2**14, 2**15 and 2**17: smaller tiles pay more per-tile call
+# overhead (a 6000-row split is 3000 tiles at 2**14); at 2**17 the buffers
+# alone fill the L2.
+SE_BLOCK_ENTRIES = 1 << 16
 
 
 class DegenerateBatchError(ValueError):
@@ -267,12 +271,12 @@ def se_loss_matrix(adj: AdjacencyMatrix, assignment: AssignmentMatrix) -> Tensor
 def se_loss(embeddings: Tensor, assignment: AssignmentMatrix) -> Tensor:
     """``se_loss_matrix(build_adjacency(embeddings), assignment)`` as one tape node.
 
-    The forward pass accumulates ``AC`` and ``S = sum(A)`` over row blocks
-    ``A_I = sigmoid(H_I H^T)`` of at most ``SE_BLOCK_ENTRIES`` entries.  The
-    backward pass uses the closed form ``dL/dA = s + 1 u^T - C diag(a) C^T``
-    and recomputes each block, except when one block covers the whole graph:
-    then it reuses the forward's ``A``.  The assignment is data; gradients
-    flow only into the embeddings.
+    The forward pass accumulates ``AC`` and ``sum(A)`` over row tiles
+    ``A_I = sigmoid(H_I H^T)`` of at most ``SE_BLOCK_ENTRIES`` entries and,
+    when the embeddings require grad, the n x d(r+1) panel
+    ``Q = S [H, C_1*H, ..., C_r*H]`` with ``S = A*(1-A)``.  The backward pass
+    reads only ``Q``, never the graph, so graph memory is O(tile + n * r * d).
+    The assignment is data; gradients flow only into the embeddings.
     """
     _check_embeddings(embeddings)
     if assignment.n != embeddings.shape[0]:
@@ -283,24 +287,29 @@ def se_loss(embeddings: Tensor, assignment: AssignmentMatrix) -> Tensor:
         raise ValueError("se_loss treats the assignment as data; "
                          "its membership must not require grad")
     h = embeddings.values
-    # Contiguous, as ``Tensor.T`` makes it, so the Gram blocks equal the
+    # Contiguous, as ``Tensor.T`` makes it, so the Gram tiles equal the
     # composite's bit for bit.
     h_t = h.T.copy()
     c = assignment.membership.values
-    n = h.shape[0]
-    rows = max(1, SE_BLOCK_ENTRIES // n)
-    blocks = [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
-
-    def graph_block(block: slice) -> np.ndarray:
-        return _stable_sigmoid(h[block] @ h_t)
-
+    (n, d), r = h.shape, c.shape[1]
+    rows = min(n, max(1, SE_BLOCK_ENTRIES // n))
+    if embeddings.requires_grad:
+        # built as (r+1) x d x n, so that each product runs along n
+        panel = np.concatenate([h_t[None], c.T[:, None, :] * h_t]).reshape(-1, n).T
+        q = np.empty((n, (r + 1) * d))
+    gram, a = np.empty((rows, n)), np.empty((rows, n))
     ac = np.empty(c.shape)
     total = 0.0
-    for block in blocks:
-        a = graph_block(block)
-        ac[block] = a @ c
-        total += a.sum()
-    kept = a if len(blocks) == 1 else None
+    for start in range(0, n, rows):
+        tile = slice(start, min(start + rows, n))
+        g_t = np.matmul(h[tile], h_t, out=gram[:tile.stop - start])
+        a_t = _stable_sigmoid(g_t, out=a[:tile.stop - start], den=g_t)
+        np.matmul(a_t, c, out=ac[tile])
+        total += a_t.sum()
+        if embeddings.requires_grad:
+            s_t = np.subtract(1.0, a_t, out=g_t)
+            s_t *= a_t
+            np.matmul(s_t, panel, out=q[tile])
     cuts = ((1.0 - c) * ac).sum(axis=0)
     vols = ac.sum(axis=0)
     ratio = vols / total
@@ -308,25 +317,16 @@ def se_loss(embeddings: Tensor, assignment: AssignmentMatrix) -> Tensor:
     loss = -((cuts / total) * np.log2(clamped)).sum()
 
     def grad_fn(g):
-        # dL/dcuts = a, dL/dvols = b, dL/dS = s; G = s + 1 u^T - C diag(a) C^T
+        # a_k = dL/dcut_k, b_k = dL/dvol_k, s = dL/dsum(A), u = C(a+b):
+        # dL/dH = (2s+u)*(SH) + sum_k ((a_k+b_k) - 2 a_k C_k) * (S(C_k*H)),
+        # so row i of dL/dH is w_i (1 x (r+1)) times Q_i ((r+1) x d).
         mask = ratio >= LOG_EPS
-        a_j = -np.log2(clamped) / total
-        b_j = -cuts * mask / (total * total * _LN2 * clamped)
-        s = -float(a_j @ cuts + b_j @ vols) / total
-        u = c @ (a_j + b_j)
-        ca = c * a_j
-        dh = np.empty_like(h)
-        for block in blocks:
-            a = kept if kept is not None else graph_block(block)
-            # rows of G + G^T, times the sigmoid slope A * (1 - A)
-            w = ca[block] @ c.T
-            w *= -2.0
-            w += (2.0 * s + u[block])[:, None]
-            w += u
-            w *= a
-            w *= 1.0 - a
-            dh[block] = w @ h
-        return dh * float(g)
+        a_k = -np.log2(clamped) / total
+        b_k = -cuts * mask / (total * total * _LN2 * clamped)
+        s = -float(a_k @ cuts + b_k @ vols) / total
+        u = c @ (a_k + b_k)
+        w = np.column_stack([2.0 * s + u, (a_k + b_k) - 2.0 * a_k * c])
+        return np.matmul(w[:, None, :], q.reshape(n, r + 1, d))[:, 0] * float(g)
 
     return Tensor._from_op(np.asarray(loss), [(embeddings, grad_fn)])
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -295,18 +295,22 @@ def evaluate(params: EncoderParams, X: np.ndarray, y: np.ndarray,
     """Deterministic evaluation on one split using the posterior mean.
 
     The loss breakdown is evaluated on the whole split in one batch with zero
-    sampling noise (so z = mu).  ``entropy.se_loss`` visits the split's graph
-    in row blocks, so graph memory is O(block * n + n * r), not n x n.
+    sampling noise (so z = mu).  It runs on constant copies of the
+    parameters, so no tape is recorded; ``entropy.se_loss`` then visits the
+    split's graph in row tiles without building its gradient panel, and graph
+    memory is O(tile + n * r), not n x n.
     """
     if X.shape[0] == 0:
         raise ValueError("cannot evaluate an empty split")
     task = config.task
     assignment = batch_assignment(task, y)
     noise = np.zeros((1, X.shape[0], task.latent_dim))
-    breakdown = combined_loss(params, X, assignment, y,
+    frozen = replace(params, weights=[constant(w.values) for w in params.weights],
+                     biases=[constant(b.values) for b in params.biases])
+    breakdown = combined_loss(frozen, X, assignment, y,
                               kind=task.kind, beta=config.beta, gamma=config.gamma,
                               noise=noise, use_mu_for_graph=config.use_mu_for_graph)
-    preds = predict(params, X, task)
+    preds = predict(frozen, X, task)
     report = MetricsReport(kind=task.kind, n=int(X.shape[0]), seed=config.seed,
                            config=config.echo(), loss=breakdown.scalars())
     if isinstance(task, ClassificationTask):

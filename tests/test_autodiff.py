@@ -67,6 +67,14 @@ class TestElementwise:
         np.testing.assert_array_equal(y.values, [-1.0, 0.5, 1.0])
         y.sum().backward()
         np.testing.assert_array_equal(x.grad, [0.0, 1.0, 0.0])
+        # one-sided bounds; a value on the bound passes its gradient
+        for lo, hi, vals, grad in [(0.0, None, [0.0, 0.0, 3.0], [0.0, 1.0, 1.0]),
+                                   (None, 0.0, [-2.0, 0.0, 0.0], [1.0, 1.0, 0.0])]:
+            x = parameter([-2.0, 0.0, 3.0])
+            y = x.clamp(lo, hi)
+            np.testing.assert_array_equal(y.values, vals)
+            (y * 3.0).sum().backward()
+            np.testing.assert_array_equal(x.grad, 3.0 * np.asarray(grad))
 
     def test_abs_grad_is_sign(self):
         g = grad_of(lambda x: x.abs().sum(), [-3.0, 2.0])

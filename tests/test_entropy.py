@@ -16,6 +16,7 @@ from bottletree.entropy import (AdjacencyMatrix, AssignmentMatrix,
                                 se_loss_matrix,
                                 structural_entropy_definition,
                                 tree_from_assignment)
+from bottletree.softbins import distance_matrix, make_bins, soften
 
 
 def ring_graph_4():
@@ -272,6 +273,36 @@ class TestFusedSeLoss:
         c = AssignmentMatrix(constant(rng.dirichlet(np.ones(3), size=7)), mode="soft")
         h = parameter(rng.standard_normal((7, 2)))
         assert finite_difference_check(lambda p: se_loss(p[0], c), [h]) < 1e-6
+
+    @staticmethod
+    def regression_case(n, seed):
+        """Latent of width 1 and a 5-bin soft assignment, as regression trains."""
+        rng = np.random.default_rng(seed)
+        bins = make_bins(0.0, 5.0, 5)
+        c = soften(distance_matrix(rng.uniform(0.0, 5.0, size=n), bins))
+        return 2.0 * rng.standard_normal((n, 1)), c
+
+    def test_matches_composite_over_shipped_tiles(self):
+        n = 400
+        assert math.ceil(n / (entropy.SE_BLOCK_ENTRIES // n)) >= 3  # tiles
+        self.assert_matches_composite(*self.regression_case(n, 62))
+
+    def test_constant_embeddings_give_the_same_loss(self):
+        h, c = self.regression_case(400, 63)
+        assert se_loss(constant(h), c).item() == se_loss(parameter(h), c).item()
+
+    def test_backward_never_allocates_the_graph(self):
+        import tracemalloc
+
+        h, c = self.regression_case(3000, 64)
+        loss = se_loss(parameter(h), c)
+        tracemalloc.start()
+        try:
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # one 3000 x 3000 graph is 69 MiB
 
     def test_rejects_bad_inputs(self):
         c = hard_assignment([0, 1, 0], 2)
