@@ -372,14 +372,15 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 def _stable_sigmoid(x: np.ndarray, out: np.ndarray | None = None,
                     den: np.ndarray | None = None) -> np.ndarray:
-    # exp(min(x, 0)) / (1 + exp(-|x|)): 1 / (1 + exp(-x)) for x >= 0 and
-    # exp(x) / (1 + exp(x)) below, bit for bit, without masked gathers.
+    # max([x >= 0], e) / (1 + e) with e = exp(-|x|): 1 / (1 + exp(-x)) for
+    # x >= 0 and exp(x) / (1 + exp(x)) below, bit for bit, with one exp and
+    # no masked gathers (e <= 1, so the max picks 1 or e).
     # ``out`` and the scratch ``den`` are optional buffers; ``den`` may be x.
-    out = np.minimum(x, 0.0, out=np.empty_like(x) if out is None else out)
-    np.exp(out, out=out)
+    out = np.greater_equal(x, 0.0, out=np.empty_like(x) if out is None else out)
     den = np.abs(x, out=np.empty_like(x) if den is None else den)
     np.negative(den, out=den)
     np.exp(den, out=den)
+    np.maximum(out, den, out=out)
     den += 1.0
     out /= den
     return out

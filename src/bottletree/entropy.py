@@ -12,9 +12,11 @@ Two independent routes to the same quantity live here on purpose:
 
 ``se_loss`` is the training route: the same matrix form on
 ``A = sigmoid(HH^T)``, fused into one tape node.  Its forward pass visits
-``A`` once, in cache-sized row tiles, and also accumulates the n x d(r+1)
-panel its gradient needs; the backward pass reads only that panel.  Graph
-memory is O(tile + n * r * d) instead of several n x n arrays.
+the upper half of the symmetric ``A`` once, in cache-sized row tiles - each
+tile forms only the columns at or right of its first row, about
+n^2/2 + n*rows/2 entries - and also accumulates the n x d(r+1) panel its
+gradient needs; the backward pass reads only that panel.  Graph memory is
+O(tile + n * r * d) instead of several n x n arrays.
 
 Tests pin the routes against each other; never collapse them.
 """
@@ -29,8 +31,10 @@ import numpy as np
 from .autodiff import (_LN2, LOG_EPS, DimensionError, Tensor, _stable_sigmoid,
                        constant)
 
-# Graph entries per row tile of ``se_loss``.  The tile's two buffers (Gram
-# and graph, 512 KiB each, allocated once per call) fit a 2 MiB per-core L2.
+# Graph entries per full-width row tile of ``se_loss``; a tile forms only the
+# columns from its first row on, and a batch of <= 256 rows is one tile.  The
+# tile's two buffers (Gram and graph, 512 KiB each, allocated once per call)
+# fit a 2 MiB per-core L2.
 # Timed against 2**14, 2**15 and 2**17: smaller tiles pay more per-tile call
 # overhead (a 6000-row split is 3000 tiles at 2**14); at 2**17 the buffers
 # alone fill the L2.
@@ -271,10 +275,14 @@ def se_loss_matrix(adj: AdjacencyMatrix, assignment: AssignmentMatrix) -> Tensor
 def se_loss(embeddings: Tensor, assignment: AssignmentMatrix) -> Tensor:
     """``se_loss_matrix(build_adjacency(embeddings), assignment)`` as one tape node.
 
-    The forward pass accumulates ``AC`` and ``sum(A)`` over row tiles
-    ``A_I = sigmoid(H_I H^T)`` of at most ``SE_BLOCK_ENTRIES`` entries and,
-    when the embeddings require grad, the n x d(r+1) panel
-    ``Q = S [H, C_1*H, ..., C_r*H]`` with ``S = A*(1-A)``.  The backward pass
+    The forward pass accumulates ``AC`` and ``sum(A)`` over row tiles of
+    ``rows = SE_BLOCK_ENTRIES // n`` rows and, when the embeddings require
+    grad, the n x d(r+1) panel ``Q = S [H, C_1*H, ..., C_r*H]`` with
+    ``S = A*(1-A)``.  ``A`` is symmetric, so tile ``I = [start, stop)`` forms
+    only ``A[I, start:] = sigmoid(H_I H[start:]^T)``, about n^2/2 + n*rows/2
+    entries in all, and adds its block right of the diagonal, transposed, to
+    the rows after ``stop``.  A batch of at most ``rows`` rows (256 rows at
+    the shipped tile size) is one tile, the full graph.  The backward pass
     reads only ``Q``, never the graph, so graph memory is O(tile + n * r * d).
     The assignment is data; gradients flow only into the embeddings.
     """
@@ -297,19 +305,33 @@ def se_loss(embeddings: Tensor, assignment: AssignmentMatrix) -> Tensor:
         # built as (r+1) x d x n, so that each product runs along n
         panel = np.concatenate([h_t[None], c.T[:, None, :] * h_t]).reshape(-1, n).T
         q = np.empty((n, (r + 1) * d))
-    gram, a = np.empty((rows, n)), np.empty((rows, n))
+    gram, a = np.empty(rows * n), np.empty(rows * n)
     ac = np.empty(c.shape)
     total = 0.0
-    for start in range(0, n, rows):
-        tile = slice(start, min(start + rows, n))
-        g_t = np.matmul(h[tile], h_t, out=gram[:tile.stop - start])
-        a_t = _stable_sigmoid(g_t, out=a[:tile.stop - start], den=g_t)
-        np.matmul(a_t, c, out=ac[tile])
+    # Tiles run last to first: the rows after a tile already hold their own
+    # products when its block A[I, stop:], transposed, is added to them, and
+    # a tile's own rows are written, not accumulated.
+    for start in reversed(range(0, n, rows)):
+        stop = min(start + rows, n)
+        tile, right = slice(start, stop), slice(stop - start, None)
+        shape = (stop - start, n - start)
+        g_t = gram[:shape[0] * shape[1]].reshape(shape)
+        if d == 1:  # one rounded product per entry, the bits of the matmul
+            np.multiply(h[tile], h_t[:, start:], out=g_t)
+        else:
+            np.matmul(h[tile], h_t[:, start:], out=g_t)
+        a_t = _stable_sigmoid(g_t, out=a[:g_t.size].reshape(shape), den=g_t)
+        np.matmul(a_t, c[start:], out=ac[tile])
         total += a_t.sum()
+        if stop < n:
+            ac[stop:] += a_t[:, right].T @ c[tile]
+            total += a_t[:, right].sum()
         if embeddings.requires_grad:
             s_t = np.subtract(1.0, a_t, out=g_t)
             s_t *= a_t
-            np.matmul(s_t, panel, out=q[tile])
+            np.matmul(s_t, panel[start:], out=q[tile])
+            if stop < n:
+                q[stop:] += s_t[:, right].T @ panel[tile]
     cuts = ((1.0 - c) * ac).sum(axis=0)
     vols = ac.sum(axis=0)
     ratio = vols / total

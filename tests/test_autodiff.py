@@ -34,6 +34,11 @@ class TestElementwise:
         ref[~pos] = ex / (1.0 + ex)
         assert np.array_equal(_stable_sigmoid(x), ref)
         assert _stable_sigmoid(np.asarray(-2.0)).shape == ()
+        # as ``se_loss`` calls it: into a buffer, with x itself as scratch
+        out, scratch = np.empty_like(x), x.copy()
+        assert _stable_sigmoid(scratch, out=out, den=scratch) is out
+        assert np.array_equal(out, ref)
+        assert np.isnan(_stable_sigmoid(np.array([np.nan]))[0])
 
     def test_log2_exact_power(self):
         assert constant([8.0]).log2().values[0] == 3.0

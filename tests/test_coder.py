@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from bottletree.autodiff import (DimensionError, constant,
-                                 finite_difference_check, parameter)
+                                 finite_difference_check, parameter,
+                                 zero_grads)
 from bottletree.coder import (GaussianPosterior, combined_loss,
                               encode, init_params, kl_to_standard_normal,
                               load_checkpoint, predict_classification,
@@ -249,6 +250,24 @@ class TestCombinedLoss:
                                  beta=0.0, gamma=0.0, noise=noise[k:k + 1]).task.item()
                    for k in range(3)]
         assert bd.task.item() == pytest.approx(np.mean(singles), abs=1e-12)
+
+    def test_mu_graph_sends_no_entropy_gradient_to_logvar(self):
+        rng = np.random.default_rng(13)
+        params = init_params(3, (4,), 2, seed=7)
+        X = rng.standard_normal((6, 3))
+        y = rng.integers(0, 2, size=6)
+        noise = rng.standard_normal((1, 6, 2))
+        logvar_grads = {}
+        for use_mu in (False, True):
+            zero_grads(params.all_tensors())
+            combined_loss(params, X, hard_assignment(y, 2), y, kind="classification",
+                          beta=0.0, gamma=1.0, noise=noise,
+                          use_mu_for_graph=use_mu).se.backward()
+            # the last layer's columns 2:4 are the log-variance head
+            logvar_grads[use_mu] = np.concatenate([params.weights[-1].grad[:, 2:],
+                                                   params.biases[-1].grad[:, 2:]])
+        assert np.abs(logvar_grads[False]).max() > 0.0
+        assert not logvar_grads[True].any()
 
 
 class TestCheckpoint:

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bottletree import entropy
-from bottletree.autodiff import constant, finite_difference_check, parameter
+from bottletree.autodiff import (_stable_sigmoid, constant,
+                                 finite_difference_check, parameter)
 from bottletree.entropy import (AdjacencyMatrix, AssignmentMatrix,
                                 AssignmentModeError, DegenerateBatchError,
                                 DimensionError, EncodingTree, build_adjacency,
@@ -286,6 +287,40 @@ class TestFusedSeLoss:
         n = 400
         assert math.ceil(n / (entropy.SE_BLOCK_ENTRIES // n)) >= 3  # tiles
         self.assert_matches_composite(*self.regression_case(n, 62))
+
+    @pytest.mark.parametrize("case", ["soft-d1", "hard-d3"])
+    def test_matches_composite_with_a_ragged_last_tile(self, case):
+        n = 401
+        rows = entropy.SE_BLOCK_ENTRIES // n
+        assert n % rows and math.ceil(n / rows) >= 3
+        if case == "soft-d1":
+            self.assert_matches_composite(*self.regression_case(n, 65))
+        else:
+            rng = np.random.default_rng(66)
+            c = hard_assignment(rng.integers(0, 3, size=n), 3)
+            self.assert_matches_composite(1.5 * rng.standard_normal((n, 3)), c)
+
+    def test_forward_visits_only_the_upper_half_graph(self, monkeypatch):
+        entries = []
+
+        def counted(x, *args, **kwargs):
+            entries.append(x.size)
+            return _stable_sigmoid(x, *args, **kwargs)
+
+        monkeypatch.setattr(entropy, "_stable_sigmoid", counted)
+        n = 1024
+        rows = entropy.SE_BLOCK_ENTRIES // n
+        h, c = self.regression_case(n, 67)
+        se_loss(parameter(h), c).backward()
+        assert len(entries) == n // rows
+        assert sum(entries) <= n * (n + rows) // 2  # the full graph is n * n
+
+    def test_width_one_gram_by_broadcast_equals_matmul(self):
+        h = self.regression_case(1024, 68)[0]
+        h_t = h.T.copy()
+        for start in (0, 64):  # a full-width tile and a trapezoid one
+            tile = slice(start, start + 64)
+            assert np.array_equal(h[tile] * h_t[:, start:], h[tile] @ h_t[:, start:])
 
     def test_constant_embeddings_give_the_same_loss(self):
         h, c = self.regression_case(400, 63)

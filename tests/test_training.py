@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bottletree.coder import init_params
+from bottletree.coder import combined_loss, init_params
 from bottletree.datasets import gen_blobs, gen_regression
 from bottletree.softbins import make_bins
 from bottletree.training import (ClassificationTask, RegressionTask,
@@ -84,6 +84,30 @@ class TestTrain:
         cfg = blob_config(easy_blobs, lr=0.0, epochs=8, patience=2)
         result = train(cfg, easy_blobs.subset("train"), easy_blobs.subset("dev"))
         assert len(result.history) == 4  # epoch 0 improves, then patience+1 bad ones
+
+    def test_two_samples_average_two_draws(self, easy_blobs, monkeypatch):
+        from bottletree import training
+
+        first = []
+
+        def recording(params, xb, assignment, yb, *, noise, **kwargs):
+            both = combined_loss(params, xb, assignment, yb, noise=noise, **kwargs)
+            if not first:
+                first.append((noise, both, [
+                    combined_loss(params, xb, assignment, yb, noise=draw[None], **kwargs)
+                    for draw in noise]))
+            return both
+
+        monkeypatch.setattr(training, "combined_loss", recording)
+        cfg = blob_config(easy_blobs, gamma=1.0, epochs=1, patience=0,
+                          samples_per_input=2)
+        train(cfg, easy_blobs.subset("train"), easy_blobs.subset("dev"))
+        noise, both, singles = first[0]
+        assert noise.shape[0] == 2
+        for term in ("task", "se"):
+            values = [getattr(one, term).item() for one in singles]
+            assert values[0] != values[1]
+            assert getattr(both, term).item() == pytest.approx(np.mean(values), abs=1e-12)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_with_payload(self, easy_blobs):
