@@ -3,13 +3,19 @@
 A dynamic tape: every operation records its parent tensors together with a
 closure mapping the output gradient to each parent's gradient contribution.
 Graphs are rebuilt per training step and consumed by a single ``backward()``
-call.  Everything is 64-bit; elementwise broadcasting is restricted to
-equal shapes, a scalar with a tensor, and a (1, h) row against an (n, h)
-matrix (a bias added to every row), which is all the model here needs.
+call.  Every tensor carries a creation number, and a tensor is always
+created after its parents, so ``backward()`` visits the pending nodes in
+descending creation order (a heap): each node's gradient is complete when it
+is reached, without a topological sort or recursion.  Everything is 64-bit;
+elementwise broadcasting is restricted to equal shapes, a scalar with a
+tensor, and a (1, h) row against an (n, h) matrix (a bias added to every
+row), which is all the model here needs.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -19,6 +25,9 @@ import numpy as np
 LOG_EPS = 1e-12
 
 _LN2 = float(np.log(2.0))
+
+# Creation numbers: a tensor's number exceeds those of all its parents.
+_creation = itertools.count()
 
 
 class DimensionError(ValueError):
@@ -53,7 +62,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """Dense float64 array participating in a reverse-mode graph."""
 
-    __slots__ = ("values", "requires_grad", "grad", "_parents", "_consumed")
+    __slots__ = ("values", "requires_grad", "grad", "_parents", "_consumed", "_order")
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = _as_array(values)
@@ -62,6 +71,7 @@ class Tensor:
         # tuple of (parent, grad_fn) where grad_fn maps d(out) -> d(parent)
         self._parents: tuple[tuple["Tensor", Callable[[np.ndarray], np.ndarray]], ...] = ()
         self._consumed = False
+        self._order = next(_creation)
 
     # -- basic introspection ------------------------------------------------
 
@@ -161,10 +171,6 @@ class Tensor:
 
     def __neg__(self):
         return Tensor._from_op(-self.values, [(self, lambda g: -g)])
-
-    def abs(self):
-        sign = np.sign(self.values)
-        return Tensor._from_op(np.abs(self.values), [(self, lambda g: g * sign)])
 
     def exp(self):
         out_vals = np.exp(self.values)
@@ -282,37 +288,10 @@ class Tensor:
 
         return Tensor._from_op(self.values.mean(axis=axis), [(self, grad_fn)])
 
-    def max(self, axis: int | None = None):
-        """Max reduction; the gradient routes to the first maximal element."""
-        self._check_axis(axis)
-        x = self.values
-        if axis is None:
-            idx = int(np.argmax(x))  # first occurrence on ties
-
-            def grad_fn(g, idx=idx, shape=x.shape):
-                full = np.zeros(shape)
-                full.reshape(-1)[idx] = float(g)
-                return full
-
-            return Tensor._from_op(np.asarray(x.max()), [(self, grad_fn)])
-
-        idx = np.expand_dims(np.argmax(x, axis=axis), axis)
-
-        def grad_fn(g, idx=idx, axis=axis, shape=x.shape):
-            full = np.zeros(shape)
-            np.put_along_axis(full, idx, np.expand_dims(g, axis), axis=axis)
-            return full
-
-        return Tensor._from_op(x.max(axis=axis), [(self, grad_fn)])
-
     def softmax(self, axis: int = -1):
         """Numerically stable softmax along ``axis`` with the exact Jacobian."""
         self._check_axis(axis)
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("softmax needs finite inputs")
-        shifted = self.values - self.values.max(axis=axis, keepdims=True)
-        e = np.exp(shifted)
-        out_vals = e / e.sum(axis=axis, keepdims=True)
+        out_vals = softmax_values(self.values, axis)
 
         def grad_fn(g, s=out_vals, axis=axis):
             return s * (g - (g * s).sum(axis=axis, keepdims=True))
@@ -331,12 +310,13 @@ class Tensor:
         if not self.requires_grad:
             return  # constant loss: nothing to do
 
-        order = _topo_order(self)
-        pending: dict[int, np.ndarray] = {id(self): np.ones(self.shape)}
-        for node in order:
-            g = pending.pop(id(node), None)
-            if g is None:
-                continue
+        # Pending gradients by creation number; the heap pops the newest
+        # node first, and every consumer of a node is newer than it.
+        pending: dict[int, np.ndarray] = {self._order: np.ones(self.shape)}
+        heap: list[tuple[int, Tensor]] = [(-self._order, self)]
+        while heap:
+            node = heapq.heappop(heap)[1]
+            g = pending.pop(node._order)
             # Every grad_fn multiplies, copies or sums g, so a non-finite
             # interior gradient reaches some leaf as inf or nan (inf * 0 is
             # nan): checking the leaves, the parameter gradients, suffices.
@@ -345,29 +325,20 @@ class Tensor:
             node.grad = g if node.grad is None else node.grad + g
             for parent, grad_fn in node._parents:
                 contrib = grad_fn(g)
-                prev = pending.get(id(parent))
-                pending[id(parent)] = contrib if prev is None else prev + contrib
+                prev = pending.get(parent._order)
+                if prev is None:
+                    pending[parent._order] = contrib
+                    heapq.heappush(heap, (-parent._order, parent))
+                else:
+                    pending[parent._order] = prev + contrib
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
-    """Reverse topological order (root first) over requires_grad nodes."""
-    post: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            post.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent, _ in node._parents:
-            if id(parent) not in seen:
-                stack.append((parent, False))
-    post.reverse()
-    return post
+def softmax_values(x: np.ndarray, axis: int) -> np.ndarray:
+    """Max-shifted softmax of finite values along ``axis``."""
+    if not np.all(np.isfinite(x)):
+        raise ValueError("softmax needs finite inputs")
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def _stable_sigmoid(x: np.ndarray, out: np.ndarray | None = None,

@@ -2,9 +2,15 @@
 
 An MLP maps inputs to a diagonal Gaussian over the latent space; samples are
 drawn with the reparameterization trick; predictions read directly off the
-sample (softmax for classification, identity on a 1-d latent for regression).
-The combined objective is task + beta * KL - gamma * structural entropy: the
-entropy term is maximized.
+sample (class logits for classification, identity on a 1-d latent for
+regression).  The combined objective is task + beta * KL - gamma * structural
+entropy: the entropy term is maximized.
+
+The KL term, the reparameterized sample and the softmax cross-entropy are
+each one tape node with a closed-form gradient; their values come from the
+same numpy expressions as the composite tape forms the tests keep as
+references.  All weights and biases are views into one float64 vector,
+``EncoderParams.flat``, which the optimizer updates in place.
 """
 
 from __future__ import annotations
@@ -14,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import DimensionError, Tensor, constant, parameter
+from .autodiff import (LOG_EPS, DimensionError, Tensor, constant, parameter,
+                       softmax_values)
 from .entropy import AssignmentMatrix, se_loss
 
 LOGVAR_MIN = -10.0
@@ -25,7 +32,11 @@ CHECKPOINT_SCHEMA_VERSION = 1
 
 @dataclass
 class EncoderParams:
-    """MLP weights/biases; the final layer stacks the mean and log-variance heads."""
+    """MLP weights/biases; the final layer stacks the mean and log-variance heads.
+
+    Every weight and bias is a view into ``flat``, layer by layer, weight
+    before bias.
+    """
 
     input_dim: int
     hidden: tuple[int, ...]
@@ -33,25 +44,33 @@ class EncoderParams:
     activation: str  # "relu" | "sigmoid"
     weights: list[Tensor]
     biases: list[Tensor]
+    flat: np.ndarray
 
     def all_tensors(self) -> list[Tensor]:
-        out: list[Tensor] = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        """Weights and biases in the layout of ``flat``."""
+        return [t for layer in zip(self.weights, self.biases) for t in layer]
 
-    def copy_values(self) -> list[np.ndarray]:
-        return [t.values.copy() for t in self.all_tensors()]
+    def copy_values(self) -> np.ndarray:
+        return self.flat.copy()
 
-    def load_values(self, values: list[np.ndarray]) -> None:
-        tensors = self.all_tensors()
-        if len(values) != len(tensors):
-            raise DimensionError("parameter count mismatch")
-        for t, v in zip(tensors, values):
-            if t.shape != v.shape:
-                raise DimensionError(f"parameter shape mismatch: {t.shape} vs {v.shape}")
-            t.values = v.copy()
+    def load_values(self, values: np.ndarray) -> None:
+        if values.shape != self.flat.shape:
+            raise DimensionError(
+                f"parameter vector shape mismatch: {self.flat.shape} vs {values.shape}")
+        self.flat[...] = values
+
+
+def _params_from_layers(input_dim: int, hidden, latent_dim: int, activation: str,
+                        layers: list[tuple[np.ndarray, np.ndarray]]) -> EncoderParams:
+    """Copy (weight, bias) arrays into one flat vector and view them from it."""
+    arrays = [a for layer in layers for a in layer]
+    flat = np.concatenate([a.reshape(-1) for a in arrays])
+    views, start = [], 0
+    for a in arrays:
+        views.append(parameter(flat[start:start + a.size].reshape(a.shape)))
+        start += a.size
+    return EncoderParams(input_dim, tuple(hidden), latent_dim, activation,
+                         views[0::2], views[1::2], flat)
 
 
 def init_params(input_dim: int,
@@ -64,13 +83,10 @@ def init_params(input_dim: int,
         raise ValueError(f"unsupported activation {activation!r}")
     rng = np.random.default_rng(seed)
     dims = [input_dim, *hidden, 2 * latent_dim]
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        w = rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in)
-        weights.append(parameter(w))
-        biases.append(parameter(np.zeros((1, fan_out))))
-    return EncoderParams(input_dim, tuple(hidden), latent_dim, activation,
-                         weights, biases)
+    layers = [(rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in),
+               np.zeros((1, fan_out)))
+              for fan_in, fan_out in zip(dims[:-1], dims[1:])]
+    return _params_from_layers(input_dim, hidden, latent_dim, activation, layers)
 
 
 @dataclass
@@ -101,25 +117,24 @@ def encode(params: EncoderParams, inputs: Tensor) -> GaussianPosterior:
 
 def reparameterize(post: GaussianPosterior, noise) -> Tensor:
     """z = mu + exp(logvar/2) * noise; deterministic given the noise draw."""
-    eps = noise if isinstance(noise, Tensor) else constant(noise)
+    eps = noise.values if isinstance(noise, Tensor) else np.asarray(noise, dtype=np.float64)
     if eps.shape != post.mu.shape:
         raise DimensionError(f"noise shape {eps.shape} != posterior shape {post.mu.shape}")
-    return post.mu + (post.logvar * 0.5).exp() * eps
+    std = np.exp(post.logvar.values * 0.5)
+    return Tensor._from_op(post.mu.values + std * eps,
+                           [(post.mu, lambda g: g),
+                            (post.logvar, lambda g: g * eps * std * 0.5)])
 
 
 def kl_to_standard_normal(post: GaussianPosterior) -> Tensor:
     """Closed-form KL(N(mu, diag sigma^2) || N(0, I)), averaged over the batch."""
-    var = post.logvar.exp()
-    per_sample = ((post.mu * post.mu + var - 1.0 - post.logvar) * 0.5).sum(axis=1)
-    return per_sample.mean()
-
-
-def predict_classification(z: Tensor, num_classes: int) -> Tensor:
-    """Row-wise softmax over the latent; argmax is the predicted class."""
-    if z.shape[1] != num_classes:
-        raise DimensionError(
-            f"latent dim {z.shape[1]} must equal the class count {num_classes}")
-    return z.softmax(axis=1)
+    mu, logvar = post.mu.values, post.logvar.values
+    var = np.exp(logvar)
+    per_sample = ((mu * mu + var - 1.0 - logvar) * 0.5).sum(axis=1)
+    n = mu.shape[0]
+    return Tensor._from_op(np.asarray(per_sample.mean()),
+                           [(post.mu, lambda g: mu * (g / n)),
+                            (post.logvar, lambda g: (var - 1.0) * (g / (2 * n)))])
 
 
 def predict_regression(z: Tensor) -> Tensor:
@@ -130,15 +145,25 @@ def predict_regression(z: Tensor) -> Tensor:
 
 
 def task_loss(pred: Tensor, targets, kind: str) -> Tensor:
-    """Cross-entropy over class probabilities, or mean squared error."""
+    """Softmax cross-entropy over class logits, or mean squared error.
+
+    The cross-entropy floors the true-class probability at LOG_EPS; a row
+    below the floor contributes log(LOG_EPS) and no gradient.
+    """
     if kind == "cross_entropy":
         labels = np.asarray(targets)
         if labels.ndim != 1 or labels.size != pred.shape[0]:
             raise DimensionError("targets must be one class id per prediction row")
+        probs = softmax_values(pred.values, 1)
         onehot = np.zeros(pred.shape)
         onehot[np.arange(labels.size), labels.astype(np.int64)] = 1.0
-        true_prob = (pred * constant(onehot)).sum(axis=1)
-        return -(true_prob.log().mean())
+        true_prob = (probs * onehot).sum(axis=1)
+        loss = -np.asarray(np.log(np.maximum(true_prob, LOG_EPS)).mean())
+
+        def grad_fn(g, n=labels.size):
+            return (probs - onehot) * ((true_prob >= LOG_EPS) * (g / n))[:, None]
+
+        return Tensor._from_op(loss, [(pred, grad_fn)])
     if kind == "mse":
         t = np.asarray(targets, dtype=np.float64)
         if t.shape != pred.shape:
@@ -195,7 +220,12 @@ def combined_loss(params: EncoderParams,
     graph is built from the sampled latent by default, or from the posterior
     mean when ``use_mu_for_graph`` is set.
     """
+    if kind not in ("classification", "regression"):
+        raise ValueError(f"unknown task kind {kind!r}")
     post = encode(params, inputs if isinstance(inputs, Tensor) else constant(inputs))
+    if kind == "classification" and post.mu.shape[1] != assignment.num_classes:
+        raise DimensionError(f"latent dim {post.mu.shape[1]} must equal "
+                             f"the class count {assignment.num_classes}")
     kl = kl_to_standard_normal(post)
 
     draws = np.asarray(noise, dtype=np.float64)
@@ -210,13 +240,9 @@ def combined_loss(params: EncoderParams,
     for k in range(draws.shape[0]):
         z = reparameterize(post, draws[k])
         if kind == "classification":
-            probs = predict_classification(z, assignment.num_classes)
-            task_terms.append(task_loss(probs, targets, "cross_entropy"))
-        elif kind == "regression":
-            preds = predict_regression(z)
-            task_terms.append(task_loss(preds, targets, "mse"))
+            task_terms.append(task_loss(z, targets, "cross_entropy"))
         else:
-            raise ValueError(f"unknown task kind {kind!r}")
+            task_terms.append(task_loss(predict_regression(z), targets, "mse"))
         graph_source = post.mu if use_mu_for_graph else z
         se_terms.append(se_loss(graph_source, assignment))
 
@@ -260,11 +286,9 @@ def load_checkpoint(path) -> tuple[EncoderParams, int | None]:
         doc = json.load(fh)
     if doc.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
         raise ValueError(f"unsupported checkpoint schema {doc.get('schema_version')!r}")
-    weights, biases = [], []
-    for layer in doc["layers"]:
-        shape = tuple(layer["shape"])
-        weights.append(parameter(np.asarray(layer["weights"]).reshape(shape)))
-        biases.append(parameter(np.asarray(layer["bias"]).reshape(1, shape[1])))
-    params = EncoderParams(doc["input_dim"], tuple(doc["hidden"]), doc["latent_dim"],
-                           doc["activation"], weights, biases)
+    layers = [(np.asarray(layer["weights"], dtype=np.float64).reshape(layer["shape"]),
+               np.asarray(layer["bias"], dtype=np.float64).reshape(1, layer["shape"][1]))
+              for layer in doc["layers"]]
+    params = _params_from_layers(doc["input_dim"], doc["hidden"], doc["latent_dim"],
+                                 doc["activation"], layers)
     return params, doc["seed"]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import metrics as M
-from .autodiff import Tensor, constant, zero_grads
+from .autodiff import constant, zero_grads
 from .coder import EncoderParams, combined_loss, encode, init_params
 from .entropy import AssignmentMatrix, hard_assignment
 from .softbins import BinSpec, distance_matrix, nearest_bin, soften
@@ -111,29 +111,32 @@ class TrainingDiverged(RuntimeError):
 
 
 class Adam:
-    """Adam with bias correction; state lives per parameter tensor."""
+    """Adam with bias correction over ``params.flat``, updated in place.
 
-    def __init__(self, params: list[Tensor], lr: float,
+    ``m`` and ``v`` parallel ``flat``; each step gathers the gradients of
+    ``all_tensors()``, so every parameter must carry one (``combined_loss``
+    reaches them all).
+    """
+
+    def __init__(self, params: EncoderParams, lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.params = params
+        self.tensors = params.all_tensors()
+        self.flat = params.flat
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = [np.zeros(p.shape) for p in params]
-        self.v = [np.zeros(p.shape) for p in params]
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
         self.t = 0
 
     def step(self, lr_scale: float = 1.0) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for i, p in enumerate(self.params):
-            g = p.grad
-            if g is None:
-                continue
-            self.m[i] = b1 * self.m[i] + (1 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
-            m_hat = self.m[i] / (1 - b1 ** self.t)
-            v_hat = self.v[i] / (1 - b2 ** self.t)
-            p.values = p.values - self.lr * lr_scale * m_hat / (np.sqrt(v_hat) + self.eps)
+        g = np.concatenate([p.grad.reshape(-1) for p in self.tensors])
+        self.m = b1 * self.m + (1 - b1) * g
+        self.v = b2 * self.v + (1 - b2) * g * g
+        m_hat = self.m / (1 - b1 ** self.t)
+        v_hat = self.v / (1 - b2 ** self.t)
+        self.flat -= self.lr * lr_scale * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def batch_assignment(task, y_batch) -> AssignmentMatrix:
@@ -175,7 +178,7 @@ def train(config: TrainConfig,
     noise_rng = np.random.default_rng(noise_seed)
 
     tensors = params.all_tensors()
-    opt = Adam(tensors, config.lr)
+    opt = Adam(params, config.lr)
     steps_per_epoch = max(1, X_train.shape[0] // config.batch_size)
     warmup_steps = max(1, int(config.warmup_fraction * config.epochs * steps_per_epoch))
 
@@ -295,7 +298,7 @@ def evaluate(params: EncoderParams, X: np.ndarray, y: np.ndarray,
     """Deterministic evaluation on one split using the posterior mean.
 
     The loss breakdown is evaluated on the whole split in one batch with zero
-    sampling noise (so z = mu).  It runs on constant copies of the
+    sampling noise (so z = mu).  It runs on constant views of the
     parameters, so no tape is recorded; ``entropy.se_loss`` then visits the
     split's graph in row tiles without building its gradient panel, and graph
     memory is O(tile + n * r), not n x n.

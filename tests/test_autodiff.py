@@ -81,10 +81,6 @@ class TestElementwise:
             (y * 3.0).sum().backward()
             np.testing.assert_array_equal(x.grad, 3.0 * np.asarray(grad))
 
-    def test_abs_grad_is_sign(self):
-        g = grad_of(lambda x: x.abs().sum(), [-3.0, 2.0])
-        np.testing.assert_array_equal(g, [-1.0, 1.0])
-
 
 ROW_OPS = [("add", lambda a, b: a + b), ("sub", lambda a, b: a - b),
            ("mul", lambda a, b: a * b), ("div", lambda a, b: a / b)]
@@ -163,16 +159,6 @@ class TestReductions:
         with pytest.raises(DimensionError):
             constant(np.ones((2, 2))).sum(axis=2)
 
-    def test_max_ties_route_to_first(self):
-        x = parameter([1.0, 5.0, 5.0, 2.0])
-        x.max().backward()
-        np.testing.assert_array_equal(x.grad, [0.0, 1.0, 0.0, 0.0])
-
-    def test_max_axis_grad(self):
-        x = parameter([[1.0, 3.0], [4.0, 2.0]])
-        x.max(axis=1).sum().backward()
-        np.testing.assert_array_equal(x.grad, [[0.0, 1.0], [1.0, 0.0]])
-
 
 class TestSoftmax:
     def test_uniform(self):
@@ -227,6 +213,38 @@ class TestBackward:
         y.backward()
         assert x.grad[0] == pytest.approx(5.0)
 
+    def test_shared_node_with_interleaved_consumers(self):
+        # s feeds four consumers created between other nodes.  Gradients
+        # would come out right in any order (propagation is linear), but
+        # visiting s before all its consumers would run its grad_fn twice.
+        rng = np.random.default_rng(8)
+        calls = []
+
+        def f(params):
+            x, w = params
+            h = x.sigmoid()
+            s = Tensor._from_op(h.values, [(h, lambda g: calls.append(1) or g)])
+            a = s @ w
+            t = (x * 0.5).exp()
+            b = s * t
+            c = (a @ s.T).sigmoid()
+            return (b * b).sum() + c.sum() + (s * x).mean()
+
+        params = [parameter(rng.standard_normal((3, 4))),
+                  parameter(rng.standard_normal((4, 4)))]
+        assert finite_difference_check(f, params, h=1e-6) < 1e-6
+        calls.clear()
+        f(params).backward()
+        assert len(calls) == 1
+
+    def test_long_chain_runs_without_recursion(self):
+        x = parameter([1.0, 2.0])
+        y = x
+        for _ in range(10_000):
+            y = y + 1.0
+        y.sum().backward()
+        np.testing.assert_array_equal(x.grad, [1.0, 1.0])
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("value,build", [
         # 1e200 * 0 = 0; the leaf gets -0 * 1 / (1e-200)^2 = -0 / 0 = nan
@@ -249,11 +267,11 @@ SMOOTH_OPS = [
     ("add", lambda x: ((x + x) * x).sum()),
     ("sub", lambda x: ((x - 2.0) * (x - 2.0)).mean()),
     ("exp", lambda x: x.exp().sum()),
-    ("log", lambda x: (x.abs() + 1.0).log().sum()),
-    ("log2", lambda x: (x.abs() + 1.0).log2().sum()),
+    ("log", lambda x: (x * x + 1.0).log().sum()),
+    ("log2", lambda x: (x * x + 1.0).log2().sum()),
     ("sigmoid", lambda x: x.sigmoid().sum()),
     ("mul", lambda x: (x * x).sum()),
-    ("div", lambda x: (1.0 / (x.abs() + 1.0)).sum()),
+    ("div", lambda x: (1.0 / (x * x + 1.0)).sum()),
     ("softmax", lambda x: (x.softmax(axis=1) * x.softmax(axis=1)).sum()),
     ("mean", lambda x: (x * x).mean()),
     ("sum_axis", lambda x: (x.sum(axis=0) * x.sum(axis=0)).sum()),
@@ -278,15 +296,14 @@ def test_op_level_gradients(name, build, trial):
 
 @pytest.mark.parametrize("trial", range(10))
 def test_kinked_op_gradients_away_from_kinks(trial):
-    # abs/clamp/max have kinks; keep inputs clear of them for the check
+    # clamp and relu have kinks; keep inputs clear of them for the check
     rng = np.random.default_rng(200 + trial)
     vals = rng.standard_normal((3, 4))
     vals += np.sign(vals) * 0.2  # push away from 0
 
     def f(params):
         x = params[0]
-        return (x.abs().sum() + x.clamp(-5.0, 5.0).sum() * 0.5
-                + x.max(axis=1).sum() * 0.25)
+        return x.clamp(-5.0, 5.0).sum() * 0.5 + (x.relu() * x).sum() * 0.25
 
     assert finite_difference_check(f, [parameter(vals)], h=1e-6) < 1e-6
 

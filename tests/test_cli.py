@@ -83,6 +83,7 @@ class TestTrain:
         assert main([*args, "--out-dir", str(out2)]) == 0
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
         assert (out1 / "history.csv").read_bytes() == (out2 / "history.csv").read_bytes()
+        assert (out1 / "model.json").read_bytes() == (out2 / "model.json").read_bytes()
 
     def test_writes_loadable_checkpoint(self, blob_csv, tmp_path):
         from bottletree.coder import load_checkpoint

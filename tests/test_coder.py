@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from bottletree.autodiff import (DimensionError, constant,
+from bottletree.autodiff import (LOG_EPS, DimensionError, constant,
                                  finite_difference_check, parameter,
                                  zero_grads)
-from bottletree.coder import (GaussianPosterior, combined_loss,
-                              encode, init_params, kl_to_standard_normal,
-                              load_checkpoint, predict_classification,
+from bottletree.coder import (LOGVAR_MAX, LOGVAR_MIN, GaussianPosterior,
+                              combined_loss, encode, init_params,
+                              kl_to_standard_normal, load_checkpoint,
                               predict_regression, reparameterize,
                               save_checkpoint, task_loss, total_loss)
 from bottletree.entropy import hard_assignment
@@ -16,9 +16,38 @@ from bottletree.entropy import hard_assignment
 
 def zero_params(input_dim=3, hidden=(4,), latent=2):
     params = init_params(input_dim, hidden, latent, seed=0)
-    for t in params.all_tensors():
-        t.values = np.zeros(t.shape)
+    params.flat[:] = 0.0
     return params
+
+
+# Composite tape forms of the fused heads in ``coder``: the references the
+# single-node versions are pinned against.
+
+def composite_kl(post):
+    var = post.logvar.exp()
+    per_sample = ((post.mu * post.mu + var - 1.0 - post.logvar) * 0.5).sum(axis=1)
+    return per_sample.mean()
+
+
+def composite_reparameterize(post, noise):
+    return post.mu + (post.logvar * 0.5).exp() * constant(noise)
+
+
+def composite_cross_entropy(logits, labels):
+    onehot = np.zeros(logits.shape)
+    onehot[np.arange(len(labels)), labels] = 1.0
+    true_prob = (logits.softmax(axis=1) * constant(onehot)).sum(axis=1)
+    return -(true_prob.log().mean())
+
+
+def tape_nodes(root):
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for parent, _ in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
 
 
 class TestEncode:
@@ -41,7 +70,7 @@ class TestEncode:
 
     def test_logvar_clamped(self):
         params = init_params(2, (), 1, seed=2)
-        params.weights[0].values = np.full((2, 2), 100.0)
+        params.weights[0].values[...] = 100.0
         post = encode(params, constant([[5.0, 5.0]]))
         assert post.logvar.values[0, 0] == 10.0
 
@@ -134,23 +163,32 @@ class TestKL:
 
 class TestPredictions:
     def test_classification_uniform(self):
-        probs = predict_classification(constant([[0.0, 0.0]]), 2)
-        np.testing.assert_allclose(probs.values, [[0.5, 0.5]])
+        logits = constant([[0.0, 0.0]])
+        np.testing.assert_allclose(logits.softmax(axis=1).values, [[0.5, 0.5]])
+        for label in (0, 1):
+            assert task_loss(logits, [label], "cross_entropy").item() == pytest.approx(
+                math.log(2.0))
 
     def test_classification_shift_invariance(self):
         z = np.random.default_rng(1).standard_normal((4, 3))
-        a = predict_classification(constant(z), 3).values
-        b = predict_classification(constant(z + 7.0), 3).values
-        np.testing.assert_allclose(a, b, atol=1e-12)
-        assert np.array_equal(np.argmax(a, axis=1), np.argmax(b, axis=1))
+        labels = [0, 2, 1, 1]
+        a = task_loss(constant(z), labels, "cross_entropy").item()
+        b = task_loss(constant(z + 7.0), labels, "cross_entropy").item()
+        assert a == pytest.approx(b, abs=1e-12)
 
     def test_classification_argmax(self):
-        probs = predict_classification(constant([[2.0, 0.0]]), 2).values
-        assert np.argmax(probs[0]) == 0
+        logits = constant([[2.0, 0.0]])
+        assert np.argmax(logits.softmax(axis=1).values[0]) == 0
+        assert (task_loss(logits, [0], "cross_entropy").item()
+                < task_loss(logits, [1], "cross_entropy").item())
 
     def test_classification_dim_mismatch(self):
-        with pytest.raises(DimensionError):
-            predict_classification(constant([[0.0, 0.0]]), 3)
+        params = init_params(3, (4,), 2, seed=0)
+        y = np.array([0, 1, 2, 0])
+        with pytest.raises(DimensionError, match="class count"):
+            combined_loss(params, np.zeros((4, 3)), hard_assignment(y, 3), y,
+                          kind="classification", beta=0.1, gamma=1.0,
+                          noise=np.zeros((1, 4, 2)))
 
     def test_regression_identity(self):
         out = predict_regression(constant([[0.7]]))
@@ -174,13 +212,13 @@ class TestPredictions:
 
 class TestTaskLoss:
     def test_perfect_prediction_near_zero_ce(self):
-        pred = constant([[1.0, 0.0], [0.0, 1.0]])
+        pred = constant([[40.0, 0.0], [0.0, 40.0]])
         loss = task_loss(pred, [0, 1], "cross_entropy").item()
         assert loss == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_prediction_is_log_r(self):
         r = 4
-        pred = constant(np.full((3, r), 1.0 / r))
+        pred = constant(np.zeros((3, r)))
         loss = task_loss(pred, [0, 1, 2], "cross_entropy").item()
         assert loss == pytest.approx(math.log(r))
 
@@ -195,6 +233,83 @@ class TestTaskLoss:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             task_loss(constant([1.0, 2.0]), [1.0], "mse")
+
+
+def assert_close(fused, composite):
+    scale = max(1.0, float(np.abs(composite).max()))
+    assert np.abs(fused - composite).max() <= 1e-12 * scale
+
+
+class TestFusedHeads:
+    """Each single-node head against its composite tape form."""
+
+    @staticmethod
+    def posterior_arrays(seed):
+        rng = np.random.default_rng(seed)
+        mu = rng.standard_normal((6, 3))
+        logvar = rng.uniform(-3.0, 3.0, (6, 3))
+        logvar[0, 0], logvar[1, 2] = LOGVAR_MIN, LOGVAR_MAX
+        return mu, logvar, rng
+
+    @staticmethod
+    def run(build, arrays):
+        params = [parameter(a) for a in arrays]
+        out = build(*params)
+        out.backward()
+        return out.values, [p.grad for p in params]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_kl(self, seed):
+        mu, logvar, _ = self.posterior_arrays(seed)
+        runs = [self.run(lambda m, lv, head=head: head(GaussianPosterior(m, lv)) * 3.0,
+                         [mu, logvar])
+                for head in (kl_to_standard_normal, composite_kl)]
+        (fused, fused_grads), (ref, ref_grads) = runs
+        assert np.array_equal(fused, ref)
+        for a, b in zip(fused_grads, ref_grads):
+            assert_close(a, b)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reparameterize(self, seed):
+        mu, logvar, rng = self.posterior_arrays(seed)
+        noise = rng.standard_normal(mu.shape)
+        weights = constant(rng.standard_normal(mu.shape))
+        fused_z = reparameterize(GaussianPosterior(constant(mu), constant(logvar)), noise)
+        ref_z = composite_reparameterize(
+            GaussianPosterior(constant(mu), constant(logvar)), noise)
+        assert np.array_equal(fused_z.values, ref_z.values)
+        grads = [self.run(lambda m, lv, head=head: (
+                     head(GaussianPosterior(m, lv), noise) * weights).sum(),
+                     [mu, logvar])[1]
+                 for head in (reparameterize, composite_reparameterize)]
+        for a, b in zip(*grads):
+            assert_close(a, b)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cross_entropy(self, seed):
+        rng = np.random.default_rng(seed)
+        logits = 3.0 * rng.standard_normal((8, 4))
+        labels = rng.integers(0, 4, size=8)
+        logits[0, labels[0]] -= 40.0  # true-class probability below LOG_EPS
+        runs = [self.run(lambda z, head=head: head(z, labels) * 3.0, [logits])
+                for head in (lambda z, y: task_loss(z, y, "cross_entropy"),
+                             composite_cross_entropy)]
+        (fused, (fused_grad,)), (ref, (ref_grad,)) = runs
+        assert np.array_equal(fused, ref)
+        assert_close(fused_grad, ref_grad)
+        probs = np.exp(logits[0] - logits[0].max())
+        assert probs[labels[0]] / probs.sum() < LOG_EPS
+        assert not fused_grad[0].any()
+        assert fused_grad[1:].any(axis=1).all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_cross_entropy_rejects_non_finite_logits(self, bad):
+        logits = np.zeros((2, 3))
+        logits[1, 2] = bad
+        for head in (lambda z: task_loss(z, [0, 1], "cross_entropy"),
+                     lambda z: composite_cross_entropy(z, [0, 1])):
+            with pytest.raises(ValueError, match="softmax needs finite inputs"):
+                head(parameter(logits))
 
 
 class TestTotalLoss:
@@ -270,6 +385,59 @@ class TestCombinedLoss:
         assert not logvar_grads[True].any()
 
 
+    def test_step_tape_has_at_most_twenty_nodes(self):
+        rng = np.random.default_rng(14)
+        params = init_params(16, (64,), 4, seed=8)
+        X = rng.standard_normal((64, 16))
+        y = rng.integers(0, 4, size=64)
+        bd = combined_loss(params, X, hard_assignment(y, 4), y, kind="classification",
+                           beta=0.01, gamma=1.0, noise=rng.standard_normal((1, 64, 4)))
+        assert tape_nodes(bd.total) <= 20
+
+    def test_one_backward_reaches_every_parameter(self):
+        rng = np.random.default_rng(15)
+        params = init_params(3, (4, 5), 2, seed=9)
+        X = rng.standard_normal((6, 3))
+        y = rng.integers(0, 2, size=6)
+        combined_loss(params, X, hard_assignment(y, 2), y, kind="classification",
+                      beta=0.0, gamma=0.0,
+                      noise=rng.standard_normal((1, 6, 2))).total.backward()
+        for t in params.all_tensors():
+            assert t.grad is not None and t.grad.shape == t.shape
+
+
+def assert_views_of_flat(params):
+    tensors = params.all_tensors()
+    assert params.flat.size == sum(t.size for t in tensors)
+    for t in tensors:
+        assert np.shares_memory(t.values, params.flat)
+
+
+class TestFlatStore:
+    def test_init_params_views_one_vector(self):
+        params = init_params(5, (7, 3), 2, seed=1)
+        assert_views_of_flat(params)
+        params.flat[:] = 2.5
+        for t in params.all_tensors():
+            assert (t.values == 2.5).all()
+
+    def test_copy_and_load_values(self):
+        params = init_params(4, (6,), 2, seed=2)
+        snapshot = params.copy_values()
+        assert not np.shares_memory(snapshot, params.flat)
+        before = [t.values.copy() for t in params.all_tensors()]
+        params.flat *= 3.0
+        params.load_values(snapshot)
+        for t, b in zip(params.all_tensors(), before):
+            np.testing.assert_array_equal(t.values, b)
+        assert_views_of_flat(params)
+
+    def test_load_values_rejects_wrong_length(self):
+        params = init_params(4, (6,), 2, seed=2)
+        with pytest.raises(DimensionError):
+            params.load_values(np.zeros(params.flat.size - 1))
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         params = init_params(5, (7, 3), 2, seed=9, activation="sigmoid")
@@ -281,3 +449,4 @@ class TestCheckpoint:
         assert loaded.hidden == (7, 3)
         for a, b in zip(params.all_tensors(), loaded.all_tensors()):
             np.testing.assert_array_equal(a.values, b.values)
+        assert_views_of_flat(loaded)

@@ -4,7 +4,7 @@ import pytest
 from bottletree.coder import combined_loss, init_params
 from bottletree.datasets import gen_blobs, gen_regression
 from bottletree.softbins import make_bins
-from bottletree.training import (ClassificationTask, RegressionTask,
+from bottletree.training import (Adam, ClassificationTask, RegressionTask,
                                  TrainConfig, TrainingDiverged, evaluate,
                                  predict, train, write_history_csv)
 
@@ -40,6 +40,33 @@ class TestTrainConfig:
         json.dumps(cfg.echo())
 
 
+class TestAdam:
+    def test_flat_step_matches_per_tensor_updates_bit_for_bit(self):
+        # Reference: the same elementwise formula applied tensor by tensor.
+        params = init_params(5, (7, 3), 2, seed=4)
+        tensors = params.all_tensors()
+        ref_values = [t.values.copy() for t in tensors]
+        ref_m = [np.zeros(t.shape) for t in tensors]
+        ref_v = [np.zeros(t.shape) for t in tensors]
+        opt = Adam(params, lr=0.05)
+        b1, b2, eps = opt.beta1, opt.beta2, opt.eps
+        rng = np.random.default_rng(3)
+        for step, scale in enumerate((0.25, 1.0, 1.0), start=1):
+            grads = [rng.standard_normal(t.shape) for t in tensors]
+            for t, g in zip(tensors, grads):
+                t.grad = g
+            opt.step(lr_scale=scale)
+            for i, g in enumerate(grads):
+                ref_m[i] = b1 * ref_m[i] + (1 - b1) * g
+                ref_v[i] = b2 * ref_v[i] + (1 - b2) * g * g
+                m_hat = ref_m[i] / (1 - b1 ** step)
+                v_hat = ref_v[i] / (1 - b2 ** step)
+                ref_values[i] = ref_values[i] - 0.05 * scale * m_hat / (np.sqrt(v_hat) + eps)
+            for t, ref in zip(tensors, ref_values):
+                assert np.array_equal(t.values, ref)
+                assert np.shares_memory(t.values, params.flat)
+
+
 class TestTrain:
     def test_single_epoch_when_budget_is_one(self, easy_blobs):
         cfg = blob_config(easy_blobs, epochs=1, patience=0)
@@ -53,6 +80,15 @@ class TestTrain:
         for a, b in zip(r1.params.all_tensors(), r2.params.all_tensors()):
             assert np.array_equal(a.values, b.values)
         assert r1.history == r2.history
+
+    def test_trained_params_stay_views_of_the_flat_vector(self, easy_blobs):
+        result = train(blob_config(easy_blobs, epochs=2),
+                       easy_blobs.subset("train"), easy_blobs.subset("dev"))
+        params = result.params
+        tensors = params.all_tensors()
+        assert params.flat.size == sum(t.size for t in tensors)
+        for t in tensors:
+            assert np.shares_memory(t.values, params.flat)
 
     def test_different_seeds_differ(self, easy_blobs):
         r1 = train(blob_config(easy_blobs, seed=0, epochs=2),
