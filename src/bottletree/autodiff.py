@@ -9,7 +9,9 @@ descending creation order (a heap): each node's gradient is complete when it
 is reached, without a topological sort or recursion.  Everything is 64-bit;
 elementwise broadcasting is restricted to equal shapes, a scalar with a
 tensor, and a (1, h) row against an (n, h) matrix (a bias added to every
-row), which is all the model here needs.
+row), which is all the model here needs.  A leading stack axis S (one slice
+per model trained in lockstep) makes matmul run slice by slice and lets an
+(S, 1, h) row broadcast against (S, n, h).
 """
 
 from __future__ import annotations
@@ -47,16 +49,17 @@ def _is_scalar_shape(shape: tuple[int, ...]) -> bool:
 
 
 def _is_row_of(row: tuple[int, ...], full: tuple[int, ...]) -> bool:
-    return len(row) == 2 == len(full) and row[0] == 1 and row[1] == full[1]
+    return (len(row) == len(full) in (2, 3) and row[-2] == 1
+            and row[:-2] == full[:-2] and row[-1] == full[-1])
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Collapse a gradient back to a scalar or (1, h) row operand shape."""
+    """Collapse a gradient back to a scalar or (..., 1, h) row operand shape."""
     if grad.shape == shape:
         return grad
     if _is_scalar_shape(shape):
         return np.asarray(grad.sum(), dtype=np.float64).reshape(shape)
-    return grad.sum(axis=0, keepdims=True)
+    return grad.sum(axis=-2, keepdims=True)
 
 
 class Tensor:
@@ -120,8 +123,8 @@ class Tensor:
         if _is_row_of(self.shape, other.shape) or _is_row_of(other.shape, self.shape):
             return
         raise DimensionError(
-            "elementwise op needs equal shapes, a scalar operand or a (1, h) row "
-            f"against (n, h), got {self.shape} and {other.shape}")
+            "elementwise op needs equal shapes, a scalar operand or a (..., 1, h) "
+            f"row against (..., n, h), got {self.shape} and {other.shape}")
 
     # -- elementwise arithmetic ----------------------------------------------
 
@@ -225,36 +228,37 @@ class Tensor:
                                [(self, lambda g: g.reshape(old).copy())])
 
     def cols(self, start: int, stop: int) -> "Tensor":
-        """Column slice [start, stop) of a 2-D tensor."""
-        if self.values.ndim != 2:
-            raise DimensionError(f"cols() needs a 2-D tensor, got shape {self.shape}")
-        n, m = self.shape
+        """Column slice [start, stop) of a 2-D tensor or of each slice of a stack."""
+        if self.values.ndim not in (2, 3):
+            raise DimensionError(f"cols() needs a 2-D tensor or stack, got {self.shape}")
+        shape, m = self.shape, self.shape[-1]
         if not (0 <= start <= stop <= m):
             raise DimensionError(f"column range [{start}, {stop}) out of bounds for width {m}")
 
-        def grad_fn(g, n=n, m=m, start=start, stop=stop):
-            full = np.zeros((n, m))
-            full[:, start:stop] = g
+        def grad_fn(g, shape=shape, start=start, stop=stop):
+            full = np.zeros(shape)
+            full[..., start:stop] = g
             return full
 
-        return Tensor._from_op(self.values[:, start:stop].copy(), [(self, grad_fn)])
+        return Tensor._from_op(self.values[..., start:stop].copy(), [(self, grad_fn)])
 
     # -- matmul ------------------------------------------------------------------
 
     def __matmul__(self, other):
+        """Product of 2-D tensors, or slice by slice of two (S, ., .) stacks."""
         if not isinstance(other, Tensor):
             raise DimensionError("matmul needs two tensors")
-        if self.values.ndim != 2 or other.values.ndim != 2:
+        a, b = self.shape, other.shape
+        if not (len(a) == len(b) in (2, 3) and a[:-2] == b[:-2]):
             raise DimensionError(
-                f"matmul needs 2-D tensors, got shapes {self.shape} and {other.shape}")
-        if self.shape[1] != other.shape[0]:
-            raise DimensionError(
-                f"matmul inner extents differ: {self.shape} vs {other.shape}")
+                f"matmul needs 2-D tensors or equal stacks of them, got shapes {a} and {b}")
+        if a[-1] != b[-2]:
+            raise DimensionError(f"matmul inner extents differ: {a} vs {b}")
         av, bv = self.values, other.values
         return Tensor._from_op(
             av @ bv,
-            [(self, lambda g: g @ bv.T),
-             (other, lambda g: av.T @ g)])
+            [(self, lambda g: g @ bv.swapaxes(-1, -2)),
+             (other, lambda g: av.swapaxes(-1, -2) @ g)])
 
     # -- reductions ----------------------------------------------------------------
 

@@ -235,16 +235,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except _UsageExit as exc:
         return int(exc.code)
+    commands = {"gen": cmd_gen, "train": cmd_train, "sweep": cmd_sweep, "verify": cmd_verify}
     try:
-        if args.command == "gen":
-            return cmd_gen(args)
-        if args.command == "train":
-            return cmd_train(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        return commands[args.command](args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"bottletree: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

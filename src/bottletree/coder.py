@@ -6,11 +6,13 @@ sample (class logits for classification, identity on a 1-d latent for
 regression).  The combined objective is task + beta * KL - gamma * structural
 entropy: the entropy term is maximized.
 
-The KL term, the reparameterized sample and the softmax cross-entropy are
-each one tape node with a closed-form gradient; their values come from the
-same numpy expressions as the composite tape forms the tests keep as
-references.  All weights and biases are views into one float64 vector,
-``EncoderParams.flat``, which the optimizer updates in place.
+The KL term, the reparameterized sample, the softmax cross-entropy and the
+weighted total are each one tape node with a closed-form gradient; their
+values come from the same numpy expressions as the composite tape forms the
+tests keep as references.  All weights and biases are views into one float64
+vector, ``EncoderParams.flat``, which the optimizer updates in place.  A
+stack of S models runs every op once for all: inputs are (S, batch, d) and
+each loss term is (S,), every entry with the bits of its model run alone.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ class EncoderParams:
     """MLP weights/biases; the final layer stacks the mean and log-variance heads.
 
     Every weight and bias is a view into ``flat``, layer by layer, weight
-    before bias.
+    before bias.  ``flat`` is (P,) for one model, or (S, P) for a stack of S
+    models whose views are (S, in, out) and (S, 1, out).
     """
 
     input_dim: int
@@ -50,27 +53,33 @@ class EncoderParams:
         """Weights and biases in the layout of ``flat``."""
         return [t for layer in zip(self.weights, self.biases) for t in layer]
 
-    def copy_values(self) -> np.ndarray:
-        return self.flat.copy()
+    def like(self, flat: np.ndarray) -> "EncoderParams":
+        """Parameters of this layout viewing ``flat``: (P,), or (S, P) for a stack."""
+        return _params_from_flat(self.input_dim, self.hidden, self.latent_dim,
+                                 self.activation, flat)
 
-    def load_values(self, values: np.ndarray) -> None:
-        if values.shape != self.flat.shape:
-            raise DimensionError(
-                f"parameter vector shape mismatch: {self.flat.shape} vs {values.shape}")
-        self.flat[...] = values
+
+def _params_from_flat(input_dim: int, hidden, latent_dim: int, activation: str,
+                      flat: np.ndarray) -> EncoderParams:
+    dims = [input_dim, *hidden, 2 * latent_dim]
+    shapes = [s for fan_in, fan_out in zip(dims[:-1], dims[1:])
+              for s in ((fan_in, fan_out), (1, fan_out))]
+    if flat.shape[-1] != sum(rows * cols for rows, cols in shapes):
+        raise DimensionError(f"parameter vector {flat.shape} does not fit widths {dims}")
+    views, start = [], 0
+    for rows, cols in shapes:
+        views.append(parameter(flat[..., start:start + rows * cols]
+                               .reshape(flat.shape[:-1] + (rows, cols))))
+        start += rows * cols
+    return EncoderParams(input_dim, tuple(hidden), latent_dim, activation,
+                         views[0::2], views[1::2], flat)
 
 
 def _params_from_layers(input_dim: int, hidden, latent_dim: int, activation: str,
                         layers: list[tuple[np.ndarray, np.ndarray]]) -> EncoderParams:
     """Copy (weight, bias) arrays into one flat vector and view them from it."""
-    arrays = [a for layer in layers for a in layer]
-    flat = np.concatenate([a.reshape(-1) for a in arrays])
-    views, start = [], 0
-    for a in arrays:
-        views.append(parameter(flat[start:start + a.size].reshape(a.shape)))
-        start += a.size
-    return EncoderParams(input_dim, tuple(hidden), latent_dim, activation,
-                         views[0::2], views[1::2], flat)
+    flat = np.concatenate([a.reshape(-1) for layer in layers for a in layer])
+    return _params_from_flat(input_dim, hidden, latent_dim, activation, flat)
 
 
 def init_params(input_dim: int,
@@ -100,9 +109,10 @@ class GaussianPosterior:
 def encode(params: EncoderParams, inputs: Tensor) -> GaussianPosterior:
     """Forward pass; the last layer splits into mean and log-variance halves."""
     x = inputs if isinstance(inputs, Tensor) else constant(inputs)
-    if x.values.ndim != 2 or x.shape[1] != params.input_dim:
-        raise DimensionError(
-            f"inputs must be (batch, {params.input_dim}), got {x.shape}")
+    stack = params.flat.shape[:-1]  # (S,) for a stack of S models, or ()
+    if x.values.ndim != len(stack) + 2 or x.shape[:-2] != stack or x.shape[-1] != params.input_dim:
+        raise DimensionError(f"inputs must be {stack} + (batch, {params.input_dim}), "
+                             f"got {x.shape}")
     h = x
     last = len(params.weights) - 1
     for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
@@ -130,18 +140,18 @@ def kl_to_standard_normal(post: GaussianPosterior) -> Tensor:
     """Closed-form KL(N(mu, diag sigma^2) || N(0, I)), averaged over the batch."""
     mu, logvar = post.mu.values, post.logvar.values
     var = np.exp(logvar)
-    per_sample = ((mu * mu + var - 1.0 - logvar) * 0.5).sum(axis=1)
-    n = mu.shape[0]
-    return Tensor._from_op(np.asarray(per_sample.mean()),
-                           [(post.mu, lambda g: mu * (g / n)),
-                            (post.logvar, lambda g: (var - 1.0) * (g / (2 * n)))])
+    per_sample = ((mu * mu + var - 1.0 - logvar) * 0.5).sum(axis=-1)
+    n = mu.shape[-2]
+    return Tensor._from_op(np.asarray(per_sample.sum(axis=-1) / n),  # mean's bits
+                           [(post.mu, lambda g: mu * (g[..., None, None] / n)),
+                            (post.logvar, lambda g: (var - 1.0) * (g[..., None, None] / (2 * n)))])
 
 
 def predict_regression(z: Tensor) -> Tensor:
     """Identity read-out on a 1-d latent, flattened to a length-batch vector."""
-    if z.values.ndim != 2 or z.shape[1] != 1:
+    if z.values.ndim not in (2, 3) or z.shape[-1] != 1:
         raise DimensionError(f"regression read-out needs a (batch, 1) latent, got {z.shape}")
-    return z.reshape((z.shape[0],))
+    return z.reshape(z.shape[:-1])
 
 
 def task_loss(pred: Tensor, targets, kind: str) -> Tensor:
@@ -152,16 +162,15 @@ def task_loss(pred: Tensor, targets, kind: str) -> Tensor:
     """
     if kind == "cross_entropy":
         labels = np.asarray(targets)
-        if labels.ndim != 1 or labels.size != pred.shape[0]:
+        if labels.shape != pred.shape[:-1] or labels.ndim not in (1, 2):
             raise DimensionError("targets must be one class id per prediction row")
-        probs = softmax_values(pred.values, 1)
-        onehot = np.zeros(pred.shape)
-        onehot[np.arange(labels.size), labels.astype(np.int64)] = 1.0
-        true_prob = (probs * onehot).sum(axis=1)
-        loss = -np.asarray(np.log(np.maximum(true_prob, LOG_EPS)).mean())
+        probs = softmax_values(pred.values, -1)
+        onehot = np.eye(pred.shape[-1])[labels.astype(np.int64)]
+        true_prob = (probs * onehot).sum(axis=-1)
+        loss = -np.asarray(np.log(np.maximum(true_prob, LOG_EPS)).sum(axis=-1) / labels.shape[-1])
 
-        def grad_fn(g, n=labels.size):
-            return (probs - onehot) * ((true_prob >= LOG_EPS) * (g / n))[:, None]
+        def grad_fn(g, n=labels.shape[-1]):
+            return (probs - onehot) * ((true_prob >= LOG_EPS) * (g[..., None] / n))[..., None]
 
         return Tensor._from_op(loss, [(pred, grad_fn)])
     if kind == "mse":
@@ -169,7 +178,7 @@ def task_loss(pred: Tensor, targets, kind: str) -> Tensor:
         if t.shape != pred.shape:
             raise DimensionError(f"targets shape {t.shape} != predictions shape {pred.shape}")
         diff = pred - constant(t)
-        return (diff * diff).mean()
+        return (diff * diff).mean(axis=-1)
     raise ValueError(f"unknown task loss kind {kind!r}")
 
 
@@ -184,23 +193,21 @@ class LossBreakdown:
     beta: float
     gamma: float
 
-    def scalars(self) -> dict[str, float]:
-        return {
-            "task": self.task.item(),
-            "kl": self.kl.item(),
-            "se": self.se.item(),
-            "total": self.total.item(),
-            "beta": self.beta,
-            "gamma": self.gamma,
-        }
+    def scalars(self, row: int | None = None) -> dict[str, float]:
+        """The terms as floats; ``row`` picks one model of a stack."""
+        terms = {"task": self.task, "kl": self.kl, "se": self.se, "total": self.total}
+        return {**{k: t.item() if row is None else float(t.values[row])
+                   for k, t in terms.items()}, "beta": self.beta, "gamma": self.gamma}
 
 
 def total_loss(task: Tensor, kl: Tensor, se: Tensor,
                beta: float, gamma: float) -> LossBreakdown:
-    """Combine the three terms; the entropy term enters with a minus sign."""
-    total = task + beta * kl - gamma * se
-    return LossBreakdown(task=task, kl=kl, se=se, total=total,
-                         beta=float(beta), gamma=float(gamma))
+    """``task + beta * kl - gamma * se`` as one tape node: entropy is maximized."""
+    beta, gamma = float(beta), float(gamma)
+    total = Tensor._from_op(task.values + beta * kl.values - gamma * se.values,
+                            [(task, lambda g: g), (kl, lambda g: g * beta),
+                             (se, lambda g: -g * gamma)])
+    return LossBreakdown(task=task, kl=kl, se=se, total=total, beta=beta, gamma=gamma)
 
 
 def combined_loss(params: EncoderParams,
@@ -215,25 +222,25 @@ def combined_loss(params: EncoderParams,
                   use_mu_for_graph: bool = False) -> LossBreakdown:
     """Full objective for one batch.
 
-    ``noise`` is one (batch, latent) standard-normal draw, or a stack of k
-    such draws whose task and entropy terms get averaged.  The similarity
-    graph is built from the sampled latent by default, or from the posterior
-    mean when ``use_mu_for_graph`` is set.
+    ``noise`` is one standard-normal draw shaped like the posterior, or k
+    such draws on a new leading axis, whose task and entropy terms get
+    averaged.  The similarity graph is built from the sampled latent by
+    default, or from the posterior mean when ``use_mu_for_graph`` is set.
     """
     if kind not in ("classification", "regression"):
         raise ValueError(f"unknown task kind {kind!r}")
     post = encode(params, inputs if isinstance(inputs, Tensor) else constant(inputs))
-    if kind == "classification" and post.mu.shape[1] != assignment.num_classes:
-        raise DimensionError(f"latent dim {post.mu.shape[1]} must equal "
+    if kind == "classification" and post.mu.shape[-1] != assignment.num_classes:
+        raise DimensionError(f"latent dim {post.mu.shape[-1]} must equal "
                              f"the class count {assignment.num_classes}")
     kl = kl_to_standard_normal(post)
 
     draws = np.asarray(noise, dtype=np.float64)
-    if draws.ndim == 2:
-        draws = draws[None, :, :]
-    if draws.ndim != 3 or draws.shape[1:] != post.mu.shape:
+    if draws.shape == post.mu.shape:
+        draws = draws[None]
+    if draws.shape[1:] != post.mu.shape:
         raise DimensionError(
-            f"noise must be (k, batch, latent) against posterior {post.mu.shape}")
+            f"noise must be (k, *posterior) against posterior {post.mu.shape}")
 
     task_terms: list[Tensor] = []
     se_terms: list[Tensor] = []

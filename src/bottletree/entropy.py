@@ -79,12 +79,12 @@ class AdjacencyMatrix:
         return float(self.weights.values.sum())
 
 
-def _check_embeddings(embeddings: Tensor) -> None:
-    if embeddings.values.ndim != 2:
-        raise DimensionError(f"embeddings must be 2-D, got shape {embeddings.shape}")
-    if embeddings.shape[0] < 2:
+def _check_embeddings(h: np.ndarray) -> None:
+    if h.ndim not in (2, 3):
+        raise DimensionError(f"embeddings must be 2-D or a stack, got shape {h.shape}")
+    if h.shape[-2] < 2:
         raise DegenerateBatchError("need at least 2 points to build a similarity graph")
-    if not np.all(np.isfinite(embeddings.values)):
+    if not np.all(np.isfinite(h)):
         raise ValueError("embeddings must be finite")
 
 
@@ -94,54 +94,52 @@ def build_adjacency(embeddings: Tensor) -> AdjacencyMatrix:
     Symmetric with entries in (0, 1); the diagonal (self-similarity) is kept.
     Differentiable with respect to the embeddings.
     """
-    _check_embeddings(embeddings)
+    _check_embeddings(embeddings.values)
     return AdjacencyMatrix((embeddings @ embeddings.T).sigmoid())
 
 
 @dataclass
 class AssignmentMatrix:
-    """Leaf-to-class membership: one-hot rows (hard) or row-stochastic (soft)."""
+    """Leaf-to-class membership, (n, r) or (S, n, r): one-hot (hard) or row-stochastic (soft)."""
 
     membership: Tensor
     mode: str  # "hard" | "soft"
 
     def __post_init__(self):
         m = self.membership.values
-        if m.ndim != 2:
-            raise DimensionError(f"assignment must be 2-D, got shape {m.shape}")
+        if m.ndim not in (2, 3):
+            raise DimensionError(f"assignment must be 2-D or a stack, got shape {m.shape}")
         if self.mode == "hard":
             if not np.all((m == 0.0) | (m == 1.0)):
                 raise ValueError("hard assignment entries must be exactly 0 or 1")
-            if not np.all(m.sum(axis=1) == 1.0):
+            if not np.all(m.sum(axis=-1) == 1.0):
                 raise ValueError("hard assignment rows must sum to exactly 1")
         elif self.mode == "soft":
             if np.any(m < -1e-12) or np.any(m > 1.0 + 1e-12):
                 raise ValueError("soft assignment entries must lie in [0, 1]")
-            if np.any(np.abs(m.sum(axis=1) - 1.0) > 1e-9):
+            if np.any(np.abs(m.sum(axis=-1) - 1.0) > 1e-9):
                 raise ValueError("soft assignment rows must sum to 1 within 1e-9")
         else:
             raise AssignmentModeError(f"unknown assignment mode {self.mode!r}")
 
     @property
     def n(self) -> int:
-        return self.membership.shape[0]
+        return self.membership.shape[-2]
 
     @property
     def num_classes(self) -> int:
-        return self.membership.shape[1]
+        return self.membership.shape[-1]
 
 
 def hard_assignment(labels, num_classes: int) -> AssignmentMatrix:
-    """One-hot assignment from integer class labels."""
+    """One-hot assignment from integer class labels, (n,) or a stack (S, n)."""
     labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise DimensionError("labels must be a 1-D sequence")
+    if labels.ndim not in (1, 2):
+        raise DimensionError("labels must be a 1-D sequence or a stack of them")
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise ValueError(f"labels must lie in [0, {num_classes}), got range "
                          f"[{labels.min()}, {labels.max()}]")
-    onehot = np.zeros((labels.size, num_classes))
-    onehot[np.arange(labels.size), labels.astype(np.int64)] = 1.0
-    return AssignmentMatrix(constant(onehot), mode="hard")
+    return AssignmentMatrix(constant(np.eye(num_classes)[labels.astype(np.int64)]), mode="hard")
 
 
 @dataclass
@@ -182,13 +180,6 @@ class EncodingTree:
     @property
     def num_classes(self) -> int:
         return len(self.class_members)
-
-    def class_of_leaf(self) -> np.ndarray:
-        out = np.empty(self.n, dtype=np.int64)
-        for j, members in enumerate(self.class_members):
-            for i in members:
-                out[i] = j
-        return out
 
 
 def tree_from_assignment(assignment: AssignmentMatrix) -> EncodingTree:
@@ -285,23 +276,37 @@ def se_loss(embeddings: Tensor, assignment: AssignmentMatrix) -> Tensor:
     the shipped tile size) is one tile, the full graph.  The backward pass
     reads only ``Q``, never the graph, so graph memory is O(tile + n * r * d).
     The assignment is data; gradients flow only into the embeddings.
+
+    Stacks (S, n, d) and (S, n, r) give the (S,) losses of the slices, each
+    computed alone, with its own bits.
     """
-    _check_embeddings(embeddings)
-    if assignment.n != embeddings.shape[0]:
-        raise DimensionError(
-            f"assignment has {assignment.n} rows but graph has "
-            f"{embeddings.shape[0]} vertices")
+    h = embeddings.values
+    _check_embeddings(h)
+    c = assignment.membership.values
+    if c.ndim != h.ndim or c.shape[:-1] != h.shape[:-1]:
+        raise DimensionError(f"assignment {c.shape} does not match embeddings {h.shape}")
     if assignment.membership.requires_grad:
         raise ValueError("se_loss treats the assignment as data; "
                          "its membership must not require grad")
-    h = embeddings.values
+    slices = zip(h.reshape((-1,) + h.shape[-2:]), c.reshape((-1,) + c.shape[-2:]))
+    parts = [_se_slice(h_s, c_s, embeddings.requires_grad) for h_s, c_s in slices]
+    loss = np.array([value for value, _ in parts]).reshape(h.shape[:-2])
+
+    def grad_fn(g):
+        grads = [back(float(g_s)) for (_, back), g_s in zip(parts, np.reshape(g, -1))]
+        return np.array(grads).reshape(h.shape)
+
+    return Tensor._from_op(loss, [(embeddings, grad_fn)])
+
+
+def _se_slice(h: np.ndarray, c: np.ndarray, need_grad: bool):
+    """``se_loss`` of one (n, d) slice: the loss and its backward, g -> dL/dH * g."""
     # Contiguous, as ``Tensor.T`` makes it, so the Gram tiles equal the
     # composite's bit for bit.
     h_t = h.T.copy()
-    c = assignment.membership.values
     (n, d), r = h.shape, c.shape[1]
     rows = min(n, max(1, SE_BLOCK_ENTRIES // n))
-    if embeddings.requires_grad:
+    if need_grad:
         # built as (r+1) x d x n, so that each product runs along n
         panel = np.concatenate([h_t[None], c.T[:, None, :] * h_t]).reshape(-1, n).T
         q = np.empty((n, (r + 1) * d))
@@ -326,7 +331,7 @@ def se_loss(embeddings: Tensor, assignment: AssignmentMatrix) -> Tensor:
         if stop < n:
             ac[stop:] += a_t[:, right].T @ c[tile]
             total += a_t[:, right].sum()
-        if embeddings.requires_grad:
+        if need_grad:
             s_t = np.subtract(1.0, a_t, out=g_t)
             s_t *= a_t
             np.matmul(s_t, panel[start:], out=q[tile])
@@ -338,7 +343,7 @@ def se_loss(embeddings: Tensor, assignment: AssignmentMatrix) -> Tensor:
     clamped = np.maximum(ratio, LOG_EPS)
     loss = -((cuts / total) * np.log2(clamped)).sum()
 
-    def grad_fn(g):
+    def backward(g: float) -> np.ndarray:
         # a_k = dL/dcut_k, b_k = dL/dvol_k, s = dL/dsum(A), u = C(a+b):
         # dL/dH = (2s+u)*(SH) + sum_k ((a_k+b_k) - 2 a_k C_k) * (S(C_k*H)),
         # so row i of dL/dH is w_i (1 x (r+1)) times Q_i ((r+1) x d).
@@ -348,9 +353,9 @@ def se_loss(embeddings: Tensor, assignment: AssignmentMatrix) -> Tensor:
         s = -float(a_k @ cuts + b_k @ vols) / total
         u = c @ (a_k + b_k)
         w = np.column_stack([2.0 * s + u, (a_k + b_k) - 2.0 * a_k * c])
-        return np.matmul(w[:, None, :], q.reshape(n, r + 1, d))[:, 0] * float(g)
+        return np.matmul(w[:, None, :], q.reshape(n, r + 1, d))[:, 0] * g
 
-    return Tensor._from_op(np.asarray(loss), [(embeddings, grad_fn)])
+    return loss, backward
 
 
 def class_cut_weights(adj: AdjacencyMatrix, assignment: AssignmentMatrix) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import DimensionError, Tensor, constant
+from .autodiff import DimensionError, Tensor, constant, softmax_values
 from .entropy import AdjacencyMatrix, AssignmentMatrix
 
 
@@ -43,21 +43,21 @@ def make_bins(lo: float, hi: float, num_bins: int) -> BinSpec:
 
 
 def distance_matrix(labels, bins: BinSpec) -> Tensor:
-    """|label_i - center_j| as a constant n x r tensor.
+    """|label_i - center_j| as a constant n x r tensor, or S x n x r for a stack.
 
     Labels outside [lo, hi] are accepted (the distances stay well defined)
     but trigger a warning, since they usually indicate a range mistake.
     """
     y = np.asarray(labels, dtype=np.float64)
-    if y.ndim != 1:
-        raise DimensionError("labels must be a 1-D sequence")
+    if y.ndim not in (1, 2):
+        raise DimensionError("labels must be a 1-D sequence or a stack of them")
     if not np.all(np.isfinite(y)):
         raise ValueError("labels must be finite")
     if y.size and (y.min() < bins.lo or y.max() > bins.hi):
         warnings.warn(f"labels outside declared range [{bins.lo}, {bins.hi}]",
                       stacklevel=2)
     centers = np.asarray(bins.centers)
-    return constant(np.abs(y[:, None] - centers[None, :]))
+    return constant(np.abs(y[..., None] - centers))
 
 
 def soften(distances: Tensor, temperature: float = 1.0) -> AssignmentMatrix:
@@ -69,16 +69,15 @@ def soften(distances: Tensor, temperature: float = 1.0) -> AssignmentMatrix:
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    d = distances.values
-    membership = constant(-d / temperature).softmax(axis=1)
-    return AssignmentMatrix(constant(membership.values), mode="soft")
+    membership = softmax_values(-distances.values / temperature, -1)
+    return AssignmentMatrix(constant(membership), mode="soft")
 
 
 def nearest_bin(labels, bins: BinSpec) -> np.ndarray:
     """Hard nearest-center class ids (ties resolve to the lower index)."""
     y = np.asarray(labels, dtype=np.float64)
     centers = np.asarray(bins.centers)
-    return np.argmin(np.abs(y[:, None] - centers[None, :]), axis=1)
+    return np.argmin(np.abs(y[..., None] - centers), axis=-1)
 
 
 def soft_volumes(adj: AdjacencyMatrix, assignment: AssignmentMatrix) -> np.ndarray:

@@ -1,9 +1,14 @@
 """Grid sweeps over (beta, gamma, perturbation, seed) cells.
 
-Each cell trains one model and evaluates it on the test split.  Per-run
-reports are retained as JSON; ``runs.csv`` holds one row per run per metric
-(long format) and ``aggregate.csv`` the per-cell mean/std over seeds.  Child
-failures are recorded and the sweep continues.
+One job per (beta, gamma, perturbation) group loads the data once, trains
+the group's seeds in lockstep (each bit for bit its solo ``train``) and
+evaluates each on the test split; with fewer groups than workers, each
+group's seeds are split into lockstep chunks, one job each, so every worker
+gets work.  Per-run reports are written as JSON as soon as their job ends;
+``runs.csv`` holds one row per run per metric (long format) and
+``aggregate.csv`` the per-cell mean/std over seeds.  Cell failures are
+recorded and the sweep continues.  A dead worker breaks the pool: every cell
+not yet finished, in any worker, is recorded as an error.
 """
 
 from __future__ import annotations
@@ -11,8 +16,9 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass, field, replace
 from itertools import product
 
 import numpy as np
@@ -20,7 +26,11 @@ import numpy as np
 from .datasets import Dataset, inject_label_noise, load_csv, subsample_train
 from .softbins import make_bins
 from .training import (ClassificationTask, RegressionTask, TrainConfig,
-                       evaluate, train)
+                       evaluate, train, train_seeds)
+
+
+class WorkerCrashed(RuntimeError):
+    """A sweep worker died; finished cells are written, the rest are in errors.json."""
 
 
 @dataclass(frozen=True)
@@ -69,8 +79,11 @@ class ExperimentSpec:
             return [Perturbation("fraction", f, self.perturb_seed) for f in self.fractions]
         return [Perturbation("none", 0.0, self.perturb_seed)]
 
+    def groups(self) -> list[tuple[float, float, Perturbation]]:
+        return list(product(self.betas, self.gammas, self.perturbations()))
+
     def cells(self) -> list[tuple[float, float, Perturbation, int]]:
-        return list(product(self.betas, self.gammas, self.perturbations(), self.seeds))
+        return [(*group, seed) for group in self.groups() for seed in self.seeds]
 
 
 def apply_perturbation(ds: Dataset, p: Perturbation) -> Dataset:
@@ -97,16 +110,31 @@ def build_task(ds: Dataset, kind: str, bins: int = 5,
 
 
 def run_cell(spec: ExperimentSpec,
-             cell: tuple[float, float, Perturbation, int]) -> dict:
-    beta, gamma, perturbation, seed = cell
+             group: tuple[float, float, Perturbation]) -> list[dict | str]:
+    """Per seed of ``spec.seeds``, its test report dict or its error text.
+
+    The group's seeds train in lockstep; if that raises, each trains alone,
+    so a failing seed fails only its own cell, with its solo error.
+    """
+    beta, gamma, perturbation = group
     ds = apply_perturbation(load_csv(spec.data_path), perturbation)
     task = build_task(ds, spec.task_kind, spec.bins, spec.lo, spec.hi,
                       spec.soft_labels, spec.temperature)
-    config = TrainConfig(task=task, beta=beta, gamma=gamma, seed=seed,
-                         **spec.train_kwargs)
-    result = train(config, ds.subset("train"), ds.subset("dev"))
-    report = evaluate(result.params, *ds.subset("test"), config)
-    return report.to_json_dict()
+    configs = [TrainConfig(task=task, beta=beta, gamma=gamma, seed=seed,
+                           **spec.train_kwargs) for seed in spec.seeds]
+    train_set, dev_set = ds.subset("train"), ds.subset("dev")
+    try:
+        results = train_seeds(configs, train_set, dev_set)
+    except Exception:  # a seed failed: each trains alone below
+        results = [None] * len(configs)
+    outcomes = []
+    for config, result in zip(configs, results):
+        try:
+            result = result or train(config, train_set, dev_set)
+            outcomes.append(evaluate(result.params, *ds.subset("test"), config).to_json_dict())
+        except Exception as exc:  # recorded for this cell, the others go on
+            outcomes.append(f"{type(exc).__name__}: {exc}")
+    return outcomes
 
 
 def _cell_name(cell: tuple[float, float, Perturbation, int]) -> str:
@@ -114,12 +142,32 @@ def _cell_name(cell: tuple[float, float, Perturbation, int]) -> str:
     return f"run_b{beta:g}_g{gamma:g}_p{p.tag()}_s{seed}"
 
 
-def _worker(args) -> tuple[int, dict | None, str | None]:
-    index, spec, cell = args
+def _jobs(spec: ExperimentSpec) -> list[tuple[ExperimentSpec, tuple, int]]:
+    """(spec over a chunk of the seeds, group, index of its first cell) per job.
+
+    A job is a whole group, unless there are fewer groups than workers: then
+    each group's seeds are split into ``ceil(jobs / groups)`` near-equal chunks.
+    """
+    groups, seeds = spec.groups(), spec.seeds
+    parts = min(len(seeds), -(-max(spec.jobs, 1) // max(len(groups), 1)))
+    bounds = [len(seeds) * i // parts for i in range(parts + 1)]
+    return [(replace(spec, seeds=seeds[lo:hi]), group, g * len(seeds) + lo)
+            for g, group in enumerate(groups) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _worker(spec: ExperimentSpec, group) -> list[dict | str]:
     try:
-        return index, run_cell(spec, cell), None
-    except Exception as exc:  # recorded, sweep continues
-        return index, None, f"{type(exc).__name__}: {exc}"
+        return run_cell(spec, group)
+    except Exception as exc:  # recorded for every cell of the group, sweep continues
+        return [f"{type(exc).__name__}: {exc}"] * len(spec.seeds)
+
+
+def _write_json(path: str, doc) -> None:
+    """Write to a temporary name, then rename: a reader never sees half a file."""
+    with open(path + ".tmp", "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    os.replace(path + ".tmp", path)
 
 
 RUN_METRICS = ("accuracy", "macro_f1", "macro_recall", "pearson", "spearman")
@@ -133,32 +181,40 @@ def _metric_rows(report: dict) -> list[tuple[str, float]]:
 
 
 def run_sweep(spec: ExperimentSpec) -> dict:
-    """Run every cell; write per-run JSONs, runs.csv, aggregate.csv, errors.json."""
+    """Run every cell; write per-run JSONs, runs.csv, aggregate.csv, errors.json,
+    then raise ``WorkerCrashed`` if a worker died."""
     os.makedirs(spec.out_dir, exist_ok=True)
     runs_dir = os.path.join(spec.out_dir, "runs")
     os.makedirs(runs_dir, exist_ok=True)
 
     cells = spec.cells()
-    jobs = [(i, spec, cell) for i, cell in enumerate(cells)]
+    reports: dict[int, dict] = {}
+    errors: dict[int, str] = {}
+
+    def record(first: int, outcomes: list[dict | str]) -> None:
+        for index, outcome in enumerate(outcomes, start=first):
+            if isinstance(outcome, str):
+                errors[index] = outcome
+            else:
+                reports[index] = outcome
+                _write_json(os.path.join(runs_dir, _cell_name(cells[index]) + ".json"),
+                            outcome)
+
+    jobs, crashed = _jobs(spec), False
     if spec.jobs > 1:
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            outcomes = list(pool.map(_worker, jobs))
-        outcomes.sort(key=lambda t: t[0])
+            futures = {pool.submit(_worker, job_spec, group): (job_spec, first)
+                       for job_spec, group, first in jobs}
+            for future in as_completed(futures):
+                job_spec, first = futures[future]
+                try:
+                    record(first, future.result())
+                except BrokenProcessPool as exc:
+                    crashed = True
+                    record(first, [f"{type(exc).__name__}: {exc}"] * len(job_spec.seeds))
     else:
-        outcomes = [_worker(j) for j in jobs]
-
-    reports: dict[int, dict] = {}
-    errors: list[dict] = []
-    for index, report, error in outcomes:
-        cell = cells[index]
-        if error is not None:
-            errors.append({"cell": _cell_name(cell), "error": error})
-            continue
-        reports[index] = report
-        with open(os.path.join(runs_dir, _cell_name(cell) + ".json"),
-                  "w", encoding="utf-8") as fh:
-            json.dump(report, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        for job_spec, group, first in jobs:
+            record(first, _worker(job_spec, group))
 
     run_rows = []
     for index, report in sorted(reports.items()):
@@ -190,9 +246,11 @@ def run_sweep(spec: ExperimentSpec) -> dict:
                 "mean", "std", "n"], agg_rows)
 
     if errors:
-        with open(os.path.join(spec.out_dir, "errors.json"), "w", encoding="utf-8") as fh:
-            json.dump(errors, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(os.path.join(spec.out_dir, "errors.json"),
+                    [{"cell": _cell_name(cells[i]), "error": errors[i]} for i in sorted(errors)])
+    if crashed:
+        raise WorkerCrashed(f"a sweep worker died; {len(reports)}/{len(cells)} runs "
+                            "written, the rest are in errors.json")
     return {"cells": len(cells), "succeeded": len(reports), "failed": len(errors)}
 
 
@@ -200,5 +258,4 @@ def _write_csv(path: str, fieldnames: list[str], rows: list[dict]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)

@@ -5,14 +5,15 @@ all optimizer steps.  Each epoch ends with a dev evaluation (macro-F1 for
 classification, Spearman for regression); training stops once the dev metric
 has failed to improve for more than ``patience`` consecutive epochs, and the
 best-dev parameters are returned.  Everything is a pure function of
-(seed, config, data).
+(seed, config, data).  ``train_seeds`` trains the seeds of one config in
+lockstep, bit for bit as ``train``, the one-seed case of the same loop.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -113,30 +114,37 @@ class TrainingDiverged(RuntimeError):
 class Adam:
     """Adam with bias correction over ``params.flat``, updated in place.
 
-    ``m`` and ``v`` parallel ``flat``; each step gathers the gradients of
-    ``all_tensors()``, so every parameter must carry one (``combined_loss``
-    reaches them all).
+    ``m`` and ``v`` parallel ``flat`` (one row per model of a stack); each
+    step gathers the gradients of ``all_tensors()``, so every parameter must
+    carry one (``combined_loss`` reaches them all).
     """
 
     def __init__(self, params: EncoderParams, lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        self.params = params
         self.tensors = params.all_tensors()
-        self.flat = params.flat
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = np.zeros_like(self.flat)
-        self.v = np.zeros_like(self.flat)
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
         self.t = 0
 
     def step(self, lr_scale: float = 1.0) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        g = np.concatenate([p.grad.reshape(-1) for p in self.tensors])
+        flat = self.params.flat
+        g = np.concatenate([p.grad.reshape(*flat.shape[:-1], -1) for p in self.tensors], axis=-1)
         self.m = b1 * self.m + (1 - b1) * g
         self.v = b2 * self.v + (1 - b2) * g * g
         m_hat = self.m / (1 - b1 ** self.t)
         v_hat = self.v / (1 - b2 ** self.t)
-        self.flat -= self.lr * lr_scale * m_hat / (np.sqrt(v_hat) + self.eps)
+        flat -= self.lr * lr_scale * m_hat / (np.sqrt(v_hat) + self.eps)
+
+    def keep(self, rows: list[int]) -> None:
+        """Keep only the models at ``rows`` of a stack, moments included."""
+        self.params = self.params.like(self.params.flat[rows])
+        self.tensors = self.params.all_tensors()
+        self.m, self.v = self.m[rows], self.v[rows]
 
 
 def batch_assignment(task, y_batch) -> AssignmentMatrix:
@@ -156,6 +164,22 @@ class TrainResult:
     best_metric: float
 
 
+class _Run:
+    """One seed of a lockstep stack: its streams, history and best-dev snapshot."""
+
+    def __init__(self, config: TrainConfig, input_dim: int):
+        ss = np.random.SeedSequence(config.seed)
+        init_seed, shuffle_seed, noise_seed = (int(s.generate_state(1)[0])
+                                               for s in ss.spawn(3))
+        self.init = init_params(input_dim, config.hidden, config.task.latent_dim,
+                                init_seed, config.activation)
+        self.shuffle_rng = np.random.default_rng(shuffle_seed)
+        self.noise_rng = np.random.default_rng(noise_seed)
+        self.history: list[dict] = []
+        self.best_metric, self.best_epoch, self.bad_epochs = -np.inf, -1, 0
+        self.best_values = self.init.flat
+
+
 def train(config: TrainConfig,
           train_set: tuple[np.ndarray, np.ndarray],
           dev_set: tuple[np.ndarray, np.ndarray]) -> TrainResult:
@@ -164,79 +188,87 @@ def train(config: TrainConfig,
     Batches smaller than 2 (a trailing remainder) are dropped since the
     similarity graph is undefined on them.
     """
+    return train_seeds([config], train_set, dev_set)[0]
+
+
+def train_seeds(configs: list[TrainConfig],
+                train_set: tuple[np.ndarray, np.ndarray],
+                dev_set: tuple[np.ndarray, np.ndarray]) -> list[TrainResult]:
+    """``train`` for configs that differ only in their seed, as one stack.
+
+    Every op runs once for all the models.  Each seed keeps its own init,
+    shuffle and noise streams, dev metric, best-dev snapshot and early
+    stopping, and gets the bits of its solo ``train``; a seed that stops
+    leaves the stack.  A step that raises for any seed ends the whole call;
+    a ``TrainingDiverged`` then carries the loss terms of the first model
+    whose loss is non-finite (of the first model, for a gradient).
+    """
     X_train, y_train = train_set
     X_dev, y_dev = dev_set
     if X_train.shape[0] == 0 or X_dev.shape[0] == 0:
         raise ValueError("train and dev splits must be non-empty")
-
-    ss = np.random.SeedSequence(config.seed)
-    init_seed, shuffle_seed, noise_seed = (int(s.generate_state(1)[0])
-                                           for s in ss.spawn(3))
-    params = init_params(X_train.shape[1], config.hidden, config.task.latent_dim,
-                         init_seed, config.activation)
-    shuffle_rng = np.random.default_rng(shuffle_seed)
-    noise_rng = np.random.default_rng(noise_seed)
-
-    tensors = params.all_tensors()
-    opt = Adam(params, config.lr)
-    steps_per_epoch = max(1, X_train.shape[0] // config.batch_size)
+    config, task, n = configs[0], configs[0].task, X_train.shape[0]
+    if any(replace(c, seed=config.seed) != config for c in configs):
+        raise ValueError("lockstep configs must differ only in their seed")
+    runs = [_Run(c, X_train.shape[1]) for c in configs]
+    active = runs  # row i of the stack trains active[i]
+    opt = Adam(runs[0].init.like(np.stack([run.init.flat for run in runs])), config.lr)
+    steps_per_epoch = max(1, n // config.batch_size)
     warmup_steps = max(1, int(config.warmup_fraction * config.epochs * steps_per_epoch))
-
-    history: list[dict] = []
-    best_metric = -np.inf
-    best_epoch = -1
-    best_values = params.copy_values()
-    bad_epochs = 0
     step = 0
 
     for epoch in range(config.epochs):
-        order = shuffle_rng.permutation(X_train.shape[0])
-        sums = {"task": 0.0, "kl": 0.0, "se": 0.0, "total": 0.0}
+        orders = np.stack([run.shuffle_rng.permutation(n) for run in active])
+        sums = np.zeros((4, len(active)))  # task, kl, se, total per seed
         batches = 0
-        for start in range(0, order.size, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            if idx.size < 2:
+        for start in range(0, n, config.batch_size):
+            idx = orders[:, start:start + config.batch_size]
+            if idx.shape[1] < 2:
                 continue
             xb, yb = X_train[idx], y_train[idx]
-            assignment = batch_assignment(config.task, yb)
-            noise = noise_rng.standard_normal(
-                (config.samples_per_input, idx.size, config.task.latent_dim))
-            zero_grads(tensors)
+            noise = np.array([run.noise_rng.standard_normal(
+                (config.samples_per_input, idx.shape[1], task.latent_dim))
+                for run in active]).swapaxes(0, 1)
+            zero_grads(opt.tensors)
             breakdown = combined_loss(
-                params, xb, assignment, yb,
-                kind=config.task.kind, beta=config.beta, gamma=config.gamma,
+                opt.params, xb, batch_assignment(task, yb), yb,
+                kind=task.kind, beta=config.beta, gamma=config.gamma,
                 noise=noise, use_mu_for_graph=config.use_mu_for_graph)
             step += 1
-            scalars = breakdown.scalars()
-            if not np.isfinite(scalars["total"]):
-                raise TrainingDiverged(step, scalars)
+            finite = np.isfinite(breakdown.total.values)
+            if not finite.all():
+                raise TrainingDiverged(step, breakdown.scalars(int(np.argmin(finite))))
             try:
-                breakdown.total.backward()
+                breakdown.total.sum().backward()
             except FloatingPointError as exc:
-                raise TrainingDiverged(step, scalars, "gradient") from exc
+                raise TrainingDiverged(step, breakdown.scalars(0), "gradient") from exc
             opt.step(lr_scale=min(1.0, step / warmup_steps))
-            for key in sums:
-                sums[key] += scalars[key]
+            sums += [breakdown.task.values, breakdown.kl.values, breakdown.se.values,
+                     breakdown.total.values]
             batches += 1
+            breakdown = None  # frees this step's tape before the next one is built
 
-        dev_metric = _headline_metric(params, X_dev, y_dev, config.task)
-        row = {"epoch": epoch,
-               **{k: sums[k] / max(batches, 1) for k in ("task", "kl", "se", "total")},
-               "dev_metric": dev_metric}
-        history.append(row)
-
-        if dev_metric > best_metric:
-            best_metric = dev_metric
-            best_epoch = epoch
-            best_values = params.copy_values()
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs > config.patience:
+        for i, run in enumerate(active):
+            dev_metric = _headline_metric(opt.params.like(opt.params.flat[i]), X_dev, y_dev, task)
+            run.history.append({"epoch": epoch,
+                                **{k: float(v) / max(batches, 1)
+                                   for k, v in zip(("task", "kl", "se", "total"), sums[:, i])},
+                                "dev_metric": dev_metric})
+            if dev_metric > run.best_metric:
+                run.best_metric, run.best_epoch = dev_metric, epoch
+                run.best_values = opt.params.flat[i].copy()
+                run.bad_epochs = 0
+            else:
+                run.bad_epochs += 1
+        kept = [i for i, run in enumerate(active) if run.bad_epochs <= config.patience]
+        if len(kept) < len(active):
+            if not kept:
                 break
+            active = [active[i] for i in kept]
+            opt.keep(kept)
 
-    params.load_values(best_values)
-    return TrainResult(params, history, best_epoch, best_metric)
+    return [TrainResult(run.init.like(run.best_values), run.history, run.best_epoch,
+                        run.best_metric) for run in runs]
 
 
 def predict(params: EncoderParams, X: np.ndarray, task) -> np.ndarray:
@@ -277,20 +309,7 @@ class MetricsReport:
         return value
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "kind": self.kind,
-            "n": self.n,
-            "seed": self.seed,
-            "config": self.config,
-            "loss": self.loss,
-            "accuracy": self.accuracy,
-            "macro_f1": self.macro_f1,
-            "macro_recall": self.macro_recall,
-            "per_class_f1": self.per_class_f1,
-            "pearson": self.pearson,
-            "spearman": self.spearman,
-        }
+        return {"schema_version": REPORT_SCHEMA_VERSION, **asdict(self)}
 
 
 def evaluate(params: EncoderParams, X: np.ndarray, y: np.ndarray,
@@ -332,8 +351,7 @@ def write_history_csv(history: list[dict], path) -> None:
         writer = csv.DictWriter(
             fh, fieldnames=["epoch", "task", "kl", "se", "total", "dev_metric"])
         writer.writeheader()
-        for row in history:
-            writer.writerow(row)
+        writer.writerows(history)
 
 
 def write_report_json(report: MetricsReport, path) -> None:

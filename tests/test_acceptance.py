@@ -22,7 +22,7 @@ from bottletree.cli import main
 from bottletree.datasets import gen_blobs, gen_regression, inject_label_noise
 from bottletree.softbins import make_bins
 from bottletree.training import (ClassificationTask, RegressionTask,
-                                 TrainConfig, evaluate, train)
+                                 TrainConfig, evaluate, train, train_seeds)
 from bottletree.verify import (check_bounds, check_gradients, check_kl,
                                check_invariance, check_matrix_definition,
                                check_soft_consistency, check_soft_reduction)
@@ -77,12 +77,12 @@ def test_criterion_07_kl_correctness():
 
 
 def _run_classification_arm(noisy, gamma: float, seeds=range(5)) -> np.ndarray:
-    scores = []
-    for seed in seeds:
-        cfg = TrainConfig(task=ClassificationTask(4), gamma=gamma, seed=seed)
-        result = train(cfg, noisy.subset("train"), noisy.subset("dev"))
-        scores.append(evaluate(result.params, *noisy.subset("test"), cfg).macro_f1)
-    return np.asarray(scores)
+    # The arm's seeds train in lockstep; each result is its solo train's.
+    configs = [TrainConfig(task=ClassificationTask(4), gamma=gamma, seed=seed)
+               for seed in seeds]
+    results = train_seeds(configs, noisy.subset("train"), noisy.subset("dev"))
+    return np.asarray([evaluate(result.params, *noisy.subset("test"), cfg).macro_f1
+                       for cfg, result in zip(configs, results)])
 
 
 def test_criterion_08_classification_ablation_direction():

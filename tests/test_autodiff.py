@@ -143,6 +143,29 @@ class TestMatmul:
 
         assert finite_difference_check(f, [a, b], h=1e-6) < 1e-6
 
+    def test_stacked_product_row_and_cols_match_each_slice(self):
+        # A leading stack axis: every slice gets the bits of its 2-D graph.
+        rng = np.random.default_rng(8)
+        a, b, c = (rng.standard_normal(s) for s in ((2, 3, 4), (2, 4, 5), (2, 1, 5)))
+
+        def f(x, w, bias):
+            return ((x @ w + bias).relu().cols(1, 4) * 3.0).sum()
+
+        stack = [parameter(v) for v in (a, b, c)]
+        f(*stack).backward()
+        for s in range(2):
+            alone = [parameter(v[s]) for v in (a, b, c)]
+            f(*alone).backward()
+            for p, q in zip(stack, alone):
+                assert np.array_equal(p.grad[s], q.grad)
+        assert finite_difference_check(lambda ps: f(*ps), stack, h=1e-6) < 1e-6
+
+    def test_stacks_must_match(self):
+        with pytest.raises(DimensionError):
+            constant(np.ones((2, 3, 4))) @ constant(np.ones((3, 4, 5)))
+        with pytest.raises(DimensionError):
+            constant(np.ones((2, 3, 4))) @ constant(np.ones((4, 5)))
+
 
 class TestReductions:
     def test_sum_all(self):

@@ -1,10 +1,13 @@
 import csv
 import json
 import os
+import signal
+import time
 
 import numpy as np
 import pytest
 
+from bottletree import sweep
 from bottletree.cli import main
 from bottletree.datasets import load_csv
 from bottletree.sweep import ExperimentSpec, run_sweep
@@ -213,6 +216,81 @@ class TestSweep:
         assert summary["failed"] == 2
         errors = json.loads((tmp_path / "fail" / "errors.json").read_text())
         assert len(errors) == 2
+
+    def test_killed_worker_keeps_finished_cells_and_exits_two(self, blob_csv, tmp_path,
+                                                               monkeypatch, capsys):
+        # Real forked workers: the gamma=0 group runs normally; the gamma=1 and
+        # gamma=10 groups wait until its runs are on disk, then gamma=1 sends
+        # SIGKILL to its own process while gamma=10 is still waiting in the
+        # healthy worker.  If they never appear both run normally, and the exit
+        # code gives it away.
+        out = tmp_path / "killed"
+        run_cell = sweep.run_cell
+
+        def killing_run_cell(spec, group):
+            deadline = time.monotonic() + 30
+            while group[1] != 0.0 and time.monotonic() < deadline:
+                if len([f for f in os.listdir(out / "runs") if f.endswith(".json")]) == 2:
+                    if group[1] == 1.0:
+                        os.kill(os.getpid(), signal.SIGKILL)
+                time.sleep(0.02)
+            return run_cell(spec, group)
+
+        monkeypatch.setattr(sweep, "run_cell", killing_run_cell)
+        rc = main(["sweep", "--data", blob_csv, "--task", "classification",
+                   "--gammas", "0", "1", "10", "--seeds", "0", "1", "--jobs", "2",
+                   "--out-dir", str(out), *FAST])
+        assert rc == 2
+        assert "WorkerCrashed" in capsys.readouterr().err
+        assert sorted(os.listdir(out / "runs")) == ["run_b0.01_g0_pnone_s0.json",
+                                                    "run_b0.01_g0_pnone_s1.json"]
+        errors = json.loads((out / "errors.json").read_text())
+        # the dead worker's cells and the healthy worker's unfinished ones
+        assert [e["cell"] for e in errors] == ["run_b0.01_g1_pnone_s0",
+                                               "run_b0.01_g1_pnone_s1",
+                                               "run_b0.01_g10_pnone_s0",
+                                               "run_b0.01_g10_pnone_s1"]
+        assert all(e["error"].startswith("BrokenProcessPool: ") for e in errors)
+        with open(out / "runs.csv") as fh:
+            assert {r["gamma"] for r in csv.DictReader(fh)} == {"0.0"}
+
+    @pytest.mark.parametrize("gammas,seeds,jobs,chunks", [
+        ((1.0,), 5, 2, [(0, 1), (2, 3, 4)]),  # fewer groups than workers: split
+        ((1.0,), 6, 4, [(0,), (1, 2), (3,), (4, 5)]),
+        ((1.0,), 1, 2, [(0,)]),  # one seed cannot be split
+        ((0.0, 1.0), 3, 2, [(0, 1, 2)] * 2),  # a group per worker: whole groups
+        ((0.0, 1.0, 10.0), 3, 2, [(0, 1, 2)] * 3),
+        ((1.0,), 3, 1, [(0, 1, 2)]),  # serial
+        ((1.0,), 3, 0, [(0, 1, 2)]),  # no pool below two jobs
+    ])
+    def test_jobs_split_groups_only_when_workers_would_idle(self, gammas, seeds, jobs,
+                                                            chunks):
+        spec = ExperimentSpec(data_path="unused.csv", task_kind="classification",
+                              betas=(0.01,), gammas=gammas, seeds=tuple(range(seeds)),
+                              out_dir="unused", jobs=jobs)
+        plan = sweep._jobs(spec)
+        assert [job.seeds for job, _, _ in plan] == chunks
+        cells = spec.cells()  # every cell once, at the index its job writes to
+        assert [cells[first + i] for job, group, first in plan
+                for i, seed in enumerate(job.seeds)] == [
+            (*group, seed) for job, group, _ in plan for seed in job.seeds]
+        assert sum(len(job.seeds) for job, _, _ in plan) == len(cells)
+
+    def test_split_group_runs_as_two_lockstep_jobs(self, blob_csv, tmp_path, monkeypatch):
+        # one group of four seeds at jobs=2: two lockstep chunks of two seeds
+        marks, run_cell = tmp_path / "marks", sweep.run_cell
+        marks.mkdir()
+
+        def marking_run_cell(spec, group):
+            (marks / f"{os.getpid()}-{'-'.join(map(str, spec.seeds))}").touch()
+            return run_cell(spec, group)
+
+        monkeypatch.setattr(sweep, "run_cell", marking_run_cell)
+        assert main(["sweep", "--data", blob_csv, "--task", "classification",
+                     "--gammas", "1", "--seeds", "0", "1", "2", "3", "--jobs", "2",
+                     "--out-dir", str(tmp_path / "out"), *FAST]) == 0
+        assert sorted(m.split("-", 1)[1] for m in os.listdir(marks)) == ["0-1", "2-3"]
+        assert len(os.listdir(tmp_path / "out" / "runs")) == 4
 
     def test_parallel_jobs_match_serial(self, blob_csv, tmp_path):
         base = ["sweep", "--data", blob_csv, "--task", "classification",

@@ -421,21 +421,23 @@ class TestFlatStore:
         for t in params.all_tensors():
             assert (t.values == 2.5).all()
 
-    def test_copy_and_load_values(self):
+    def test_like_views_a_snapshot_and_a_stack(self):
         params = init_params(4, (6,), 2, seed=2)
-        snapshot = params.copy_values()
-        assert not np.shares_memory(snapshot, params.flat)
-        before = [t.values.copy() for t in params.all_tensors()]
+        snapshot = params.like(params.flat.copy())
         params.flat *= 3.0
-        params.load_values(snapshot)
-        for t, b in zip(params.all_tensors(), before):
-            np.testing.assert_array_equal(t.values, b)
-        assert_views_of_flat(params)
+        for t, s in zip(params.all_tensors(), snapshot.all_tensors()):
+            np.testing.assert_array_equal(t.values, 3.0 * s.values)
+        assert_views_of_flat(snapshot)
+        stack = params.like(np.stack([snapshot.flat, params.flat]))
+        assert_views_of_flat(stack)
+        for t, s, p in zip(stack.all_tensors(), snapshot.all_tensors(), params.all_tensors()):
+            assert t.shape == (2, *s.shape)
+            assert np.array_equal(t.values[0], s.values) and np.array_equal(t.values[1], p.values)
 
-    def test_load_values_rejects_wrong_length(self):
+    def test_like_rejects_wrong_length(self):
         params = init_params(4, (6,), 2, seed=2)
         with pytest.raises(DimensionError):
-            params.load_values(np.zeros(params.flat.size - 1))
+            params.like(np.zeros(params.flat.size - 1))
 
 
 class TestCheckpoint:

@@ -339,6 +339,20 @@ class TestFusedSeLoss:
             tracemalloc.stop()
         assert peak < 1 << 20  # one 3000 x 3000 graph is 69 MiB
 
+    def test_stack_gives_each_slice_its_solo_value_and_gradient(self):
+        rng = np.random.default_rng(71)
+        h, labels = rng.standard_normal((3, 20, 2)), rng.integers(0, 3, size=(3, 20))
+        weights = (1.0, -2.0, 0.5)
+        stacked = parameter(h)
+        loss = se_loss(stacked, hard_assignment(labels, 3))
+        (loss * constant(weights)).sum().backward()
+        for s, w in enumerate(weights):
+            alone = parameter(h[s])
+            value = se_loss(alone, hard_assignment(labels[s], 3))
+            (value * w).backward()
+            assert loss.values[s] == value.item()
+            assert np.array_equal(stacked.grad[s], alone.grad)
+
     def test_rejects_bad_inputs(self):
         c = hard_assignment([0, 1, 0], 2)
         with pytest.raises(DimensionError):

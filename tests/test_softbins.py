@@ -96,6 +96,23 @@ class TestSoften:
         warm = soften(d, temperature=1.0).membership.values[0, 0]
         assert cold > warm
 
+    @pytest.mark.parametrize("temperature", [0.1, 1.0, 3.0])
+    def test_membership_bits_match_the_tape_softmax(self, temperature):
+        rng = np.random.default_rng(61)
+        d = distance_matrix(rng.uniform(0.0, 5.0, size=40), make_bins(0.0, 5.0, 5))
+        reference = constant(-d.values / temperature).softmax(axis=1).values
+        assert np.array_equal(soften(d, temperature).membership.values, reference)
+
+    def test_stacked_labels_soften_slice_by_slice(self):
+        rng = np.random.default_rng(62)
+        bins = make_bins(0.0, 5.0, 5)
+        y = rng.uniform(0.0, 5.0, size=(3, 16))
+        stacked = soften(distance_matrix(y, bins), 0.5)
+        assert stacked.n == 16 and stacked.num_classes == 5
+        for row, labels in zip(stacked.membership.values, y):
+            assert np.array_equal(row, soften(distance_matrix(labels, bins), 0.5).membership.values)
+        assert np.array_equal(nearest_bin(y, bins)[1], nearest_bin(y[1], bins))
+
     def test_no_gradient_flows_into_membership(self):
         soft = soften(constant([[0.5, 1.5]]))
         assert not soft.membership.requires_grad

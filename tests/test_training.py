@@ -1,12 +1,18 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from test_coder import tape_nodes
 
 from bottletree.coder import combined_loss, init_params
-from bottletree.datasets import gen_blobs, gen_regression
+from bottletree.datasets import gen_blobs, gen_regression, save_csv
+from bottletree.entropy import hard_assignment
 from bottletree.softbins import make_bins
+from bottletree.sweep import ExperimentSpec, run_sweep
 from bottletree.training import (Adam, ClassificationTask, RegressionTask,
                                  TrainConfig, TrainingDiverged, evaluate,
-                                 predict, train, write_history_csv)
+                                 predict, train, train_seeds, write_history_csv)
 
 
 def blob_config(ds, **overrides):
@@ -176,6 +182,113 @@ class TestTrain:
         X, y = easy_blobs.subset("train")
         with pytest.raises(ValueError):
             train(cfg, (X[:0], y[:0]), easy_blobs.subset("dev"))
+
+
+def lockstep_case(name):
+    """(dataset, config) of one lockstep-vs-solo grid case, seed 0."""
+    if name == "regression-soft":
+        ds = gen_regression(240, 4, noise_std=0.2, lo=0.0, hi=5.0, seed=33)
+        return ds, TrainConfig(task=RegressionTask(make_bins(0.0, 5.0, 5)), beta=0.01,
+                               gamma=0.5, lr=1e-2, epochs=4, patience=2, batch_size=32,
+                               hidden=(8,))
+    ds = gen_blobs(3, 240, 5, spread=0.5, seed=34)
+    overrides = {"early-stop": {"patience": 1, "lr": 3e-2},
+                 "two-samples": {"samples_per_input": 2},
+                 "mu-graph": {"use_mu_for_graph": True}}[name]
+    return ds, blob_config(ds, **{"gamma": 1.0, "epochs": 6, "patience": 3,
+                                  "batch_size": 24, "hidden": (8,), **overrides})
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("name", ["early-stop", "regression-soft", "two-samples",
+                                      "mu-graph"])
+    def test_every_seed_matches_its_solo_run(self, name):
+        ds, config = lockstep_case(name)
+        configs = [replace(config, seed=seed) for seed in range(4)]
+        stacked = train_seeds(configs, ds.subset("train"), ds.subset("dev"))
+        for cfg, result in zip(configs, stacked):
+            solo = train(cfg, ds.subset("train"), ds.subset("dev"))
+            assert result.history == solo.history
+            assert result.best_epoch == solo.best_epoch
+            assert result.params.flat.tobytes() == solo.params.flat.tobytes()
+            assert (evaluate(result.params, *ds.subset("test"), cfg).to_json_dict()
+                    == evaluate(solo.params, *ds.subset("test"), cfg).to_json_dict())
+        if name == "early-stop":  # seeds leave the stack at different epochs
+            assert len({len(r.history) for r in stacked}) > 1
+
+    def test_configs_must_differ_only_in_seed(self, easy_blobs):
+        configs = [blob_config(easy_blobs), blob_config(easy_blobs, seed=1, lr=0.1)]
+        with pytest.raises(ValueError, match="only in their seed"):
+            train_seeds(configs, easy_blobs.subset("train"), easy_blobs.subset("dev"))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("case", ["loss", "logits", "one-row"])
+    def test_sweep_group_with_failing_seeds_records_their_solo_errors(self, tmp_path, case):
+        # lr 1e100 overflows every seed's loss at step 2 (TrainingDiverged);
+        # lr 1e200 overflows the logits first (the softmax's ValueError); one
+        # extreme train row overflows the KL in whichever batch each seed's
+        # shuffle puts it, so the seeds diverge at different steps.
+        ds = gen_blobs(3, 120, 5, spread=0.4, seed=1)
+        if case == "one-row":
+            ds.X[ds.indices("train")[7]] *= 1e200
+        save_csv(ds, tmp_path / "blobs.csv")
+        kwargs = {"lr": {"loss": 1e100, "logits": 1e200, "one-row": 1e-2}[case],
+                  "epochs": 3, "patience": 2, "batch_size": 16, "hidden": (8,)}
+        spec = ExperimentSpec(data_path=str(tmp_path / "blobs.csv"),
+                              task_kind="classification", betas=(0.01,), gammas=(1.0,),
+                              seeds=(0, 1, 2), out_dir=str(tmp_path / "out"),
+                              train_kwargs=kwargs)
+        assert run_sweep(spec) == {"cells": 3, "succeeded": 0, "failed": 3}
+        errors = json.loads((tmp_path / "out" / "errors.json").read_text())
+        for entry, seed in zip(errors, spec.seeds):
+            cfg = TrainConfig(task=ClassificationTask(3), gamma=1.0, seed=seed, **kwargs)
+            with pytest.raises(Exception) as solo:
+                train(cfg, ds.subset("train"), ds.subset("dev"))
+            assert entry == {"cell": f"run_b0.01_g1_pnone_s{seed}",
+                             "error": f"{type(solo.value).__name__}: {solo.value}"}
+        distinct = len({entry["error"] for entry in errors})
+        assert distinct > 1 if case == "one-row" else distinct == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_reports_the_diverging_seed_not_the_first_row(self):
+        # One extreme train row overflows the KL in whichever batch each seed's
+        # shuffle puts it; the stack is ordered so the first seed to diverge is
+        # not row 0, and its payload must be that seed's solo payload.
+        ds = gen_blobs(3, 120, 5, spread=0.4, seed=1)
+        ds.X[ds.indices("train")[7]] *= 1e200
+        train_set, dev_set = ds.subset("train"), ds.subset("dev")
+        kwargs = {"lr": 1e-2, "epochs": 3, "patience": 2, "batch_size": 16, "hidden": (8,)}
+        solo = {}
+        for seed in range(4):
+            with pytest.raises(TrainingDiverged) as exc:
+                train(TrainConfig(task=ClassificationTask(3), seed=seed, **kwargs),
+                      train_set, dev_set)
+            solo[seed] = exc.value
+        first = min(solo, key=lambda seed: solo[seed].step)
+        assert solo[first].step < max(s.step for s in solo.values())
+        seeds = sorted(solo, key=lambda seed: seed == first)  # first to diverge last
+        with pytest.raises(TrainingDiverged) as stacked:
+            train_seeds([TrainConfig(task=ClassificationTask(3), seed=seed, **kwargs)
+                         for seed in seeds], train_set, dev_set)
+        assert stacked.value.step == solo[first].step
+        assert list(stacked.value.breakdown) == list(solo[first].breakdown)
+        assert np.array_equal(list(stacked.value.breakdown.values()),
+                              list(solo[first].breakdown.values()), equal_nan=True)
+        assert not np.isfinite(stacked.value.breakdown["total"])
+
+    def test_stacked_step_records_as_many_tape_nodes_as_one_model(self):
+        def step_nodes(stack: int) -> int:
+            rng = np.random.default_rng(14)
+            one = init_params(16, (64,), 4, seed=8)
+            params = one.like(np.stack([one.flat] * stack))
+            X = rng.standard_normal((stack, 64, 16))
+            y = rng.integers(0, 4, size=(stack, 64))
+            bd = combined_loss(params, X, hard_assignment(y, 4), y, kind="classification",
+                               beta=0.01, gamma=1.0,
+                               noise=rng.standard_normal((1, stack, 64, 4)))
+            return tape_nodes(bd.total.sum())
+
+        assert step_nodes(6) == step_nodes(1) <= 20
 
 
 class TestRegressionTraining:
