@@ -11,7 +11,7 @@ from .autodiff import (DimensionError, GraphConsumedError, Tensor, constant,
                        finite_difference_check, parameter, zero_grads)
 from .coder import (EncoderParams, GaussianPosterior, LossBreakdown,
                     combined_loss, encode, init_params, kl_to_standard_normal,
-                    load_checkpoint, predict_regression, reparameterize,
+                    load_checkpoint, reparameterize,
                     save_checkpoint, task_loss, total_loss)
 from .datasets import (Dataset, DatasetParseError, gen_blobs, gen_regression,
                        inject_label_noise, load_csv, save_csv,

@@ -222,11 +222,6 @@ class Tensor:
             raise DimensionError(f"transpose needs a 2-D tensor, got shape {self.shape}")
         return Tensor._from_op(self.values.T.copy(), [(self, lambda g: g.T.copy())])
 
-    def reshape(self, shape) -> "Tensor":
-        old = self.shape
-        return Tensor._from_op(self.values.reshape(shape).copy(),
-                               [(self, lambda g: g.reshape(old).copy())])
-
     def cols(self, start: int, stop: int) -> "Tensor":
         """Column slice [start, stop) of a 2-D tensor or of each slice of a stack."""
         if self.values.ndim not in (2, 3):

@@ -8,7 +8,6 @@ directory can be set with the BOTTLETREE_OUT environment variable.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -16,8 +15,8 @@ from .coder import save_checkpoint
 from .datasets import gen_blobs, gen_regression, load_csv, save_csv
 from .softbins import make_bins
 from .sweep import ExperimentSpec, build_task, run_sweep
-from .training import (TrainConfig, TrainingDiverged, evaluate, train,
-                       write_history_csv, write_report_json)
+from .training import (HISTORY_FIELDS, TrainConfig, TrainingDiverged, evaluate,
+                       remove_files, train, write_csv, write_json)
 from .verify import ALL_CHECKS, run_checks
 
 OUT_ENV = "BOTTLETREE_OUT"
@@ -140,9 +139,7 @@ def cmd_gen(args) -> int:
                             args.seed)
         default_name = f"regression_n{args.n}_d{args.dim}_s{args.seed}.csv"
     out = args.out or os.path.join(_default_out(), default_name)
-    parent = os.path.dirname(out)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
+    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     save_csv(ds, out)
     print(f"wrote {ds.n} rows to {out}")
     return 0
@@ -156,21 +153,23 @@ def cmd_train(args) -> int:
                          seed=args.seed, **_train_kwargs(args))
     out_dir = args.out_dir or _default_out()
     os.makedirs(out_dir, exist_ok=True)
+    # Each outcome removes the other's files, left by an earlier run here.
+    report_path, history_path, model_path, dump = (
+        os.path.join(out_dir, name)
+        for name in ("report.json", "history.csv", "model.json", "diverged.json"))
     try:
         result = train(config, ds.subset("train"), ds.subset("dev"))
     except TrainingDiverged as exc:
-        dump = os.path.join(out_dir, "diverged.json")
-        with open(dump, "w", encoding="utf-8") as fh:
-            json.dump({"step": exc.step, "breakdown": exc.breakdown}, fh,
-                      sort_keys=True, indent=2)
+        remove_files(report_path, history_path, model_path)
+        write_json(dump, {"step": exc.step, "breakdown": exc.breakdown})
         print(f"training diverged at step {exc.step}; dump at {dump}",
               file=sys.stderr)
         return 2
     report = evaluate(result.params, *ds.subset("test"), config)
-    write_report_json(report, os.path.join(out_dir, "report.json"))
-    write_history_csv(result.history, os.path.join(out_dir, "history.csv"))
-    save_checkpoint(result.params, os.path.join(out_dir, "model.json"),
-                    seed=config.seed)
+    remove_files(dump)
+    write_json(report_path, report.to_json_dict())
+    write_csv(history_path, HISTORY_FIELDS, result.history)
+    save_checkpoint(result.params, model_path, seed=config.seed)
     name = "macro_f1" if task.kind == "classification" else "spearman"
     print(f"test {name} = {report.headline:.6f} "
           f"(best dev epoch {result.best_epoch})")
@@ -221,12 +220,8 @@ def _write_debug_dump(path: str) -> None:
         "hard": entropy_report(adj, hard_assignment(labels, r)),
         "soft": entropy_report(adj, soft),
     }
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    write_json(path, record)
 
 
 def main(argv=None) -> int:
@@ -238,7 +233,7 @@ def main(argv=None) -> int:
     commands = {"gen": cmd_gen, "train": cmd_train, "sweep": cmd_sweep, "verify": cmd_verify}
     try:
         return commands[args.command](args)
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"bottletree: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -6,13 +6,14 @@ sample (class logits for classification, identity on a 1-d latent for
 regression).  The combined objective is task + beta * KL - gamma * structural
 entropy: the entropy term is maximized.
 
-The KL term, the reparameterized sample, the softmax cross-entropy and the
-weighted total are each one tape node with a closed-form gradient; their
-values come from the same numpy expressions as the composite tape forms the
-tests keep as references.  All weights and biases are views into one float64
-vector, ``EncoderParams.flat``, which the optimizer updates in place.  A
-stack of S models runs every op once for all: inputs are (S, batch, d) and
-each loss term is (S,), every entry with the bits of its model run alone.
+The KL term, the reparameterized sample, each task head (softmax
+cross-entropy, squared error) and the weighted total are each one tape node
+with a closed-form gradient; their values come from the same numpy
+expressions as the composite tape forms the tests keep as references.  All
+weights and biases are views into one float64 vector, ``EncoderParams.flat``,
+which the optimizer updates in place.  A stack of S models runs every op
+once for all: inputs are (S, batch, d) and each loss term is (S,), every
+entry with the bits of its model run alone.
 """
 
 from __future__ import annotations
@@ -147,39 +148,32 @@ def kl_to_standard_normal(post: GaussianPosterior) -> Tensor:
                             (post.logvar, lambda g: (var - 1.0) * (g[..., None, None] / (2 * n)))])
 
 
-def predict_regression(z: Tensor) -> Tensor:
-    """Identity read-out on a 1-d latent, flattened to a length-batch vector."""
-    if z.values.ndim not in (2, 3) or z.shape[-1] != 1:
-        raise DimensionError(f"regression read-out needs a (batch, 1) latent, got {z.shape}")
-    return z.reshape(z.shape[:-1])
-
-
-def task_loss(pred: Tensor, targets, kind: str) -> Tensor:
-    """Softmax cross-entropy over class logits, or mean squared error.
+def task_loss(z: Tensor, targets, kind: str) -> Tensor:
+    """The task term of ``kind``: softmax cross-entropy of class logits
+    ("classification"), or the squared error of a 1-d latent, read as the
+    prediction, against real targets ("regression"); each is the batch mean.
 
     The cross-entropy floors the true-class probability at LOG_EPS; a row
     below the floor contributes log(LOG_EPS) and no gradient.
     """
-    if kind == "cross_entropy":
-        labels = np.asarray(targets)
-        if labels.shape != pred.shape[:-1] or labels.ndim not in (1, 2):
-            raise DimensionError("targets must be one class id per prediction row")
-        probs = softmax_values(pred.values, -1)
-        onehot = np.eye(pred.shape[-1])[labels.astype(np.int64)]
-        true_prob = (probs * onehot).sum(axis=-1)
-        loss = -np.asarray(np.log(np.maximum(true_prob, LOG_EPS)).sum(axis=-1) / labels.shape[-1])
-
-        def grad_fn(g, n=labels.shape[-1]):
-            return (probs - onehot) * ((true_prob >= LOG_EPS) * (g[..., None] / n))[..., None]
-
-        return Tensor._from_op(loss, [(pred, grad_fn)])
-    if kind == "mse":
-        t = np.asarray(targets, dtype=np.float64)
-        if t.shape != pred.shape:
-            raise DimensionError(f"targets shape {t.shape} != predictions shape {pred.shape}")
-        diff = pred - constant(t)
-        return (diff * diff).mean(axis=-1)
-    raise ValueError(f"unknown task loss kind {kind!r}")
+    if kind not in ("classification", "regression"):
+        raise ValueError(f"unknown task kind {kind!r}")
+    t = np.asarray(targets)
+    if t.shape != z.shape[:-1] or t.ndim not in (1, 2) or (
+            kind == "regression" and z.shape[-1] != 1):
+        raise DimensionError(f"{kind} needs one target per row of its latent: targets "
+                             f"{t.shape} against {z.shape}")
+    n = t.shape[-1]
+    if kind == "regression":
+        d = z.values[..., 0] - t
+        return Tensor._from_op((d * d).mean(axis=-1),
+                               [(z, lambda g: (2 * (np.expand_dims(g / n, -1) * d))[..., None])])
+    probs = softmax_values(z.values, -1)
+    onehot = np.eye(z.shape[-1])[t.astype(np.int64)]
+    true_prob = (probs * onehot).sum(axis=-1)
+    loss = -np.asarray(np.log(np.maximum(true_prob, LOG_EPS)).sum(axis=-1) / n)
+    return Tensor._from_op(loss, [(z, lambda g: (probs - onehot) * (
+        (true_prob >= LOG_EPS) * (g[..., None] / n))[..., None])])
 
 
 @dataclass
@@ -222,13 +216,11 @@ def combined_loss(params: EncoderParams,
                   use_mu_for_graph: bool = False) -> LossBreakdown:
     """Full objective for one batch.
 
-    ``noise`` is one standard-normal draw shaped like the posterior, or k
-    such draws on a new leading axis, whose task and entropy terms get
-    averaged.  The similarity graph is built from the sampled latent by
-    default, or from the posterior mean when ``use_mu_for_graph`` is set.
+    ``noise`` is k standard-normal draws shaped like the posterior, stacked
+    on a new leading axis; their task and entropy terms get averaged.  The
+    similarity graph is built from the sampled latent by default, or from
+    the posterior mean when ``use_mu_for_graph`` is set.
     """
-    if kind not in ("classification", "regression"):
-        raise ValueError(f"unknown task kind {kind!r}")
     post = encode(params, inputs if isinstance(inputs, Tensor) else constant(inputs))
     if kind == "classification" and post.mu.shape[-1] != assignment.num_classes:
         raise DimensionError(f"latent dim {post.mu.shape[-1]} must equal "
@@ -236,8 +228,6 @@ def combined_loss(params: EncoderParams,
     kl = kl_to_standard_normal(post)
 
     draws = np.asarray(noise, dtype=np.float64)
-    if draws.shape == post.mu.shape:
-        draws = draws[None]
     if draws.shape[1:] != post.mu.shape:
         raise DimensionError(
             f"noise must be (k, *posterior) against posterior {post.mu.shape}")
@@ -246,10 +236,7 @@ def combined_loss(params: EncoderParams,
     se_terms: list[Tensor] = []
     for k in range(draws.shape[0]):
         z = reparameterize(post, draws[k])
-        if kind == "classification":
-            task_terms.append(task_loss(z, targets, "cross_entropy"))
-        else:
-            task_terms.append(task_loss(predict_regression(z), targets, "mse"))
+        task_terms.append(task_loss(z, targets, kind))
         graph_source = post.mu if use_mu_for_graph else z
         se_terms.append(se_loss(graph_source, assignment))
 
@@ -259,10 +246,8 @@ def combined_loss(params: EncoderParams,
 
 
 def _average(terms: list[Tensor]) -> Tensor:
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = acc + t
-    return acc * (1.0 / len(terms)) if len(terms) > 1 else acc
+    total = sum(terms[1:], terms[0])  # ((t0 + t1) + t2) + ...
+    return total * (1.0 / len(terms)) if len(terms) > 1 else total
 
 
 def save_checkpoint(params: EncoderParams, path, seed: int | None = None) -> None:

@@ -13,8 +13,6 @@ not yet finished, in any worker, is recorded as an error.
 
 from __future__ import annotations
 
-import csv
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
@@ -26,7 +24,8 @@ import numpy as np
 from .datasets import Dataset, inject_label_noise, load_csv, subsample_train
 from .softbins import make_bins
 from .training import (ClassificationTask, RegressionTask, TrainConfig,
-                       evaluate, train, train_seeds)
+                       evaluate, remove_files, train, train_seeds, write_csv,
+                       write_json)
 
 
 class WorkerCrashed(RuntimeError):
@@ -162,16 +161,10 @@ def _worker(spec: ExperimentSpec, group) -> list[dict | str]:
         return [f"{type(exc).__name__}: {exc}"] * len(spec.seeds)
 
 
-def _write_json(path: str, doc) -> None:
-    """Write to a temporary name, then rename: a reader never sees half a file."""
-    with open(path + ".tmp", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    os.replace(path + ".tmp", path)
-
-
 RUN_METRICS = ("accuracy", "macro_f1", "macro_recall", "pearson", "spearman")
 LOSS_METRICS = ("task", "kl", "se", "total")
+RUN_FIELDS = ["beta", "gamma", "perturb_kind", "perturb_value", "seed", "metric", "value"]
+AGGREGATE_KEY = [f for f in RUN_FIELDS if f not in ("seed", "value")]  # one row per key
 
 
 def _metric_rows(report: dict) -> list[tuple[str, float]]:
@@ -182,10 +175,15 @@ def _metric_rows(report: dict) -> list[tuple[str, float]]:
 
 def run_sweep(spec: ExperimentSpec) -> dict:
     """Run every cell; write per-run JSONs, runs.csv, aggregate.csv, errors.json,
-    then raise ``WorkerCrashed`` if a worker died."""
-    os.makedirs(spec.out_dir, exist_ok=True)
+    then raise ``WorkerCrashed`` if a worker died.
+
+    An ``errors.json`` left by an earlier sweep into ``out_dir`` is removed
+    first; earlier per-run JSONs are kept.
+    """
     runs_dir = os.path.join(spec.out_dir, "runs")
     os.makedirs(runs_dir, exist_ok=True)
+    errors_path = os.path.join(spec.out_dir, "errors.json")
+    remove_files(errors_path)
 
     cells = spec.cells()
     reports: dict[int, dict] = {}
@@ -197,8 +195,8 @@ def run_sweep(spec: ExperimentSpec) -> dict:
                 errors[index] = outcome
             else:
                 reports[index] = outcome
-                _write_json(os.path.join(runs_dir, _cell_name(cells[index]) + ".json"),
-                            outcome)
+                write_json(os.path.join(runs_dir, _cell_name(cells[index]) + ".json"),
+                           outcome)
 
     jobs, crashed = _jobs(spec), False
     if spec.jobs > 1:
@@ -220,42 +218,27 @@ def run_sweep(spec: ExperimentSpec) -> dict:
     for index, report in sorted(reports.items()):
         beta, gamma, p, seed = cells[index]
         for metric, value in _metric_rows(report):
-            run_rows.append({"beta": beta, "gamma": gamma, "perturb_kind": p.kind,
-                             "perturb_value": p.value, "seed": seed,
-                             "metric": metric, "value": value})
-    _write_csv(os.path.join(spec.out_dir, "runs.csv"),
-               ["beta", "gamma", "perturb_kind", "perturb_value", "seed",
-                "metric", "value"], run_rows)
+            run_rows.append(dict(zip(RUN_FIELDS,
+                                     (beta, gamma, p.kind, p.value, seed, metric, value))))
+    write_csv(os.path.join(spec.out_dir, "runs.csv"), RUN_FIELDS, run_rows)
 
     groups: dict[tuple, list[float]] = {}
     for row in run_rows:
-        key = (row["beta"], row["gamma"], row["perturb_kind"],
-               row["perturb_value"], row["metric"])
-        groups.setdefault(key, []).append(row["value"])
+        groups.setdefault(tuple(row[f] for f in AGGREGATE_KEY), []).append(row["value"])
     agg_rows = []
     for key in sorted(groups, key=str):
         values = np.asarray(groups[key])
-        beta, gamma, pk, pv, metric = key
-        agg_rows.append({"beta": beta, "gamma": gamma, "perturb_kind": pk,
-                         "perturb_value": pv, "metric": metric,
-                         "mean": float(values.mean()),
+        agg_rows.append({**dict(zip(AGGREGATE_KEY, key)), "mean": float(values.mean()),
                          "std": float(values.std()),  # population std (ddof=0)
                          "n": values.size})
-    _write_csv(os.path.join(spec.out_dir, "aggregate.csv"),
-               ["beta", "gamma", "perturb_kind", "perturb_value", "metric",
-                "mean", "std", "n"], agg_rows)
+    write_csv(os.path.join(spec.out_dir, "aggregate.csv"),
+              [*AGGREGATE_KEY, "mean", "std", "n"], agg_rows)
 
     if errors:
-        _write_json(os.path.join(spec.out_dir, "errors.json"),
-                    [{"cell": _cell_name(cells[i]), "error": errors[i]} for i in sorted(errors)])
+        write_json(errors_path,
+                   [{"cell": _cell_name(cells[i]), "error": errors[i]} for i in sorted(errors)])
     if crashed:
         raise WorkerCrashed(f"a sweep worker died; {len(reports)}/{len(cells)} runs "
                             "written, the rest are in errors.json")
     return {"cells": len(cells), "succeeded": len(reports), "failed": len(errors)}
 
-
-def _write_csv(path: str, fieldnames: list[str], rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)

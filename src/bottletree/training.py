@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field, replace
+import os
+from contextlib import contextmanager, suppress
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -24,15 +26,14 @@ from .entropy import AssignmentMatrix, hard_assignment
 from .softbins import BinSpec, distance_matrix, nearest_bin, soften
 
 REPORT_SCHEMA_VERSION = 1
+WARMUP_FRACTION = 0.1  # of all optimizer steps
+HISTORY_FIELDS = ["epoch", "task", "kl", "se", "total", "dev_metric"]
 
 
 @dataclass(frozen=True)
 class ClassificationTask:
     num_classes: int
-
-    @property
-    def kind(self) -> str:
-        return "classification"
+    kind = "classification"  # class attributes, not fields
 
     @property
     def latent_dim(self) -> int:
@@ -44,14 +45,8 @@ class RegressionTask:
     bins: BinSpec
     soft_labels: bool = True
     temperature: float = 1.0
-
-    @property
-    def kind(self) -> str:
-        return "regression"
-
-    @property
-    def latent_dim(self) -> int:
-        return 1
+    kind = "regression"
+    latent_dim = 1
 
 
 @dataclass
@@ -68,7 +63,6 @@ class TrainConfig:
     activation: str = "relu"
     use_mu_for_graph: bool = False
     samples_per_input: int = 1
-    warmup_fraction: float = 0.1
 
     def __post_init__(self):
         if self.beta < 0 or self.gamma < 0:
@@ -88,7 +82,7 @@ class TrainConfig:
             "hidden": list(self.hidden), "activation": self.activation,
             "use_mu_for_graph": self.use_mu_for_graph,
             "samples_per_input": self.samples_per_input,
-            "warmup_fraction": self.warmup_fraction,
+            "warmup_fraction": WARMUP_FRACTION,
         }
         if isinstance(self.task, ClassificationTask):
             doc["task"] = {"kind": "classification",
@@ -214,7 +208,7 @@ def train_seeds(configs: list[TrainConfig],
     active = runs  # row i of the stack trains active[i]
     opt = Adam(runs[0].init.like(np.stack([run.init.flat for run in runs])), config.lr)
     steps_per_epoch = max(1, n // config.batch_size)
-    warmup_steps = max(1, int(config.warmup_fraction * config.epochs * steps_per_epoch))
+    warmup_steps = max(1, int(WARMUP_FRACTION * config.epochs * steps_per_epoch))
     step = 0
 
     for epoch in range(config.epochs):
@@ -346,15 +340,32 @@ def evaluate(params: EncoderParams, X: np.ndarray, y: np.ndarray,
     return report
 
 
-def write_history_csv(history: list[dict], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["epoch", "task", "kl", "se", "total", "dev_metric"])
-        writer.writeheader()
-        writer.writerows(history)
+@contextmanager
+def _replacing(path, **kwargs):
+    """A text file under a temporary name, renamed to ``path`` once complete:
+    a reader never sees half a file."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8", **kwargs) as fh:
+        yield fh
+    os.replace(tmp, path)
 
 
-def write_report_json(report: MetricsReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json_dict(), fh, sort_keys=True, indent=2)
+def write_json(path, doc) -> None:
+    """A run artifact as JSON: sorted keys, two-space indent, trailing newline."""
+    with _replacing(path) as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def write_csv(path, fieldnames: list[str], rows: list[dict]) -> None:
+    with _replacing(path, newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+def remove_files(*paths) -> None:
+    """Delete those of ``paths`` that exist: the records of an earlier run."""
+    for path in paths:
+        with suppress(FileNotFoundError):
+            os.remove(path)

@@ -3,6 +3,7 @@ import json
 import os
 import signal
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,6 +66,15 @@ class TestGen:
 
 
 class TestTrain:
+    @staticmethod
+    def blow_up_backward(monkeypatch):
+        from bottletree.autodiff import Tensor
+
+        def blow_up(self):
+            raise FloatingPointError("non-finite gradient encountered during backward")
+
+        monkeypatch.setattr(Tensor, "backward", blow_up)
+
     def test_writes_report_and_history(self, blob_csv, tmp_path):
         out = tmp_path / "run"
         rc = main(["train", "--data", blob_csv, "--task", "classification",
@@ -118,12 +128,7 @@ class TestTrain:
 
     def test_gradient_blow_up_exits_two_with_dump(self, blob_csv, tmp_path,
                                                   monkeypatch, capsys):
-        from bottletree.autodiff import Tensor
-
-        def blow_up(self):
-            raise FloatingPointError("non-finite gradient encountered during backward")
-
-        monkeypatch.setattr(Tensor, "backward", blow_up)
+        self.blow_up_backward(monkeypatch)
         out = tmp_path / "blown"
         rc = main(["train", "--data", blob_csv, "--task", "classification",
                    "--seed", "0", "--out-dir", str(out), *FAST])
@@ -133,6 +138,38 @@ class TestTrain:
         assert "total" in dump["breakdown"]
         assert "diverged at step 1" in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+    def test_clean_rerun_removes_stale_divergence_dump(self, blob_csv, tmp_path,
+                                                       monkeypatch):
+        args = ["train", "--data", blob_csv, "--task", "classification",
+                "--seed", "0", "--out-dir", str(tmp_path), *FAST]
+        with monkeypatch.context() as patched:
+            self.blow_up_backward(patched)
+            assert main(args) == 2
+        assert main(args) == 0
+        assert sorted(os.listdir(tmp_path)) == ["history.csv", "model.json", "report.json"]
+
+    def test_diverging_rerun_removes_stale_outcome(self, blob_csv, tmp_path, monkeypatch):
+        args = ["train", "--data", blob_csv, "--task", "classification",
+                "--seed", "0", "--out-dir", str(tmp_path), *FAST]
+        assert main(args) == 0
+        self.blow_up_backward(monkeypatch)
+        assert main(args) == 2
+        assert os.listdir(tmp_path) == ["diverged.json"]
+        assert (tmp_path / "diverged.json").read_text().endswith("}\n")
+
+    def test_memory_error_exits_two_without_traceback(self, blob_csv, tmp_path,
+                                                      monkeypatch, capsys):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 GiB")
+
+        monkeypatch.setattr("bottletree.cli.train", out_of_memory)
+        rc = main(["train", "--data", blob_csv, "--task", "classification",
+                   "--out-dir", str(tmp_path), *FAST])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "bottletree: MemoryError: Unable to allocate" in err
+        assert "Traceback" not in err
 
     def test_task_mismatch_is_runtime_error(self, regression_csv, tmp_path):
         rc = main(["train", "--data", regression_csv, "--task", "classification",
@@ -216,6 +253,18 @@ class TestSweep:
         assert summary["failed"] == 2
         errors = json.loads((tmp_path / "fail" / "errors.json").read_text())
         assert len(errors) == 2
+
+    def test_clean_rerun_removes_stale_errors_json(self, blob_csv, tmp_path):
+        out = tmp_path / "rerun"
+        kwargs = {"epochs": 1, "patience": 0, "hidden": (4,)}
+        spec = ExperimentSpec(data_path=blob_csv, task_kind="classification",
+                              betas=(0.01,), gammas=(0.0,), seeds=(0,), out_dir=str(out),
+                              train_kwargs={**kwargs, "batch_size": 1})
+        assert run_sweep(spec)["failed"] == 1
+        assert (out / "errors.json").exists()
+        assert run_sweep(replace(spec, train_kwargs=kwargs))["failed"] == 0
+        assert not (out / "errors.json").exists()
+        assert os.listdir(out / "runs") == ["run_b0.01_g0_pnone_s0.json"]
 
     def test_killed_worker_keeps_finished_cells_and_exits_two(self, blob_csv, tmp_path,
                                                                monkeypatch, capsys):

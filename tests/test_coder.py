@@ -9,8 +9,8 @@ from bottletree.autodiff import (LOG_EPS, DimensionError, constant,
 from bottletree.coder import (LOGVAR_MAX, LOGVAR_MIN, GaussianPosterior,
                               combined_loss, encode, init_params,
                               kl_to_standard_normal, load_checkpoint,
-                              predict_regression, reparameterize,
-                              save_checkpoint, task_loss, total_loss)
+                              reparameterize, save_checkpoint, task_loss,
+                              total_loss)
 from bottletree.entropy import hard_assignment
 
 
@@ -38,6 +38,11 @@ def composite_cross_entropy(logits, labels):
     onehot[np.arange(len(labels)), labels] = 1.0
     true_prob = (logits.softmax(axis=1) * constant(onehot)).sum(axis=1)
     return -(true_prob.log().mean())
+
+
+def composite_squared_error(z, targets):
+    d = z - constant(np.asarray(targets)[:, None])
+    return (d * d).mean()
 
 
 def tape_nodes(root):
@@ -166,21 +171,21 @@ class TestPredictions:
         logits = constant([[0.0, 0.0]])
         np.testing.assert_allclose(logits.softmax(axis=1).values, [[0.5, 0.5]])
         for label in (0, 1):
-            assert task_loss(logits, [label], "cross_entropy").item() == pytest.approx(
+            assert task_loss(logits, [label], "classification").item() == pytest.approx(
                 math.log(2.0))
 
     def test_classification_shift_invariance(self):
         z = np.random.default_rng(1).standard_normal((4, 3))
         labels = [0, 2, 1, 1]
-        a = task_loss(constant(z), labels, "cross_entropy").item()
-        b = task_loss(constant(z + 7.0), labels, "cross_entropy").item()
+        a = task_loss(constant(z), labels, "classification").item()
+        b = task_loss(constant(z + 7.0), labels, "classification").item()
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_classification_argmax(self):
         logits = constant([[2.0, 0.0]])
         assert np.argmax(logits.softmax(axis=1).values[0]) == 0
-        assert (task_loss(logits, [0], "cross_entropy").item()
-                < task_loss(logits, [1], "cross_entropy").item())
+        assert (task_loss(logits, [0], "classification").item()
+                < task_loss(logits, [1], "classification").item())
 
     def test_classification_dim_mismatch(self):
         params = init_params(3, (4,), 2, seed=0)
@@ -191,13 +196,12 @@ class TestPredictions:
                           noise=np.zeros((1, 4, 2)))
 
     def test_regression_identity(self):
-        out = predict_regression(constant([[0.7]]))
-        assert out.shape == (1,)
-        assert out.values[0] == 0.7
+        # the 1-d latent is the prediction: a latent equal to its target costs nothing
+        assert task_loss(constant([[0.7], [-1.5]]), [0.7, -1.5], "regression").item() == 0.0
 
     def test_regression_needs_one_dim(self):
         with pytest.raises(DimensionError):
-            predict_regression(constant([[0.7, 0.1]]))
+            task_loss(constant([[0.7, 0.1]]), [0.7], "regression")
 
     def test_regression_gradient_through_mse(self):
         rng = np.random.default_rng(2)
@@ -205,7 +209,7 @@ class TestPredictions:
         target = rng.standard_normal(5)
 
         def f(_):
-            return task_loss(predict_regression(z), target, "mse")
+            return task_loss(z, target, "regression")
 
         assert finite_difference_check(f, [z], h=1e-6) < 1e-6
 
@@ -213,18 +217,18 @@ class TestPredictions:
 class TestTaskLoss:
     def test_perfect_prediction_near_zero_ce(self):
         pred = constant([[40.0, 0.0], [0.0, 40.0]])
-        loss = task_loss(pred, [0, 1], "cross_entropy").item()
+        loss = task_loss(pred, [0, 1], "classification").item()
         assert loss == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_prediction_is_log_r(self):
         r = 4
         pred = constant(np.zeros((3, r)))
-        loss = task_loss(pred, [0, 1, 2], "cross_entropy").item()
+        loss = task_loss(pred, [0, 1, 2], "classification").item()
         assert loss == pytest.approx(math.log(r))
 
     def test_mse_zero_on_match(self):
-        pred = constant([1.0, 2.0, 3.0])
-        assert task_loss(pred, [1.0, 2.0, 3.0], "mse").item() == 0.0
+        pred = constant([[1.0], [2.0], [3.0]])
+        assert task_loss(pred, [1.0, 2.0, 3.0], "regression").item() == 0.0
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -232,7 +236,7 @@ class TestTaskLoss:
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            task_loss(constant([1.0, 2.0]), [1.0], "mse")
+            task_loss(constant([[1.0], [2.0]]), [1.0], "regression")
 
 
 def assert_close(fused, composite):
@@ -292,7 +296,7 @@ class TestFusedHeads:
         labels = rng.integers(0, 4, size=8)
         logits[0, labels[0]] -= 40.0  # true-class probability below LOG_EPS
         runs = [self.run(lambda z, head=head: head(z, labels) * 3.0, [logits])
-                for head in (lambda z, y: task_loss(z, y, "cross_entropy"),
+                for head in (lambda z, y: task_loss(z, y, "classification"),
                              composite_cross_entropy)]
         (fused, (fused_grad,)), (ref, (ref_grad,)) = runs
         assert np.array_equal(fused, ref)
@@ -302,11 +306,23 @@ class TestFusedHeads:
         assert not fused_grad[0].any()
         assert fused_grad[1:].any(axis=1).all()
 
+    @pytest.mark.parametrize("n", [2, 7, 64, 1024, 6000])
+    def test_squared_error(self, n):
+        rng = np.random.default_rng(n)
+        z = 2.0 * rng.standard_normal((n, 1))
+        targets = rng.uniform(0.0, 5.0, size=n)
+        runs = [self.run(lambda z, head=head: head(z, targets) * 3.0, [z])
+                for head in (lambda z, y: task_loss(z, y, "regression"),
+                             composite_squared_error)]
+        (fused, (fused_grad,)), (ref, (ref_grad,)) = runs
+        assert np.array_equal(fused, ref)
+        assert np.array_equal(fused_grad, ref_grad)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_cross_entropy_rejects_non_finite_logits(self, bad):
         logits = np.zeros((2, 3))
         logits[1, 2] = bad
-        for head in (lambda z: task_loss(z, [0, 1], "cross_entropy"),
+        for head in (lambda z: task_loss(z, [0, 1], "classification"),
                      lambda z: composite_cross_entropy(z, [0, 1])):
             with pytest.raises(ValueError, match="softmax needs finite inputs"):
                 head(parameter(logits))
@@ -384,6 +400,24 @@ class TestCombinedLoss:
         assert np.abs(logvar_grads[False]).max() > 0.0
         assert not logvar_grads[True].any()
 
+
+    def test_noise_without_the_draw_axis_is_rejected(self):
+        rng = np.random.default_rng(16)
+        params = init_params(3, (4,), 2, seed=10)
+        y = rng.integers(0, 2, size=5)
+        with pytest.raises(DimensionError, match="noise must be"):
+            combined_loss(params, rng.standard_normal((5, 3)), hard_assignment(y, 2), y,
+                          kind="classification", beta=0.1, gamma=1.0,
+                          noise=rng.standard_normal((5, 2)))
+
+    def test_unknown_kind_is_rejected(self):
+        rng = np.random.default_rng(17)
+        params = init_params(3, (4,), 2, seed=10)
+        y = rng.integers(0, 2, size=5)
+        with pytest.raises(ValueError, match="unknown task kind"):
+            combined_loss(params, rng.standard_normal((5, 3)), hard_assignment(y, 2), y,
+                          kind="cross_entropy", beta=0.1, gamma=1.0,
+                          noise=rng.standard_normal((1, 5, 2)))
 
     def test_step_tape_has_at_most_twenty_nodes(self):
         rng = np.random.default_rng(14)

@@ -7,12 +7,12 @@ from test_coder import tape_nodes
 
 from bottletree.coder import combined_loss, init_params
 from bottletree.datasets import gen_blobs, gen_regression, save_csv
-from bottletree.entropy import hard_assignment
 from bottletree.softbins import make_bins
 from bottletree.sweep import ExperimentSpec, run_sweep
 from bottletree.training import (Adam, ClassificationTask, RegressionTask,
-                                 TrainConfig, TrainingDiverged, evaluate,
-                                 predict, train, train_seeds, write_history_csv)
+                                 HISTORY_FIELDS, TrainConfig, TrainingDiverged,
+                                 batch_assignment, evaluate, predict, train,
+                                 train_seeds, write_csv)
 
 
 def blob_config(ds, **overrides):
@@ -276,19 +276,30 @@ class TestLockstep:
                               list(solo[first].breakdown.values()), equal_nan=True)
         assert not np.isfinite(stacked.value.breakdown["total"])
 
-    def test_stacked_step_records_as_many_tape_nodes_as_one_model(self):
-        def step_nodes(stack: int) -> int:
-            rng = np.random.default_rng(14)
-            one = init_params(16, (64,), 4, seed=8)
-            params = one.like(np.stack([one.flat] * stack))
-            X = rng.standard_normal((stack, 64, 16))
-            y = rng.integers(0, 4, size=(stack, 64))
-            bd = combined_loss(params, X, hard_assignment(y, 4), y, kind="classification",
-                               beta=0.01, gamma=1.0,
-                               noise=rng.standard_normal((1, stack, 64, 4)))
-            return tape_nodes(bd.total.sum())
+    @staticmethod
+    def step_nodes(task, stack: int) -> int:
+        rng = np.random.default_rng(14)
+        one = init_params(16, (64,), task.latent_dim, seed=8)
+        params = one.like(np.stack([one.flat] * stack))
+        X = rng.standard_normal((stack, 64, 16))
+        if task.kind == "classification":
+            y = rng.integers(0, task.num_classes, size=(stack, 64))
+        else:
+            y = rng.uniform(0.0, 5.0, size=(stack, 64))
+        bd = combined_loss(params, X, batch_assignment(task, y), y, kind=task.kind,
+                           beta=0.01, gamma=1.0,
+                           noise=rng.standard_normal((1, stack, 64, task.latent_dim)))
+        return tape_nodes(bd.total.sum())
 
-        assert step_nodes(6) == step_nodes(1) <= 20
+    def test_stacked_step_records_as_many_tape_nodes_as_one_model(self):
+        task = ClassificationTask(4)
+        assert self.step_nodes(task, 6) == self.step_nodes(task, 1) <= 20
+
+    @pytest.mark.parametrize("stack", [1, 6])
+    def test_regression_step_records_as_many_tape_nodes_as_classification(self, stack):
+        regression = RegressionTask(make_bins(0.0, 5.0, 5))
+        assert self.step_nodes(regression, stack) == self.step_nodes(
+            ClassificationTask(4), stack) == 18
 
 
 class TestRegressionTraining:
@@ -347,7 +358,7 @@ def test_history_csv_columns(tmp_path, easy_blobs):
     cfg = blob_config(easy_blobs, epochs=2)
     result = train(cfg, easy_blobs.subset("train"), easy_blobs.subset("dev"))
     path = tmp_path / "history.csv"
-    write_history_csv(result.history, path)
+    write_csv(path, HISTORY_FIELDS, result.history)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "epoch,task,kl,se,total,dev_metric"
     assert len(lines) == 1 + len(result.history)
