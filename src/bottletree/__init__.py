@@ -7,8 +7,8 @@ class memberships so the same entropy loss applies through a probabilistic
 encoding tree.
 """
 
-from .autodiff import (DimensionError, GraphConsumedError, Tensor, constant,
-                       finite_difference_check, parameter, zero_grads)
+from .autodiff import (DimensionError, GraphConsumedError, NonFiniteError, Tensor,
+                       constant, finite_difference_check, parameter, zero_grads)
 from .coder import (EncoderParams, GaussianPosterior, LossBreakdown,
                     combined_loss, encode, init_params, kl_to_standard_normal,
                     load_checkpoint, reparameterize,

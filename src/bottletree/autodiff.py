@@ -36,6 +36,14 @@ class DimensionError(ValueError):
     """Operand shapes are incompatible with the requested operation."""
 
 
+class NonFiniteError(ValueError):
+    """A forward value that must be finite is not; ``what`` names the value."""
+
+    def __init__(self, what: str, message: str):
+        super().__init__(message)
+        self.what = what
+
+
 class GraphConsumedError(RuntimeError):
     """backward() was called a second time on an already-consumed graph."""
 
@@ -335,7 +343,7 @@ class Tensor:
 def softmax_values(x: np.ndarray, axis: int) -> np.ndarray:
     """Max-shifted softmax of finite values along ``axis``."""
     if not np.all(np.isfinite(x)):
-        raise ValueError("softmax needs finite inputs")
+        raise NonFiniteError("softmax input", "softmax needs finite inputs")
     e = np.exp(x - x.max(axis=axis, keepdims=True))
     return e / e.sum(axis=axis, keepdims=True)
 

@@ -5,10 +5,16 @@ subsampling touch only the train split.  The CSV schema is
 ``split,y,x0..x{d-1}`` with a leading provenance comment; floats are written
 with 17 significant digits so round trips are exact.  Loading rejects
 non-finite features and labels.
+
+Both directions stream: ``save_csv`` formats and writes one row at a time,
+and ``load_csv`` reads line by line into one flat float buffer that becomes
+``X`` without a copy, so memory is O(arrays), not O(file text).  Lines end
+at ``\n``, ``\r\n`` or ``\r`` (file iteration with universal newlines).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,9 +37,9 @@ class Dataset:
         n = self.X.shape[0]
         if self.y.shape != (n,) or self.split.shape != (n,):
             raise ValueError("X, y and split must agree on the sample count")
-        bad = set(self.split) - set(SPLITS)
-        if bad:
-            raise ValueError(f"unknown split tags: {sorted(bad)}")
+        known = np.isin(self.split, SPLITS)
+        if not known.all():
+            raise ValueError(f"unknown split tags: {sorted(set(self.split[~known].tolist()))}")
 
     @property
     def n(self) -> int:
@@ -151,73 +157,77 @@ def subsample_train(ds: Dataset, fraction: float, seed: int) -> Dataset:
     if k == 0:
         raise ValueError("subsampling would leave an empty train split")
     rng = np.random.default_rng(seed)
-    keep = set(rng.choice(train_idx, size=k, replace=False).tolist())
-    mask = np.array([s != "train" or i in keep for i, s in enumerate(ds.split)])
+    mask = ds.split != "train"
+    mask[rng.choice(train_idx, size=k, replace=False)] = True
     prov = ds.provenance + f"|subsample=fraction={fraction:.17g},seed={seed}"
     return Dataset(ds.X[mask].copy(), ds.y[mask].copy(), ds.split[mask].copy(), prov)
 
 
 def save_csv(ds: Dataset, path) -> None:
-    lines = [f"# {ds.provenance}",
-             "split,y," + ",".join(f"x{i}" for i in range(ds.dim))]
-    # one %-format per row over Python scalars; %.17g round-trips float64
+    # one %-format per row, written as it is formatted; %.17g round-trips float64
     row_fmt = ",".join(["%s", "%d" if ds.is_classification else "%.17g"]
-                       + ["%.17g"] * ds.dim)
-    lines.extend(row_fmt % (tag, y, *row) for tag, y, row
-                 in zip(ds.split.tolist(), ds.y.tolist(), ds.X.tolist()))
+                       + ["%.17g"] * ds.dim) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# {ds.provenance}\nsplit,y,"
+                 + ",".join(f"x{i}" for i in range(ds.dim)) + "\n")
+        fh.writelines(row_fmt % (tag, y, *row.tolist())
+                      for tag, y, row in zip(ds.split, ds.y, ds.X))
 
 
 def load_csv(path) -> Dataset:
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
     provenance = ""
-    rows = []
     header = None
-    for lineno, line in enumerate(raw, start=1):
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            if not provenance:
-                provenance = line.lstrip("#").strip()
-            continue
-        if header is None:
-            header = line.split(",")
-            if header[:2] != ["split", "y"]:
-                raise DatasetParseError(f"line {lineno}: header must start with 'split,y'")
-            continue
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise DatasetParseError(
-                f"line {lineno}: expected {len(header)} columns, got {len(cells)}")
-        if cells[0] not in SPLITS:
-            raise DatasetParseError(f"line {lineno}: unknown split tag {cells[0]!r}")
-        try:
-            feats = [float(c) for c in cells[2:]]
-        except ValueError:
-            raise DatasetParseError(f"line {lineno}: non-numeric feature cell") from None
-        rows.append((lineno, cells[0], cells[1], feats))
-    if header is None or not rows:
+    feats = array("d")  # every row's features, row after row
+    tags, labels, linenos = [], [], array("q")
+    known = {tag: tag for tag in SPLITS}  # each row keeps a shared tag string
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line.strip():
+                continue
+            if line.startswith("#"):
+                if not provenance:
+                    provenance = line.lstrip("#").strip()
+                continue
+            if header is None:
+                header = line.split(",")
+                if header[:2] != ["split", "y"]:
+                    raise DatasetParseError(f"line {lineno}: header must start with 'split,y'")
+                continue
+            cells = line.split(",")
+            if len(cells) != len(header):
+                raise DatasetParseError(
+                    f"line {lineno}: expected {len(header)} columns, got {len(cells)}")
+            tag = known.get(cells[0])
+            if tag is None:
+                raise DatasetParseError(f"line {lineno}: unknown split tag {cells[0]!r}")
+            try:
+                feats.extend(map(float, cells[2:]))
+            except ValueError:
+                raise DatasetParseError(f"line {lineno}: non-numeric feature cell") from None
+            tags.append(tag)
+            labels.append(cells[1])
+            linenos.append(lineno)
+    if header is None or not labels:
         raise DatasetParseError("file contains no data rows")
 
     classification = "generator=blobs" in provenance
     if "generator=" not in provenance:
-        classification = all(_is_int_token(r[2]) for r in rows)
-    y_vals = []
-    for lineno, _, y_str, _ in rows:
+        classification = all(map(_is_int_token, labels))
+    parse = int if classification else float
+    y = array("q" if classification else "d")
+    for lineno, y_str in zip(linenos, labels):
         try:
-            y_vals.append(int(y_str) if classification else float(y_str))
+            y.append(parse(y_str))
         except ValueError:
             raise DatasetParseError(f"line {lineno}: non-numeric label {y_str!r}") from None
-    X = np.array([r[3] for r in rows], dtype=np.float64)
-    y = np.array(y_vals, dtype=np.int64 if classification else np.float64)
+    X = np.frombuffer(feats).reshape(len(labels), len(header) - 2)
+    y = np.frombuffer(y, dtype=np.int64 if classification else np.float64)
     finite = np.isfinite(X).all(axis=1) & np.isfinite(y)
     if not finite.all():
-        lineno = rows[int(np.argmin(finite))][0]
+        lineno = linenos[int(np.argmin(finite))]
         raise DatasetParseError(f"line {lineno}: non-finite feature or label")
-    split = np.array([r[1] for r in rows])
-    return Dataset(X, y, split, provenance)
+    return Dataset(X, y, np.array(tags), provenance)
 
 
 def _is_int_token(s: str) -> bool:

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (_LN2, LOG_EPS, DimensionError, Tensor, _stable_sigmoid,
-                       constant)
+from .autodiff import (_LN2, LOG_EPS, DimensionError, NonFiniteError, Tensor,
+                       _stable_sigmoid, constant)
 
 # Graph entries per full-width row tile of ``se_loss``; a tile forms only the
 # columns from its first row on, and a batch of <= 256 rows is one tile.  The
@@ -85,7 +85,7 @@ def _check_embeddings(h: np.ndarray) -> None:
     if h.shape[-2] < 2:
         raise DegenerateBatchError("need at least 2 points to build a similarity graph")
     if not np.all(np.isfinite(h)):
-        raise ValueError("embeddings must be finite")
+        raise NonFiniteError("embedding", "embeddings must be finite")
 
 
 def build_adjacency(embeddings: Tensor) -> AdjacencyMatrix:

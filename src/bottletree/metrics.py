@@ -78,15 +78,13 @@ def average_ranks(x) -> np.ndarray:
     """1-based ranks; tied values share the average of their rank range."""
     x = np.asarray(x)
     order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size)
     sorted_x = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sorted_x[j + 1] == sorted_x[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # tie runs [starts[k], ends[k]] of the sorted values (NaNs never tie)
+    breaks = np.flatnonzero(sorted_x[1:] != sorted_x[:-1]) + 1
+    starts = np.concatenate(([0], breaks))
+    ends = np.concatenate((breaks - 1, [x.size - 1]))
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 

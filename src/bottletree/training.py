@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import metrics as M
-from .autodiff import constant, zero_grads
+from .autodiff import NonFiniteError, constant, zero_grads
 from .coder import EncoderParams, combined_loss, encode, init_params
 from .entropy import AssignmentMatrix, hard_assignment
 from .softbins import BinSpec, distance_matrix, nearest_bin, soften
@@ -97,7 +97,8 @@ class TrainConfig:
 
 
 class TrainingDiverged(RuntimeError):
-    """The loss or a gradient went non-finite; carries a diagnostic payload."""
+    """The forward pass, the loss or a gradient went non-finite; carries the
+    loss terms as a diagnostic payload (none when the forward pass failed)."""
 
     def __init__(self, step: int, breakdown: dict[str, float], what: str = "loss"):
         super().__init__(f"non-finite {what} at step {step}")
@@ -195,7 +196,8 @@ def train_seeds(configs: list[TrainConfig],
     stopping, and gets the bits of its solo ``train``; a seed that stops
     leaves the stack.  A step that raises for any seed ends the whole call;
     a ``TrainingDiverged`` then carries the loss terms of the first model
-    whose loss is non-finite (of the first model, for a gradient).
+    whose loss is non-finite (of the first model, for a gradient; none, for
+    a non-finite latent or logit in the forward pass).
     """
     X_train, y_train = train_set
     X_dev, y_dev = dev_set
@@ -224,11 +226,15 @@ def train_seeds(configs: list[TrainConfig],
                 (config.samples_per_input, idx.shape[1], task.latent_dim))
                 for run in active]).swapaxes(0, 1)
             zero_grads(opt.tensors)
-            breakdown = combined_loss(
-                opt.params, xb, batch_assignment(task, yb), yb,
-                kind=task.kind, beta=config.beta, gamma=config.gamma,
-                noise=noise, use_mu_for_graph=config.use_mu_for_graph)
+            assignment = batch_assignment(task, yb)
             step += 1
+            try:
+                breakdown = combined_loss(
+                    opt.params, xb, assignment, yb,
+                    kind=task.kind, beta=config.beta, gamma=config.gamma,
+                    noise=noise, use_mu_for_graph=config.use_mu_for_graph)
+            except NonFiniteError as exc:  # a latent or logit overflowed: no loss terms
+                raise TrainingDiverged(step, {}, exc.what) from exc
             finite = np.isfinite(breakdown.total.values)
             if not finite.all():
                 raise TrainingDiverged(step, breakdown.scalars(int(np.argmin(finite))))
@@ -243,7 +249,8 @@ def train_seeds(configs: list[TrainConfig],
             breakdown = None  # frees this step's tape before the next one is built
 
         for i, run in enumerate(active):
-            dev_metric = _headline_metric(opt.params.like(opt.params.flat[i]), X_dev, y_dev, task)
+            dev_metric = _headline_metric(_constant_views(opt.params.like(opt.params.flat[i])),
+                                          X_dev, y_dev, task)
             run.history.append({"epoch": epoch,
                                 **{k: float(v) / max(batches, 1)
                                    for k, v in zip(("task", "kl", "se", "total"), sums[:, i])},
@@ -271,6 +278,12 @@ def predict(params: EncoderParams, X: np.ndarray, task) -> np.ndarray:
     if isinstance(task, ClassificationTask):
         return np.argmax(post.mu.values, axis=1)
     return post.mu.values[:, 0]
+
+
+def _constant_views(params: EncoderParams) -> EncoderParams:
+    """``params`` as constants: a forward pass on them records no tape."""
+    return replace(params, weights=[constant(w.values) for w in params.weights],
+                   biases=[constant(b.values) for b in params.biases])
 
 
 def _headline_metric(params, X, y, task) -> float:
@@ -321,8 +334,7 @@ def evaluate(params: EncoderParams, X: np.ndarray, y: np.ndarray,
     task = config.task
     assignment = batch_assignment(task, y)
     noise = np.zeros((1, X.shape[0], task.latent_dim))
-    frozen = replace(params, weights=[constant(w.values) for w in params.weights],
-                     biases=[constant(b.values) for b in params.biases])
+    frozen = _constant_views(params)
     breakdown = combined_loss(frozen, X, assignment, y,
                               kind=task.kind, beta=config.beta, gamma=config.gamma,
                               noise=noise, use_mu_for_graph=config.use_mu_for_graph)

@@ -139,6 +139,24 @@ class TestTrain:
         assert "diverged at step 1" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("data,flags", [
+        ("regression_csv", ["--task", "regression", "--lr", "1e100", "--hidden", "8,8,8"]),
+        ("blob_csv", ["--task", "classification", "--lr", "1e200"]),
+    ], ids=["latent", "logits"])
+    def test_non_finite_forward_exits_two_with_dump(self, request, tmp_path, capsys,
+                                                    data, flags):
+        # The embeddings reach inf before the loss is formed (the entropy's
+        # finiteness check), or the logits do (the softmax's).
+        out = tmp_path / "overflow"
+        rc = main(["train", "--data", request.getfixturevalue(data), "--seed", "0",
+                   "--out-dir", str(out), *FAST, *flags])
+        assert rc == 2
+        assert os.listdir(out) == ["diverged.json"]
+        assert json.loads((out / "diverged.json").read_text()) == {"breakdown": {}, "step": 2}
+        err = capsys.readouterr().err
+        assert "diverged at step 2" in err and "Traceback" not in err
+
     def test_clean_rerun_removes_stale_divergence_dump(self, blob_csv, tmp_path,
                                                        monkeypatch):
         args = ["train", "--data", blob_csv, "--task", "classification",

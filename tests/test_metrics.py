@@ -140,3 +140,26 @@ class TestAverageRanks:
     def test_matches_scipy_rankdata(self, values):
         np.testing.assert_allclose(average_ranks(values),
                                    scipy_stats.rankdata(values, method="average"))
+
+    def test_matches_the_scan_over_tie_runs_bit_for_bit(self):
+        def scan(x):  # the reference: walk each run of equal sorted values
+            order = np.argsort(x, kind="stable")
+            ranks = np.empty(x.size)
+            sorted_x = x[order]
+            i = 0
+            while i < x.size:
+                j = i
+                while j + 1 < x.size and sorted_x[j + 1] == sorted_x[i]:
+                    j += 1
+                ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+                i = j + 1
+            return ranks
+
+        rng = np.random.default_rng(5)
+        cases = [np.zeros(0), np.ones(1)]
+        for n in (2, 17, 300):  # distinct, few values, rounded, NaNs among ties
+            cases += [rng.standard_normal(n), rng.integers(0, 4, n),
+                      np.round(rng.standard_normal(n), 1),
+                      np.where(rng.random(n) < 0.3, np.nan, rng.integers(0, 3, n))]
+        for x in cases:
+            assert average_ranks(x).tobytes() == scan(x).tobytes()

@@ -183,6 +183,22 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(cfg, (X[:0], y[:0]), easy_blobs.subset("dev"))
 
+    def test_dev_predictions_record_no_tape(self, easy_blobs, monkeypatch):
+        # A dev forward on parameters that require grad keeps its activations
+        # alive in the closures of a tape nobody differentiates.
+        from bottletree import training
+
+        seen = []
+
+        def recording_predict(params, X, task):
+            seen.extend(t.requires_grad for t in params.all_tensors())
+            return predict(params, X, task)
+
+        monkeypatch.setattr(training, "predict", recording_predict)
+        train(blob_config(easy_blobs, epochs=2), easy_blobs.subset("train"),
+              easy_blobs.subset("dev"))
+        assert seen and not any(seen)
+
 
 def lockstep_case(name):
     """(dataset, config) of one lockstep-vs-solo grid case, seed 0."""
@@ -224,10 +240,11 @@ class TestLockstep:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("case", ["loss", "logits", "one-row"])
     def test_sweep_group_with_failing_seeds_records_their_solo_errors(self, tmp_path, case):
-        # lr 1e100 overflows every seed's loss at step 2 (TrainingDiverged);
-        # lr 1e200 overflows the logits first (the softmax's ValueError); one
-        # extreme train row overflows the KL in whichever batch each seed's
-        # shuffle puts it, so the seeds diverge at different steps.
+        # lr 1e100 overflows every seed's loss at step 2; lr 1e200 overflows
+        # the logits first (the softmax's NonFiniteError, raised as a
+        # TrainingDiverged without loss terms); one extreme train row
+        # overflows the KL in whichever batch each seed's shuffle puts it, so
+        # the seeds diverge at different steps.
         ds = gen_blobs(3, 120, 5, spread=0.4, seed=1)
         if case == "one-row":
             ds.X[ds.indices("train")[7]] *= 1e200
