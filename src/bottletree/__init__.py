@@ -8,8 +8,8 @@ encoding tree.
 """
 
 from .autodiff import (DimensionError, GraphConsumedError, NonFiniteError, Tensor,
-                       constant, finite_difference_check, parameter, zero_grads)
-from .coder import (EncoderParams, GaussianPosterior, LossBreakdown,
+                       constant, finite_difference_check)
+from .coder import (EncoderParams, LossBreakdown,
                     combined_loss, encode, init_params, kl_to_standard_normal,
                     load_checkpoint, reparameterize,
                     save_checkpoint, task_loss, total_loss)

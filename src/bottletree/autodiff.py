@@ -1,24 +1,22 @@
-"""Minimal reverse-mode automatic differentiation over dense float64 arrays.
+"""Minimal reverse-mode automatic differentiation over dense float64 arrays,
+and the numeric helpers the closed-form training step shares with it.
 
-A dynamic tape: every operation records its parent tensors together with a
-closure mapping the output gradient to each parent's gradient contribution.
-Graphs are rebuilt per training step and consumed by a single ``backward()``
-call.  Every tensor carries a creation number, and a tensor is always
-created after its parents, so ``backward()`` visits the pending nodes in
-descending creation order (a heap): each node's gradient is complete when it
-is reached, without a topological sort or recursion.  Everything is 64-bit;
-elementwise broadcasting is restricted to equal shapes, a scalar with a
-tensor, and a (1, h) row against an (n, h) matrix (a bias added to every
-row), which is all the model here needs.  A leading stack axis S (one slice
-per model trained in lockstep) makes matmul run slice by slice and lets an
-(S, 1, h) row broadcast against (S, n, h).
+Training records no tape (``coder.combined_loss`` is closed form); the tape
+runs the matrix-form reference ``entropy.se_loss_matrix`` and, in the tests,
+the training step the closed form is pinned to.  Every operation records its
+parents with closures mapping the output gradient to their contributions,
+and a tensor is created after its parents, so one ``backward()`` visits the
+pending nodes in descending creation order (a heap) without a topological
+sort or recursion.  Elementwise broadcasting is restricted to equal shapes,
+a scalar with a tensor, and a (..., 1, h) bias row against (..., n, h); a
+leading stack axis S makes matmul run slice by slice.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -342,10 +340,12 @@ class Tensor:
 
 def softmax_values(x: np.ndarray, axis: int) -> np.ndarray:
     """Max-shifted softmax of finite values along ``axis``."""
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NonFiniteError("softmax input", "softmax needs finite inputs")
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+    e = x - x.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def _stable_sigmoid(x: np.ndarray, out: np.ndarray | None = None,
@@ -368,45 +368,32 @@ def constant(values) -> Tensor:
     return Tensor(values, requires_grad=False)
 
 
-def parameter(values) -> Tensor:
-    return Tensor(values, requires_grad=True)
-
-
-def zero_grads(params: Iterable[Tensor]) -> None:
-    for p in params:
-        p.grad = None
-
-
-def finite_difference_check(f: Callable[[Sequence[Tensor]], Tensor],
-                            params: Sequence[Tensor],
+def finite_difference_check(f: Callable[[np.ndarray], tuple[float, np.ndarray]],
+                            x: np.ndarray,
                             h: float = 1e-5) -> float:
-    """Max relative error between analytic gradients and central differences.
+    """Max relative error between an analytic gradient and central differences.
 
-    ``f(params)`` must rebuild the graph from scratch on every call and be
-    deterministic (freeze any sampling noise before calling).  Relative error
-    per entry is |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
+    ``f(x)`` returns the loss and its gradient, shaped like ``x``; it must be
+    deterministic (freeze any sampling noise before calling).  Each entry of
+    ``x`` is moved by +-h in place and restored.  Relative error per entry is
+    |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
     """
-    zero_grads(params)
-    loss = f(params)
-    if not np.isfinite(loss.item()):
+    loss, grad = f(x)
+    if not np.isfinite(loss):
         raise FloatingPointError("loss is non-finite at the evaluation point")
-    loss.backward()
-    analytic = [np.zeros(p.shape) if p.grad is None else p.grad.copy() for p in params]
+    analytic = np.array(grad, dtype=np.float64).reshape(-1)
 
     worst = 0.0
-    for p, a in zip(params, analytic):
-        a_flat = a.reshape(-1)
-        for i in range(p.size):
-            orig = p.values.flat[i]
-            p.values.flat[i] = orig + h
-            up = f(params).item()
-            p.values.flat[i] = orig - h
-            down = f(params).item()
-            p.values.flat[i] = orig
-            if not (np.isfinite(up) and np.isfinite(down)):
-                raise FloatingPointError("non-finite loss during finite differencing")
-            numeric = (up - down) / (2.0 * h)
-            err = abs(a_flat[i] - numeric) / max(abs(a_flat[i]), abs(numeric), 1e-8)
-            worst = max(worst, err)
-    zero_grads(params)
+    for i in range(x.size):
+        orig = x.flat[i]
+        x.flat[i] = orig + h
+        up = float(f(x)[0])
+        x.flat[i] = orig - h
+        down = float(f(x)[0])
+        x.flat[i] = orig
+        if not (np.isfinite(up) and np.isfinite(down)):
+            raise FloatingPointError("non-finite loss during finite differencing")
+        numeric = (up - down) / (2.0 * h)
+        err = abs(analytic[i] - numeric) / max(abs(analytic[i]), abs(numeric), 1e-8)
+        worst = max(worst, err)
     return worst

@@ -11,13 +11,16 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from .coder import save_checkpoint
 from .datasets import gen_blobs, gen_regression, load_csv, save_csv
-from .softbins import make_bins
+from .entropy import build_adjacency, entropy_report, hard_assignment
+from .softbins import distance_matrix, make_bins, soften
 from .sweep import ExperimentSpec, build_task, run_sweep
 from .training import (HISTORY_FIELDS, TrainConfig, TrainingDiverged, evaluate,
                        remove_files, train, write_csv, write_json)
-from .verify import ALL_CHECKS, run_checks
+from .verify import ALL_CHECKS, _random_instance, run_checks
 
 OUT_ENV = "BOTTLETREE_OUT"
 
@@ -161,8 +164,9 @@ def cmd_train(args) -> int:
         result = train(config, ds.subset("train"), ds.subset("dev"))
     except TrainingDiverged as exc:
         remove_files(report_path, history_path, model_path)
-        write_json(dump, {"step": exc.step, "breakdown": exc.breakdown})
-        print(f"training diverged at step {exc.step}; dump at {dump}",
+        write_json(dump, {"step": exc.step, "breakdown": exc.breakdown, "what": exc.what,
+                          "parameter": exc.parameter})
+        print(f"training diverged at step {exc.step} ({exc.detail}); dump at {dump}",
               file=sys.stderr)
         return 2
     report = evaluate(result.params, *ds.subset("test"), config)
@@ -205,12 +209,6 @@ def cmd_verify(args) -> int:
 
 
 def _write_debug_dump(path: str) -> None:
-    import numpy as np
-
-    from .entropy import build_adjacency, entropy_report, hard_assignment
-    from .softbins import distance_matrix, soften
-    from .verify import _random_instance
-
     rng = np.random.default_rng(0)
     h, labels, n, d, r = _random_instance(rng, n=8, d=3, r=3)
     adj = build_adjacency(h)

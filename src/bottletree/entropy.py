@@ -11,10 +11,9 @@ Two independent routes to the same quantity live here on purpose:
   reference, and the only route for graphs that are not ``sigmoid(HH^T)``.
 
 ``se_loss`` is the training route: the same matrix form on
-``A = sigmoid(HH^T)``, fused into one tape node.  Its forward pass visits
-the upper half of the symmetric ``A`` once, in cache-sized row tiles - each
-tile forms only the columns at or right of its first row, about
-n^2/2 + n*rows/2 entries - and also accumulates the n x d(r+1) panel its
+``A = sigmoid(HH^T)`` in plain numpy, returning its value and its backward.
+Its forward pass visits the upper half of the symmetric ``A`` once, in
+cache-sized row tiles, and also accumulates the n x d(r+1) panel its
 gradient needs; the backward pass reads only that panel.  Graph memory is
 O(tile + n * r * d) instead of several n x n arrays.
 
@@ -24,7 +23,7 @@ Tests pin the routes against each other; never collapse them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -84,7 +83,7 @@ def _check_embeddings(h: np.ndarray) -> None:
         raise DimensionError(f"embeddings must be 2-D or a stack, got shape {h.shape}")
     if h.shape[-2] < 2:
         raise DegenerateBatchError("need at least 2 points to build a similarity graph")
-    if not np.all(np.isfinite(h)):
+    if not np.isfinite(h).all():
         raise NonFiniteError("embedding", "embeddings must be finite")
 
 
@@ -104,23 +103,24 @@ class AssignmentMatrix:
 
     membership: Tensor
     mode: str  # "hard" | "soft"
+    validate: InitVar[bool] = True  # False where the entries are valid by construction
 
-    def __post_init__(self):
+    def __post_init__(self, validate: bool):
         m = self.membership.values
         if m.ndim not in (2, 3):
             raise DimensionError(f"assignment must be 2-D or a stack, got shape {m.shape}")
-        if self.mode == "hard":
-            if not np.all((m == 0.0) | (m == 1.0)):
-                raise ValueError("hard assignment entries must be exactly 0 or 1")
-            if not np.all(m.sum(axis=-1) == 1.0):
-                raise ValueError("hard assignment rows must sum to exactly 1")
-        elif self.mode == "soft":
-            if np.any(m < -1e-12) or np.any(m > 1.0 + 1e-12):
-                raise ValueError("soft assignment entries must lie in [0, 1]")
-            if np.any(np.abs(m.sum(axis=-1) - 1.0) > 1e-9):
-                raise ValueError("soft assignment rows must sum to 1 within 1e-9")
-        else:
+        if self.mode not in ("hard", "soft"):
             raise AssignmentModeError(f"unknown assignment mode {self.mode!r}")
+        if validate and self.mode == "hard":
+            if not ((m == 0.0) | (m == 1.0)).all():
+                raise ValueError("hard assignment entries must be exactly 0 or 1")
+            if not (m.sum(axis=-1) == 1.0).all():
+                raise ValueError("hard assignment rows must sum to exactly 1")
+        elif validate:
+            if (m < -1e-12).any() or (m > 1.0 + 1e-12).any():
+                raise ValueError("soft assignment entries must lie in [0, 1]")
+            if (np.abs(m.sum(axis=-1) - 1.0) > 1e-9).any():
+                raise ValueError("soft assignment rows must sum to 1 within 1e-9")
 
     @property
     def n(self) -> int:
@@ -139,7 +139,8 @@ def hard_assignment(labels, num_classes: int) -> AssignmentMatrix:
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise ValueError(f"labels must lie in [0, {num_classes}), got range "
                          f"[{labels.min()}, {labels.max()}]")
-    return AssignmentMatrix(constant(np.eye(num_classes)[labels.astype(np.int64)]), mode="hard")
+    onehot = np.eye(num_classes)[labels.astype(np.int64, copy=False)]
+    return AssignmentMatrix(constant(onehot), "hard", validate=False)  # valid by construction
 
 
 @dataclass
@@ -263,24 +264,22 @@ def se_loss_matrix(adj: AdjacencyMatrix, assignment: AssignmentMatrix) -> Tensor
     return -((cuts / total) * (vols / total).log2()).sum()
 
 
-def se_loss(embeddings: Tensor, assignment: AssignmentMatrix) -> Tensor:
-    """``se_loss_matrix(build_adjacency(embeddings), assignment)`` as one tape node.
+def se_loss(embeddings: np.ndarray, assignment: AssignmentMatrix, need_grad: bool = False):
+    """``se_loss_matrix(build_adjacency(embeddings), assignment)`` in closed
+    form: (loss, backward), with backward(g) = dL/dH * g shaped like the
+    embeddings, or None unless ``need_grad``.
 
     The forward pass accumulates ``AC`` and ``sum(A)`` over row tiles of
-    ``rows = SE_BLOCK_ENTRIES // n`` rows and, when the embeddings require
-    grad, the n x d(r+1) panel ``Q = S [H, C_1*H, ..., C_r*H]`` with
-    ``S = A*(1-A)``.  ``A`` is symmetric, so tile ``I = [start, stop)`` forms
-    only ``A[I, start:] = sigmoid(H_I H[start:]^T)``, about n^2/2 + n*rows/2
-    entries in all, and adds its block right of the diagonal, transposed, to
-    the rows after ``stop``.  A batch of at most ``rows`` rows (256 rows at
-    the shipped tile size) is one tile, the full graph.  The backward pass
-    reads only ``Q``, never the graph, so graph memory is O(tile + n * r * d).
-    The assignment is data; gradients flow only into the embeddings.
-
-    Stacks (S, n, d) and (S, n, r) give the (S,) losses of the slices, each
-    computed alone, with its own bits.
+    ``rows = SE_BLOCK_ENTRIES // n`` rows and, with ``need_grad``, the panel
+    ``Q = S [H, C_1*H, ..., C_r*H]`` with ``S = A*(1-A)``.  Tile
+    ``I = [start, stop)`` forms only ``A[I, start:] = sigmoid(H_I H[start:]^T)``,
+    about n^2/2 + n*rows/2 entries in all, and adds its block right of the
+    diagonal, transposed, to the rows after ``stop``; a batch of at most
+    ``rows`` rows (256 at the shipped size) is one tile.  The assignment is
+    data.  Stacks (S, n, d) and (S, n, r) give the (S,) losses of the
+    slices, each computed alone, with its own bits.
     """
-    h = embeddings.values
+    h = np.asarray(embeddings, dtype=np.float64)
     _check_embeddings(h)
     c = assignment.membership.values
     if c.ndim != h.ndim or c.shape[:-1] != h.shape[:-1]:
@@ -289,14 +288,14 @@ def se_loss(embeddings: Tensor, assignment: AssignmentMatrix) -> Tensor:
         raise ValueError("se_loss treats the assignment as data; "
                          "its membership must not require grad")
     slices = zip(h.reshape((-1,) + h.shape[-2:]), c.reshape((-1,) + c.shape[-2:]))
-    parts = [_se_slice(h_s, c_s, embeddings.requires_grad) for h_s, c_s in slices]
+    parts = [_se_slice(h_s, c_s, need_grad) for h_s, c_s in slices]
     loss = np.array([value for value, _ in parts]).reshape(h.shape[:-2])
 
-    def grad_fn(g):
+    def backward(g):
         grads = [back(float(g_s)) for (_, back), g_s in zip(parts, np.reshape(g, -1))]
-        return np.array(grads).reshape(h.shape)
+        return (grads[0] if len(grads) == 1 else np.array(grads)).reshape(h.shape)
 
-    return Tensor._from_op(loss, [(embeddings, grad_fn)])
+    return loss, backward if need_grad else None
 
 
 def _se_slice(h: np.ndarray, c: np.ndarray, need_grad: bool):
@@ -341,18 +340,20 @@ def _se_slice(h: np.ndarray, c: np.ndarray, need_grad: bool):
     vols = ac.sum(axis=0)
     ratio = vols / total
     clamped = np.maximum(ratio, LOG_EPS)
-    loss = -((cuts / total) * np.log2(clamped)).sum()
+    log_ratio = np.log2(clamped)
+    loss = -((cuts / total) * log_ratio).sum()
 
     def backward(g: float) -> np.ndarray:
         # a_k = dL/dcut_k, b_k = dL/dvol_k, s = dL/dsum(A), u = C(a+b):
         # dL/dH = (2s+u)*(SH) + sum_k ((a_k+b_k) - 2 a_k C_k) * (S(C_k*H)),
         # so row i of dL/dH is w_i (1 x (r+1)) times Q_i ((r+1) x d).
         mask = ratio >= LOG_EPS
-        a_k = -np.log2(clamped) / total
+        a_k = -log_ratio / total
         b_k = -cuts * mask / (total * total * _LN2 * clamped)
         s = -float(a_k @ cuts + b_k @ vols) / total
         u = c @ (a_k + b_k)
-        w = np.column_stack([2.0 * s + u, (a_k + b_k) - 2.0 * a_k * c])
+        w = np.empty((n, r + 1))  # the layout of np.column_stack's result
+        w[:, 0], w[:, 1:] = 2.0 * s + u, (a_k + b_k) - 2.0 * a_k * c
         return np.matmul(w[:, None, :], q.reshape(n, r + 1, d))[:, 0] * g
 
     return loss, backward

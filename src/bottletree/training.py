@@ -7,6 +7,8 @@ has failed to improve for more than ``patience`` consecutive epochs, and the
 best-dev parameters are returned.  Everything is a pure function of
 (seed, config, data).  ``train_seeds`` trains the seeds of one config in
 lockstep, bit for bit as ``train``, the one-seed case of the same loop.
+A step takes the closed-form flat gradient of ``coder.combined_loss``; no
+autodiff tape is recorded.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import metrics as M
-from .autodiff import NonFiniteError, constant, zero_grads
+from .autodiff import NonFiniteError
 from .coder import EncoderParams, combined_loss, encode, init_params
 from .entropy import AssignmentMatrix, hard_assignment
 from .softbins import BinSpec, distance_matrix, nearest_bin, soften
@@ -97,38 +99,36 @@ class TrainConfig:
 
 
 class TrainingDiverged(RuntimeError):
-    """The forward pass, the loss or a gradient went non-finite; carries the
-    loss terms as a diagnostic payload (none when the forward pass failed)."""
+    """A forward value (``what``: ``embedding``, ``softmax input``), the loss
+    or a gradient went non-finite.  ``breakdown`` holds the loss terms, if
+    any; for a gradient, ``parameter`` locates its first non-finite entry
+    (``EncoderParams.locate``)."""
 
-    def __init__(self, step: int, breakdown: dict[str, float], what: str = "loss"):
-        super().__init__(f"non-finite {what} at step {step}")
-        self.step = step
-        self.breakdown = breakdown
+    def __init__(self, step: int, breakdown: dict[str, float], what: str = "loss",
+                 parameter: dict | None = None):
+        self.step, self.breakdown, self.what, self.parameter = step, breakdown, what, parameter
+        where = " in layer {layer} {tensor}{index} of stack row {row}"
+        self.detail = f"non-finite {what}" + (where.format(**parameter) if parameter else "")
+        super().__init__(f"{self.detail} at step {step}")
 
 
 class Adam:
-    """Adam with bias correction over ``params.flat``, updated in place.
-
-    ``m`` and ``v`` parallel ``flat`` (one row per model of a stack); each
-    step gathers the gradients of ``all_tensors()``, so every parameter must
-    carry one (``combined_loss`` reaches them all).
-    """
+    """Adam with bias correction over ``params.flat``, updated in place; the
+    moments and each step's gradient parallel ``flat``."""
 
     def __init__(self, params: EncoderParams, lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
-        self.tensors = params.all_tensors()
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = np.zeros_like(params.flat)
         self.v = np.zeros_like(params.flat)
         self.t = 0
 
-    def step(self, lr_scale: float = 1.0) -> None:
+    def step(self, g: np.ndarray, lr_scale: float = 1.0) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         flat = self.params.flat
-        g = np.concatenate([p.grad.reshape(*flat.shape[:-1], -1) for p in self.tensors], axis=-1)
         self.m = b1 * self.m + (1 - b1) * g
         self.v = b2 * self.v + (1 - b2) * g * g
         m_hat = self.m / (1 - b1 ** self.t)
@@ -138,7 +138,6 @@ class Adam:
     def keep(self, rows: list[int]) -> None:
         """Keep only the models at ``rows`` of a stack, moments included."""
         self.params = self.params.like(self.params.flat[rows])
-        self.tensors = self.params.all_tensors()
         self.m, self.v = self.m[rows], self.v[rows]
 
 
@@ -195,9 +194,8 @@ def train_seeds(configs: list[TrainConfig],
     shuffle and noise streams, dev metric, best-dev snapshot and early
     stopping, and gets the bits of its solo ``train``; a seed that stops
     leaves the stack.  A step that raises for any seed ends the whole call;
-    a ``TrainingDiverged`` then carries the loss terms of the first model
-    whose loss is non-finite (of the first model, for a gradient; none, for
-    a non-finite latent or logit in the forward pass).
+    a ``TrainingDiverged`` carries the loss terms of the first model whose
+    loss, or gradient, is non-finite.
     """
     X_train, y_train = train_set
     X_dev, y_dev = dev_set
@@ -225,31 +223,27 @@ def train_seeds(configs: list[TrainConfig],
             noise = np.array([run.noise_rng.standard_normal(
                 (config.samples_per_input, idx.shape[1], task.latent_dim))
                 for run in active]).swapaxes(0, 1)
-            zero_grads(opt.tensors)
             assignment = batch_assignment(task, yb)
             step += 1
             try:
                 breakdown = combined_loss(
                     opt.params, xb, assignment, yb,
                     kind=task.kind, beta=config.beta, gamma=config.gamma,
-                    noise=noise, use_mu_for_graph=config.use_mu_for_graph)
+                    noise=noise, use_mu_for_graph=config.use_mu_for_graph, need_grad=True)
             except NonFiniteError as exc:  # a latent or logit overflowed: no loss terms
                 raise TrainingDiverged(step, {}, exc.what) from exc
-            finite = np.isfinite(breakdown.total.values)
+            finite = np.isfinite(breakdown.total)
             if not finite.all():
                 raise TrainingDiverged(step, breakdown.scalars(int(np.argmin(finite))))
-            try:
-                breakdown.total.sum().backward()
-            except FloatingPointError as exc:
-                raise TrainingDiverged(step, breakdown.scalars(0), "gradient") from exc
-            opt.step(lr_scale=min(1.0, step / warmup_steps))
-            sums += [breakdown.task.values, breakdown.kl.values, breakdown.se.values,
-                     breakdown.total.values]
-            batches += 1
-            breakdown = None  # frees this step's tape before the next one is built
+            if not np.isfinite(breakdown.grad).all():
+                where = opt.params.locate(int(np.argmin(np.isfinite(breakdown.grad))))
+                raise TrainingDiverged(step, breakdown.scalars(where["row"]), "gradient", where)
+            opt.step(breakdown.grad, lr_scale=min(1.0, step / warmup_steps))
+            sums += [breakdown.task, breakdown.kl, breakdown.se, breakdown.total]
+            batches += 1  # breakdown is kept until replaced: freed here, its heap re-faulted
 
         for i, run in enumerate(active):
-            dev_metric = _headline_metric(_constant_views(opt.params.like(opt.params.flat[i])),
+            dev_metric = _headline_metric(opt.params.like(opt.params.flat[i]),
                                           X_dev, y_dev, task)
             run.history.append({"epoch": epoch,
                                 **{k: float(v) / max(batches, 1)
@@ -274,16 +268,10 @@ def train_seeds(configs: list[TrainConfig],
 
 def predict(params: EncoderParams, X: np.ndarray, task) -> np.ndarray:
     """Deterministic predictions from the posterior mean (no sampling)."""
-    post = encode(params, constant(X))
+    mu = encode(params, X)[0]
     if isinstance(task, ClassificationTask):
-        return np.argmax(post.mu.values, axis=1)
-    return post.mu.values[:, 0]
-
-
-def _constant_views(params: EncoderParams) -> EncoderParams:
-    """``params`` as constants: a forward pass on them records no tape."""
-    return replace(params, weights=[constant(w.values) for w in params.weights],
-                   biases=[constant(b.values) for b in params.biases])
+        return np.argmax(mu, axis=1)
+    return mu[:, 0]
 
 
 def _headline_metric(params, X, y, task) -> float:
@@ -324,21 +312,19 @@ def evaluate(params: EncoderParams, X: np.ndarray, y: np.ndarray,
     """Deterministic evaluation on one split using the posterior mean.
 
     The loss breakdown is evaluated on the whole split in one batch with zero
-    sampling noise (so z = mu).  It runs on constant views of the
-    parameters, so no tape is recorded; ``entropy.se_loss`` then visits the
-    split's graph in row tiles without building its gradient panel, and graph
-    memory is O(tile + n * r), not n x n.
+    sampling noise (so z = mu), without a gradient: ``entropy.se_loss`` then
+    visits the split's graph in row tiles without building its gradient
+    panel, and graph memory is O(tile + n * r), not n x n.
     """
     if X.shape[0] == 0:
         raise ValueError("cannot evaluate an empty split")
     task = config.task
     assignment = batch_assignment(task, y)
     noise = np.zeros((1, X.shape[0], task.latent_dim))
-    frozen = _constant_views(params)
-    breakdown = combined_loss(frozen, X, assignment, y,
+    breakdown = combined_loss(params, X, assignment, y,
                               kind=task.kind, beta=config.beta, gamma=config.gamma,
                               noise=noise, use_mu_for_graph=config.use_mu_for_graph)
-    preds = predict(frozen, X, task)
+    preds = predict(params, X, task)
     report = MetricsReport(kind=task.kind, n=int(X.shape[0]), seed=config.seed,
                            config=config.echo(), loss=breakdown.scalars())
     if isinstance(task, ClassificationTask):

@@ -10,7 +10,7 @@ import pytest
 
 from bottletree import sweep
 from bottletree.cli import main
-from bottletree.datasets import load_csv
+from bottletree.datasets import gen_blobs, load_csv, save_csv
 from bottletree.sweep import ExperimentSpec, run_sweep
 from bottletree.verify import run_checks
 
@@ -34,8 +34,32 @@ def regression_csv(tmp_path_factory):
     return str(path)
 
 
+def gradient_overflow_blobs():
+    """Blobs whose first 16 train rows hold features of +-1.7e308, in every
+    sign pattern.  With hidden widths 1,1 (``GRADIENT_OVERFLOW``), the unit
+    of the first hidden layer reaches +inf on the rows whose signs match
+    its weights, and the second layer's negative weight sends that to -inf,
+    which its relu zeroes: the loss stays finite, and the second layer's
+    weight gradient, inf times the relu's zero, is nan."""
+    ds = gen_blobs(3, 120, 2, spread=0.4, seed=1)
+    big = 1.7e308
+    patterns = [[big, big], [-big, -big], [big, -big], [-big, big]]
+    for i, row in enumerate(ds.indices("train")[:16]):
+        ds.X[row] = patterns[i % 4]
+    return ds
+
+
+@pytest.fixture(scope="module")
+def gradient_overflow_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "overflow.csv"
+    save_csv(gradient_overflow_blobs(), path)
+    return str(path)
+
+
 FAST = ["--epochs", "3", "--patience", "2", "--batch-size", "16",
         "--hidden", "8", "--lr", "0.01"]
+# Seed 2's init has the signs the fixture above needs, at step 1.
+GRADIENT_OVERFLOW = ["--task", "classification", "--seed", "2", *FAST, "--hidden", "1,1"]
 
 
 class TestGen:
@@ -66,15 +90,6 @@ class TestGen:
 
 
 class TestTrain:
-    @staticmethod
-    def blow_up_backward(monkeypatch):
-        from bottletree.autodiff import Tensor
-
-        def blow_up(self):
-            raise FloatingPointError("non-finite gradient encountered during backward")
-
-        monkeypatch.setattr(Tensor, "backward", blow_up)
-
     def test_writes_report_and_history(self, blob_csv, tmp_path):
         out = tmp_path / "run"
         rc = main(["train", "--data", blob_csv, "--task", "classification",
@@ -126,26 +141,32 @@ class TestTrain:
                    "--task", "classification", *FAST])
         assert rc == 2
 
-    def test_gradient_blow_up_exits_two_with_dump(self, blob_csv, tmp_path,
-                                                  monkeypatch, capsys):
-        self.blow_up_backward(monkeypatch)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_gradient_blow_up_exits_two_with_dump(self, gradient_overflow_csv, tmp_path,
+                                                  capsys):
         out = tmp_path / "blown"
-        rc = main(["train", "--data", blob_csv, "--task", "classification",
-                   "--seed", "0", "--out-dir", str(out), *FAST])
+        rc = main(["train", "--data", gradient_overflow_csv, "--out-dir", str(out),
+                   *GRADIENT_OVERFLOW])
         assert rc == 2
         dump = json.loads((out / "diverged.json").read_text())
         assert dump["step"] == 1
-        assert "total" in dump["breakdown"]
-        assert "diverged at step 1" in capsys.readouterr().err
+        assert dump["what"] == "gradient"
+        assert dump["parameter"] == {"row": 0, "layer": 1, "tensor": "weight", "index": [0, 0]}
+        assert np.isfinite(dump["breakdown"]["total"])  # the loss itself is finite
+        err = capsys.readouterr().err
+        assert ("diverged at step 1 (non-finite gradient in layer 1 weight[0, 0] of stack "
+                "row 0)") in err
+        assert "Traceback" not in err
         assert not (out / "report.json").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("data,flags", [
-        ("regression_csv", ["--task", "regression", "--lr", "1e100", "--hidden", "8,8,8"]),
-        ("blob_csv", ["--task", "classification", "--lr", "1e200"]),
+    @pytest.mark.parametrize("data,flags,what", [
+        ("regression_csv", ["--task", "regression", "--lr", "1e100", "--hidden", "8,8,8"],
+         "embedding"),
+        ("blob_csv", ["--task", "classification", "--lr", "1e200"], "softmax input"),
     ], ids=["latent", "logits"])
     def test_non_finite_forward_exits_two_with_dump(self, request, tmp_path, capsys,
-                                                    data, flags):
+                                                    data, flags, what):
         # The embeddings reach inf before the loss is formed (the entropy's
         # finiteness check), or the logits do (the softmax's).
         out = tmp_path / "overflow"
@@ -153,26 +174,25 @@ class TestTrain:
                    "--out-dir", str(out), *FAST, *flags])
         assert rc == 2
         assert os.listdir(out) == ["diverged.json"]
-        assert json.loads((out / "diverged.json").read_text()) == {"breakdown": {}, "step": 2}
+        assert json.loads((out / "diverged.json").read_text()) == {
+            "breakdown": {}, "parameter": None, "step": 2, "what": what}
         err = capsys.readouterr().err
-        assert "diverged at step 2" in err and "Traceback" not in err
+        assert f"diverged at step 2 (non-finite {what})" in err and "Traceback" not in err
 
-    def test_clean_rerun_removes_stale_divergence_dump(self, blob_csv, tmp_path,
-                                                       monkeypatch):
-        args = ["train", "--data", blob_csv, "--task", "classification",
-                "--seed", "0", "--out-dir", str(tmp_path), *FAST]
-        with monkeypatch.context() as patched:
-            self.blow_up_backward(patched)
-            assert main(args) == 2
-        assert main(args) == 0
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_clean_rerun_removes_stale_divergence_dump(self, blob_csv, gradient_overflow_csv,
+                                                       tmp_path):
+        out = ["--out-dir", str(tmp_path)]
+        assert main(["train", "--data", gradient_overflow_csv, *out, *GRADIENT_OVERFLOW]) == 2
+        assert main(["train", "--data", blob_csv, *out, *GRADIENT_OVERFLOW]) == 0
         assert sorted(os.listdir(tmp_path)) == ["history.csv", "model.json", "report.json"]
 
-    def test_diverging_rerun_removes_stale_outcome(self, blob_csv, tmp_path, monkeypatch):
-        args = ["train", "--data", blob_csv, "--task", "classification",
-                "--seed", "0", "--out-dir", str(tmp_path), *FAST]
-        assert main(args) == 0
-        self.blow_up_backward(monkeypatch)
-        assert main(args) == 2
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_rerun_removes_stale_outcome(self, blob_csv, gradient_overflow_csv,
+                                                   tmp_path):
+        out = ["--out-dir", str(tmp_path)]
+        assert main(["train", "--data", blob_csv, *out, *GRADIENT_OVERFLOW]) == 0
+        assert main(["train", "--data", gradient_overflow_csv, *out, *GRADIENT_OVERFLOW]) == 2
         assert os.listdir(tmp_path) == ["diverged.json"]
         assert (tmp_path / "diverged.json").read_text().endswith("}\n")
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tape_reference import parameter, tape_check
 
 from bottletree import entropy
-from bottletree.autodiff import (_stable_sigmoid, constant,
-                                 finite_difference_check, parameter)
+from bottletree.autodiff import _stable_sigmoid, constant, finite_difference_check
 from bottletree.entropy import (AdjacencyMatrix, AssignmentMatrix,
                                 AssignmentModeError, DegenerateBatchError,
                                 DimensionError, EncodingTree, build_adjacency,
@@ -234,7 +234,7 @@ class TestSeLossMatrix:
         def f(params):
             return se_loss_matrix(build_adjacency(params[0]), c)
 
-        assert finite_difference_check(f, [h], h=1e-5) < 1e-4
+        assert tape_check(f, [h], h=1e-5) < 1e-4
 
 
 class TestFusedSeLoss:
@@ -245,12 +245,10 @@ class TestFusedSeLoss:
         h_ref = parameter(h_values.copy())
         ref = se_loss_matrix(build_adjacency(h_ref), c)
         ref.backward()
-        h_new = parameter(h_values.copy())
-        fused = se_loss(h_new, c)
-        fused.backward()
-        assert abs(fused.item() - ref.item()) <= 1e-12
+        fused, backward = se_loss(h_values, c, need_grad=True)
+        assert abs(fused - ref.item()) <= 1e-12
         scale = np.abs(h_ref.grad).max()
-        assert np.abs(h_new.grad - h_ref.grad).max() <= 1e-12 * scale
+        assert np.abs(backward(1.0) - h_ref.grad).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("block_rows", [None, 3, 1])
     @pytest.mark.parametrize("case", ["hard", "soft", "empty-class", "two-points"])
@@ -272,8 +270,12 @@ class TestFusedSeLoss:
         monkeypatch.setattr(entropy, "SE_BLOCK_ENTRIES", 2 * 7)
         rng = np.random.default_rng(61)
         c = AssignmentMatrix(constant(rng.dirichlet(np.ones(3), size=7)), mode="soft")
-        h = parameter(rng.standard_normal((7, 2)))
-        assert finite_difference_check(lambda p: se_loss(p[0], c), [h]) < 1e-6
+
+        def f(h):
+            loss, backward = se_loss(h, c, need_grad=True)
+            return loss, backward(1.0)
+
+        assert finite_difference_check(f, rng.standard_normal((7, 2))) < 1e-6
 
     @staticmethod
     def regression_case(n, seed):
@@ -311,7 +313,7 @@ class TestFusedSeLoss:
         n = 1024
         rows = entropy.SE_BLOCK_ENTRIES // n
         h, c = self.regression_case(n, 67)
-        se_loss(parameter(h), c).backward()
+        se_loss(h, c, need_grad=True)[1](1.0)
         assert len(entries) == n // rows
         assert sum(entries) <= n * (n + rows) // 2  # the full graph is n * n
 
@@ -323,17 +325,19 @@ class TestFusedSeLoss:
             assert np.array_equal(h[tile] * h_t[:, start:], h[tile] @ h_t[:, start:])
 
     def test_constant_embeddings_give_the_same_loss(self):
+        # with or without the gradient panel, the same bits
         h, c = self.regression_case(400, 63)
-        assert se_loss(constant(h), c).item() == se_loss(parameter(h), c).item()
+        assert se_loss(h, c)[0] == se_loss(h, c, need_grad=True)[0]
+        assert se_loss(h, c)[1] is None
 
     def test_backward_never_allocates_the_graph(self):
         import tracemalloc
 
         h, c = self.regression_case(3000, 64)
-        loss = se_loss(parameter(h), c)
+        _, backward = se_loss(h, c, need_grad=True)
         tracemalloc.start()
         try:
-            loss.backward()
+            backward(1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -343,29 +347,26 @@ class TestFusedSeLoss:
         rng = np.random.default_rng(71)
         h, labels = rng.standard_normal((3, 20, 2)), rng.integers(0, 3, size=(3, 20))
         weights = (1.0, -2.0, 0.5)
-        stacked = parameter(h)
-        loss = se_loss(stacked, hard_assignment(labels, 3))
-        (loss * constant(weights)).sum().backward()
+        loss, backward = se_loss(h, hard_assignment(labels, 3), need_grad=True)
+        stacked = backward(np.asarray(weights))
         for s, w in enumerate(weights):
-            alone = parameter(h[s])
-            value = se_loss(alone, hard_assignment(labels[s], 3))
-            (value * w).backward()
-            assert loss.values[s] == value.item()
-            assert np.array_equal(stacked.grad[s], alone.grad)
+            value, alone = se_loss(h[s], hard_assignment(labels[s], 3), need_grad=True)
+            assert loss[s] == value
+            assert np.array_equal(stacked[s], alone(w))
 
     def test_rejects_bad_inputs(self):
         c = hard_assignment([0, 1, 0], 2)
         with pytest.raises(DimensionError):
-            se_loss(constant(np.zeros(3)), c)
+            se_loss(np.zeros(3), c)
         with pytest.raises(DimensionError):
-            se_loss(constant(np.zeros((4, 2))), c)
+            se_loss(np.zeros((4, 2)), c)
         with pytest.raises(DegenerateBatchError):
-            se_loss(constant(np.zeros((1, 2))), hard_assignment([0], 2))
+            se_loss(np.zeros((1, 2)), hard_assignment([0], 2))
         with pytest.raises(ValueError, match="embeddings must be finite"):
-            se_loss(constant([[0.0], [np.nan], [1.0]]), c)
+            se_loss([[0.0], [np.nan], [1.0]], c)
         graded = AssignmentMatrix(parameter(c.membership.values), mode="hard")
         with pytest.raises(ValueError, match="must not require grad"):
-            se_loss(constant(np.zeros((3, 2))), graded)
+            se_loss(np.zeros((3, 2)), graded)
 
 
 class TestDebugReport:
