@@ -7,8 +7,7 @@ class memberships so the same entropy loss applies through a probabilistic
 encoding tree.
 """
 
-from .autodiff import (DimensionError, GraphConsumedError, NonFiniteError, Tensor,
-                       constant, finite_difference_check)
+from .autodiff import DimensionError, NonFiniteError, finite_difference_check
 from .coder import (EncoderParams, LossBreakdown,
                     combined_loss, encode, init_params, kl_to_standard_normal,
                     load_checkpoint, reparameterize,

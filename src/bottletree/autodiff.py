@@ -1,11 +1,13 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays,
 and the numeric helpers the closed-form training step shares with it.
 
-Training records no tape (``coder.combined_loss`` is closed form); the tape
-runs the matrix-form reference ``entropy.se_loss_matrix`` and, in the tests,
-the training step the closed form is pinned to.  Every operation records its
-parents with closures mapping the output gradient to their contributions,
-and a tensor is created after its parents, so one ``backward()`` visits the
+Nothing in the package records a tape: training (``coder.combined_loss``),
+``evaluate``, the matrix-form reference ``entropy.se_loss_matrix`` and
+``verify`` are plain numpy.  The tape serves the tests, which build on it
+the training step the closed form is pinned to, and the benchmark's trace,
+which patches ``Tensor.backward``.  Every operation records its parents
+with closures mapping the output gradient to their contributions, and a
+tensor is created after its parents, so one ``backward()`` visits the
 pending nodes in descending creation order (a heap) without a topological
 sort or recursion.  Elementwise broadcasting is restricted to equal shapes,
 a scalar with a tensor, and a (..., 1, h) bias row against (..., n, h); a
@@ -23,8 +25,6 @@ import numpy as np
 # Floor applied to every log/log2 argument. Realizes the 0*log(0) = 0
 # convention for empty classes to machine precision.
 LOG_EPS = 1e-12
-
-_LN2 = float(np.log(2.0))
 
 # Creation numbers: a tensor's number exceeds those of all its parents.
 _creation = itertools.count()
@@ -97,9 +97,6 @@ class Tensor:
             raise DimensionError(f"item() needs a size-1 tensor, got shape {self.shape}")
         return float(self.values.reshape(()))
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
     # -- graph construction helpers ------------------------------------------
 
     @staticmethod
@@ -142,8 +139,6 @@ class Tensor:
             [(self, lambda g: _unbroadcast(g, self.shape)),
              (b, lambda g: _unbroadcast(g, b.shape))])
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         b = Tensor._coerce(other)
         self._check_elementwise(b)
@@ -151,9 +146,6 @@ class Tensor:
             self.values - b.values,
             [(self, lambda g: _unbroadcast(g, self.shape)),
              (b, lambda g: _unbroadcast(-g, b.shape))])
-
-    def __rsub__(self, other):
-        return Tensor._coerce(other).__sub__(self)
 
     def __mul__(self, other):
         b = Tensor._coerce(other)
@@ -165,18 +157,6 @@ class Tensor:
              (b, lambda g: _unbroadcast(g * av, b.shape))])
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        b = Tensor._coerce(other)
-        self._check_elementwise(b)
-        av, bv = self.values, b.values
-        return Tensor._from_op(
-            av / bv,
-            [(self, lambda g: _unbroadcast(g / bv, self.shape)),
-             (b, lambda g: _unbroadcast(-g * av / (bv * bv), b.shape))])
-
-    def __rtruediv__(self, other):
-        return Tensor._coerce(other).__truediv__(self)
 
     def __neg__(self):
         return Tensor._from_op(-self.values, [(self, lambda g: -g)])
@@ -191,13 +171,6 @@ class Tensor:
         clamped = np.maximum(x, LOG_EPS)
         mask = (x >= LOG_EPS).astype(np.float64)
         return Tensor._from_op(np.log(clamped), [(self, lambda g: g * mask / clamped)])
-
-    def log2(self):
-        """Base-2 log with the argument floored at LOG_EPS."""
-        x = self.values
-        clamped = np.maximum(x, LOG_EPS)
-        mask = (x >= LOG_EPS).astype(np.float64)
-        return Tensor._from_op(np.log2(clamped), [(self, lambda g: g * mask / (clamped * _LN2))])
 
     def sigmoid(self):
         out_vals = _stable_sigmoid(self.values)
@@ -221,12 +194,6 @@ class Tensor:
         return self.clamp(lo=0.0)
 
     # -- shape ops -------------------------------------------------------------
-
-    @property
-    def T(self) -> "Tensor":
-        if self.values.ndim != 2:
-            raise DimensionError(f"transpose needs a 2-D tensor, got shape {self.shape}")
-        return Tensor._from_op(self.values.T.copy(), [(self, lambda g: g.T.copy())])
 
     def cols(self, start: int, stop: int) -> "Tensor":
         """Column slice [start, stop) of a 2-D tensor or of each slice of a stack."""
@@ -279,19 +246,10 @@ class Tensor:
 
         return Tensor._from_op(self.values.sum(axis=axis), [(self, grad_fn)])
 
-    def mean(self, axis: int | None = None):
-        self._check_axis(axis)
-        shape = self.shape
-        if axis is None:
-            count = self.size
-            return Tensor._from_op(np.asarray(self.values.mean()),
-                                   [(self, lambda g: np.full(shape, float(g) / count))])
-        count = shape[axis]
-
-        def grad_fn(g, axis=axis, shape=shape, count=count):
-            return np.broadcast_to(np.expand_dims(g / count, axis), shape).copy()
-
-        return Tensor._from_op(self.values.mean(axis=axis), [(self, grad_fn)])
+    def mean(self):
+        shape, count = self.shape, self.size
+        return Tensor._from_op(np.asarray(self.values.mean()),
+                               [(self, lambda g: np.full(shape, float(g) / count))])
 
     def softmax(self, axis: int = -1):
         """Numerically stable softmax along ``axis`` with the exact Jacobian."""
@@ -362,10 +320,6 @@ def _stable_sigmoid(x: np.ndarray, out: np.ndarray | None = None,
     den += 1.0
     out /= den
     return out
-
-
-def constant(values) -> Tensor:
-    return Tensor(values, requires_grad=False)
 
 
 def finite_difference_check(f: Callable[[np.ndarray], tuple[float, np.ndarray]],

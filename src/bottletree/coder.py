@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import LOG_EPS, DimensionError, _stable_sigmoid, softmax_values
+from .datasets import replacing
 from .entropy import AssignmentMatrix, se_loss
 
 LOGVAR_MIN = -10.0
@@ -279,7 +280,7 @@ def _average(terms):
 
 
 def save_checkpoint(params: EncoderParams, path, seed: int | None = None) -> None:
-    """Write parameters as JSON: dims, layer shapes, flat arrays, RNG seed."""
+    """Write parameters as JSON (dims, layer shapes, flat arrays, RNG seed), all or nothing."""
     doc = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "input_dim": params.input_dim,
@@ -296,7 +297,7 @@ def save_checkpoint(params: EncoderParams, path, seed: int | None = None) -> Non
             for w, b in zip(params.weights, params.biases)
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         json.dump(doc, fh, sort_keys=True)
         fh.write("\n")
 

@@ -10,11 +10,14 @@ Both directions stream: ``save_csv`` formats and writes one row at a time,
 and ``load_csv`` reads line by line into one flat float buffer that becomes
 ``X`` without a copy, so memory is O(arrays), not O(file text).  Lines end
 at ``\n``, ``\r\n`` or ``\r`` (file iteration with universal newlines).
+``replacing`` is the write-then-rename helper every run artifact goes through.
 """
 
 from __future__ import annotations
 
+import os
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,3 +239,13 @@ def _is_int_token(s: str) -> bool:
         return True
     except ValueError:
         return False
+
+
+@contextmanager
+def replacing(path, **kwargs):
+    """A text file under a temporary name, renamed to ``path`` once complete:
+    a reader never sees half a file, and a failed write leaves ``path`` as it was."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8", **kwargs) as fh:
+        yield fh
+    os.replace(tmp, path)

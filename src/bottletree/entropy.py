@@ -7,7 +7,7 @@ Two independent routes to the same quantity live here on purpose:
   loops, not differentiable - this is the oracle.
 * ``se_loss_matrix`` evaluates the closed matrix form
   ``-sum_j ((1-C)^T A C)_jj / sum(A) * log2((1^T A C)_jj / sum(A))``
-  on the autodiff tape for an arbitrary graph ``A``.  It is the on-tape
+  in dense numpy for an arbitrary graph ``A``.  It is the matrix-form
   reference, and the only route for graphs that are not ``sigmoid(HH^T)``.
 
 ``se_loss`` is the training route: the same matrix form on
@@ -17,7 +17,8 @@ cache-sized row tiles, and also accumulates the n x d(r+1) panel its
 gradient needs; the backward pass reads only that panel.  Graph memory is
 O(tile + n * r * d) instead of several n x n arrays.
 
-Tests pin the routes against each other; never collapse them.
+Graphs and assignments are plain arrays; nothing here records an autodiff
+tape.  Tests pin the routes against each other; never collapse them.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .autodiff import (_LN2, LOG_EPS, DimensionError, NonFiniteError, Tensor,
-                       _stable_sigmoid, constant)
+from .autodiff import LOG_EPS, DimensionError, NonFiniteError, _stable_sigmoid
+
+_LN2 = float(np.log(2.0))
 
 # Graph entries per full-width row tile of ``se_loss``; a tile forms only the
 # columns from its first row on, and a batch of <= 256 rows is one tile.  The
@@ -56,10 +58,10 @@ class AdjacencyMatrix:
     entries, so volume == sum(degrees) by construction.
     """
 
-    weights: Tensor
+    weights: np.ndarray
 
     def __post_init__(self):
-        v = self.weights.values
+        self.weights = v = np.asarray(self.weights, dtype=np.float64)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise DimensionError(f"adjacency must be square, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
@@ -71,11 +73,11 @@ class AdjacencyMatrix:
 
     @property
     def degrees(self) -> np.ndarray:
-        return self.weights.values.sum(axis=1)
+        return self.weights.sum(axis=1)
 
     @property
     def volume(self) -> float:
-        return float(self.weights.values.sum())
+        return float(self.weights.sum())
 
 
 def _check_embeddings(h: np.ndarray) -> None:
@@ -87,26 +89,27 @@ def _check_embeddings(h: np.ndarray) -> None:
         raise NonFiniteError("embedding", "embeddings must be finite")
 
 
-def build_adjacency(embeddings: Tensor) -> AdjacencyMatrix:
+def build_adjacency(embeddings) -> AdjacencyMatrix:
     """Similarity graph over a batch of embeddings: sigmoid of the Gram matrix.
 
     Symmetric with entries in (0, 1); the diagonal (self-similarity) is kept.
-    Differentiable with respect to the embeddings.
     """
-    _check_embeddings(embeddings.values)
-    return AdjacencyMatrix((embeddings @ embeddings.T).sigmoid())
+    h = np.asarray(embeddings, dtype=np.float64)
+    _check_embeddings(h)
+    # Against a contiguous transpose, as ``_se_slice`` forms its Gram tiles.
+    return AdjacencyMatrix(_stable_sigmoid(h @ h.T.copy()))
 
 
 @dataclass
 class AssignmentMatrix:
     """Leaf-to-class membership, (n, r) or (S, n, r): one-hot (hard) or row-stochastic (soft)."""
 
-    membership: Tensor
+    membership: np.ndarray
     mode: str  # "hard" | "soft"
     validate: InitVar[bool] = True  # False where the entries are valid by construction
 
     def __post_init__(self, validate: bool):
-        m = self.membership.values
+        self.membership = m = np.asarray(self.membership, dtype=np.float64)
         if m.ndim not in (2, 3):
             raise DimensionError(f"assignment must be 2-D or a stack, got shape {m.shape}")
         if self.mode not in ("hard", "soft"):
@@ -140,7 +143,7 @@ def hard_assignment(labels, num_classes: int) -> AssignmentMatrix:
         raise ValueError(f"labels must lie in [0, {num_classes}), got range "
                          f"[{labels.min()}, {labels.max()}]")
     onehot = np.eye(num_classes)[labels.astype(np.int64, copy=False)]
-    return AssignmentMatrix(constant(onehot), "hard", validate=False)  # valid by construction
+    return AssignmentMatrix(onehot, "hard", validate=False)  # valid by construction
 
 
 @dataclass
@@ -188,7 +191,7 @@ def tree_from_assignment(assignment: AssignmentMatrix) -> EncodingTree:
     if assignment.mode != "hard":
         raise AssignmentModeError("tree_from_assignment needs a hard assignment; "
                                   "soft memberships have no unique tree")
-    m = assignment.membership.values
+    m = assignment.membership
     classes = [tuple(int(i) for i in np.flatnonzero(m[:, j] == 1.0))
                for j in range(m.shape[1])]
     return EncodingTree(m.shape[0], classes)
@@ -217,7 +220,7 @@ def structural_entropy_definition(adj: AdjacencyMatrix,
     """
     if tree.n != adj.n:
         raise DimensionError(f"tree covers {tree.n} leaves but graph has {adj.n} vertices")
-    a = adj.weights.values
+    a = adj.weights
     degrees = adj.degrees
     vol = float(degrees.sum())
 
@@ -244,24 +247,28 @@ def intermediate_layer_entropy(adj: AdjacencyMatrix, tree: EncodingTree) -> floa
     return sum(per_node[f"class:{j}"] for j in range(tree.num_classes))
 
 
-def se_loss_matrix(adj: AdjacencyMatrix, assignment: AssignmentMatrix) -> Tensor:
-    """Differentiable matrix form of the intermediate-layer structural entropy.
+def se_loss_matrix(adj: AdjacencyMatrix, assignment: AssignmentMatrix) -> float:
+    """Matrix form of the intermediate-layer structural entropy.
 
     ``-sum_j cut_j/sum(A) * log2(vol_j/sum(A))`` with
     ``cut_j = ((1-C)^T A C)_jj`` and ``vol_j = (1^T A C)_jj``.  Log arguments
-    are floored at 1e-12, so empty classes contribute exactly 0.  Gradients
-    flow into A (hence the embeddings) and, when C carries gradients, into C.
+    are floored at 1e-12, so empty classes contribute exactly 0.
     """
+    return _class_terms(adj, assignment)[2]
+
+
+def _class_terms(adj: AdjacencyMatrix, assignment: AssignmentMatrix):
+    """Per-class cuts and volumes of ``se_loss_matrix``, and its value, from one ``A @ C``."""
     if assignment.n != adj.n:
         raise DimensionError(
             f"assignment has {assignment.n} rows but graph has {adj.n} vertices")
-    a = adj.weights
-    c = assignment.membership
+    a, c = adj.weights, assignment.membership
     ac = a @ c                            # n x r
     total = a.sum()
     cuts = ((1.0 - c) * ac).sum(axis=0)   # diag((1-C)^T A C)
     vols = ac.sum(axis=0)                 # diag(1^T A C)
-    return -((cuts / total) * (vols / total).log2()).sum()
+    loss = -((cuts / total) * np.log2(np.maximum(vols / total, LOG_EPS))).sum()
+    return cuts, vols, float(loss)
 
 
 def se_loss(embeddings: np.ndarray, assignment: AssignmentMatrix, need_grad: bool = False):
@@ -281,12 +288,9 @@ def se_loss(embeddings: np.ndarray, assignment: AssignmentMatrix, need_grad: boo
     """
     h = np.asarray(embeddings, dtype=np.float64)
     _check_embeddings(h)
-    c = assignment.membership.values
+    c = assignment.membership
     if c.ndim != h.ndim or c.shape[:-1] != h.shape[:-1]:
         raise DimensionError(f"assignment {c.shape} does not match embeddings {h.shape}")
-    if assignment.membership.requires_grad:
-        raise ValueError("se_loss treats the assignment as data; "
-                         "its membership must not require grad")
     slices = zip(h.reshape((-1,) + h.shape[-2:]), c.reshape((-1,) + c.shape[-2:]))
     parts = [_se_slice(h_s, c_s, need_grad) for h_s, c_s in slices]
     loss = np.array([value for value, _ in parts]).reshape(h.shape[:-2])
@@ -300,8 +304,8 @@ def se_loss(embeddings: np.ndarray, assignment: AssignmentMatrix, need_grad: boo
 
 def _se_slice(h: np.ndarray, c: np.ndarray, need_grad: bool):
     """``se_loss`` of one (n, d) slice: the loss and its backward, g -> dL/dH * g."""
-    # Contiguous, as ``Tensor.T`` makes it, so the Gram tiles equal the
-    # composite's bit for bit.
+    # Contiguous, as ``build_adjacency`` makes it, so the Gram tiles equal
+    # the matrix form's bit for bit.
     h_t = h.T.copy()
     (n, d), r = h.shape, c.shape[1]
     rows = min(n, max(1, SE_BLOCK_ENTRIES // n))
@@ -359,26 +363,15 @@ def _se_slice(h: np.ndarray, c: np.ndarray, need_grad: bool):
     return loss, backward
 
 
-def class_cut_weights(adj: AdjacencyMatrix, assignment: AssignmentMatrix) -> np.ndarray:
-    """Non-differentiable view of the per-class cut terms used in the loss."""
-    a = adj.weights.values
-    c = assignment.membership.values
-    return np.einsum("ij,ij->j", 1.0 - c, a @ c)
-
-
-def class_volumes(adj: AdjacencyMatrix, assignment: AssignmentMatrix) -> np.ndarray:
-    """Non-differentiable view of the per-class volume terms used in the loss."""
-    return (adj.weights.values @ assignment.membership.values).sum(axis=0)
-
-
 def entropy_report(adj: AdjacencyMatrix, assignment: AssignmentMatrix) -> dict:
     """JSON-ready debug record: graph, assignment, per-class cuts/volumes, loss."""
+    cuts, vols, loss = _class_terms(adj, assignment)
     return {
-        "adjacency": adj.weights.values.tolist(),
-        "assignment": assignment.membership.values.tolist(),
+        "adjacency": adj.weights.tolist(),
+        "assignment": assignment.membership.tolist(),
         "mode": assignment.mode,
-        "cut_weights": class_cut_weights(adj, assignment).tolist(),
-        "class_volumes": class_volumes(adj, assignment).tolist(),
+        "cut_weights": cuts.tolist(),
+        "class_volumes": vols.tolist(),
         "volume": adj.volume,
-        "se_loss": se_loss_matrix(adj, assignment).item(),
+        "se_loss": loss,
     }

@@ -4,8 +4,9 @@ Continuous labels are binned into r uniform classes, distances to the bin
 centers are softened row-wise with a softmax, and the resulting row-stochastic
 membership matrix plays the role of the assignment matrix in the structural
 entropy loss (``entropy.se_loss_matrix`` / ``entropy.se_loss`` with C = Y').
-``soft_cuts`` / ``soft_volumes`` are brute-force summation oracles for the
-matrix form.
+Labels are data: distances and memberships are plain arrays that carry no
+gradient.  ``soft_cuts`` / ``soft_volumes`` are brute-force summation
+oracles for the matrix form.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import DimensionError, Tensor, constant, softmax_values
+from .autodiff import DimensionError, softmax_values
 from .entropy import AdjacencyMatrix, AssignmentMatrix
 
 
@@ -42,8 +43,8 @@ def make_bins(lo: float, hi: float, num_bins: int) -> BinSpec:
     return BinSpec(float(lo), float(hi), centers)
 
 
-def distance_matrix(labels, bins: BinSpec) -> Tensor:
-    """|label_i - center_j| as a constant n x r tensor, or S x n x r for a stack.
+def distance_matrix(labels, bins: BinSpec) -> np.ndarray:
+    """|label_i - center_j| as an n x r array, or S x n x r for a stack.
 
     Labels outside [lo, hi] are accepted (the distances stay well defined)
     but trigger a warning, since they usually indicate a range mistake.
@@ -57,20 +58,18 @@ def distance_matrix(labels, bins: BinSpec) -> Tensor:
         warnings.warn(f"labels outside declared range [{bins.lo}, {bins.hi}]",
                       stacklevel=2)
     centers = np.asarray(bins.centers)
-    return constant(np.abs(y[..., None] - centers))
+    return np.abs(y[..., None] - centers)
 
 
-def soften(distances: Tensor, temperature: float = 1.0) -> AssignmentMatrix:
+def soften(distances: np.ndarray, temperature: float = 1.0) -> AssignmentMatrix:
     """Row-stochastic membership: softmax of negated distances.
 
     Closer bin centers get higher probability; temperature 1 is the plain
-    softmax, smaller values approach the hard nearest-bin limit.  The result
-    carries no gradient (labels are data).
+    softmax, smaller values approach the hard nearest-bin limit.
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    membership = softmax_values(-distances.values / temperature, -1)
-    return AssignmentMatrix(constant(membership), mode="soft")
+    return AssignmentMatrix(softmax_values(-distances / temperature, -1), mode="soft")
 
 
 def nearest_bin(labels, bins: BinSpec) -> np.ndarray:
@@ -86,7 +85,7 @@ def soft_volumes(adj: AdjacencyMatrix, assignment: AssignmentMatrix) -> np.ndarr
     Conserves the graph volume: the values sum to vol(G) for any
     row-stochastic membership.
     """
-    m = assignment.membership.values
+    m = assignment.membership
     if m.shape[0] != adj.n:
         raise DimensionError(f"membership has {m.shape[0]} rows, graph has {adj.n}")
     degrees = adj.degrees
@@ -106,10 +105,10 @@ def soft_cuts(adj: AdjacencyMatrix, assignment: AssignmentMatrix) -> np.ndarray:
     to the class and the other does not; reduces to the hard cut for one-hot
     memberships.
     """
-    m = assignment.membership.values
+    m = assignment.membership
     if m.shape[0] != adj.n:
         raise DimensionError(f"membership has {m.shape[0]} rows, graph has {adj.n}")
-    a = adj.weights.values
+    a = adj.weights
     n, r = m.shape
     out = np.zeros(r)
     for j in range(r):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -24,6 +24,7 @@ import numpy as np
 from . import metrics as M
 from .autodiff import NonFiniteError
 from .coder import EncoderParams, combined_loss, encode, init_params
+from .datasets import replacing
 from .entropy import AssignmentMatrix, hard_assignment
 from .softbins import BinSpec, distance_matrix, nearest_bin, soften
 
@@ -338,25 +339,15 @@ def evaluate(params: EncoderParams, X: np.ndarray, y: np.ndarray,
     return report
 
 
-@contextmanager
-def _replacing(path, **kwargs):
-    """A text file under a temporary name, renamed to ``path`` once complete:
-    a reader never sees half a file."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", **kwargs) as fh:
-        yield fh
-    os.replace(tmp, path)
-
-
 def write_json(path, doc) -> None:
     """A run artifact as JSON: sorted keys, two-space indent, trailing newline."""
-    with _replacing(path) as fh:
+    with replacing(path) as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
 def write_csv(path, fieldnames: list[str], rows: list[dict]) -> None:
-    with _replacing(path, newline="") as fh:
+    with replacing(path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         writer.writerows(rows)

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import constant, finite_difference_check
+from .autodiff import finite_difference_check
 from .coder import combined_loss, init_params, kl_to_standard_normal
 from .entropy import (AdjacencyMatrix, AssignmentMatrix, build_adjacency,
                       hard_assignment, intermediate_layer_entropy, se_loss,
@@ -42,13 +42,13 @@ def _random_instance(rng, n=None, d=None, r=None):
     n = n or int(rng.integers(4, 33))
     d = d or int(rng.integers(2, 9))
     r = r or int(rng.integers(2, 6))
-    h = constant(rng.standard_normal((n, d)))
+    h = rng.standard_normal((n, d))
     labels = rng.integers(0, r, size=n)
     return h, labels, n, d, r
 
 
 def _random_soft(rng, n: int, r: int) -> AssignmentMatrix:
-    return AssignmentMatrix(constant(rng.dirichlet(np.ones(r), size=n)), mode="soft")
+    return AssignmentMatrix(rng.dirichlet(np.ones(r), size=n), mode="soft")
 
 
 def check_matrix_definition(instances: int = 100, seed: int = 1001) -> CheckResult:
@@ -62,8 +62,8 @@ def check_matrix_definition(instances: int = 100, seed: int = 1001) -> CheckResu
         adj = build_adjacency(h)
         c = hard_assignment(labels, r)
         oracle_val = intermediate_layer_entropy(adj, tree_from_assignment(c))
-        worst = max(worst, abs(se_loss_matrix(adj, c).item() - oracle_val))
-        worst_fused = max(worst_fused, abs(float(se_loss(h.values, c)[0]) - oracle_val))
+        worst = max(worst, abs(se_loss_matrix(adj, c) - oracle_val))
+        worst_fused = max(worst_fused, abs(float(se_loss(h, c)[0]) - oracle_val))
     return CheckResult("oracle", worst <= 1e-9 and worst_fused <= 1e-9,
                        f"max |matrix - definition| = {worst:.3e}, "
                        f"max |fused - definition| = {worst_fused:.3e} "
@@ -80,9 +80,8 @@ def check_soft_reduction(instances: int = 100, seed: int = 1002) -> CheckResult:
         h, labels, n, d, r = _random_instance(rng)
         adj = build_adjacency(h)
         hard = hard_assignment(labels, r)
-        onehot = AssignmentMatrix(constant(hard.membership.values.copy()), mode="soft")
-        worst = max(worst, abs(se_loss_matrix(adj, onehot).item()
-                               - se_loss_matrix(adj, hard).item()))
+        onehot = AssignmentMatrix(hard.membership.copy(), mode="soft")
+        worst = max(worst, abs(se_loss_matrix(adj, onehot) - se_loss_matrix(adj, hard)))
     return CheckResult("reduction", worst <= 1e-12,
                        f"max one-hot gap = {worst:.3e} over {instances} instances",
                        time.perf_counter() - start)
@@ -104,15 +103,15 @@ def check_soft_consistency(instances: int = 100, seed: int = 1003) -> CheckResul
         vol = adj.volume
         summation = -sum((g / vol) * math.log2(max(v / vol, 1e-12))
                          for g, v in zip(cuts, vols))
-        worst = max(worst, abs(se_loss_matrix(adj, soft).item() - summation))
-        worst_fused = max(worst_fused, abs(float(se_loss(h.values, soft)[0]) - summation))
+        worst = max(worst, abs(se_loss_matrix(adj, soft) - summation))
+        worst_fused = max(worst_fused, abs(float(se_loss(h, soft)[0]) - summation))
         worst_cons = max(worst_cons, abs(vols.sum() - vol))
     worst_tiled = 0.0
     for n in MULTI_TILE_ROWS:
         h, _, _, _, r = _random_instance(rng, n=n)
         soft = _random_soft(rng, n, r)
-        worst_tiled = max(worst_tiled, abs(float(se_loss(h.values, soft)[0])
-                                           - se_loss_matrix(build_adjacency(h), soft).item()))
+        worst_tiled = max(worst_tiled, abs(float(se_loss(h, soft)[0])
+                                           - se_loss_matrix(build_adjacency(h), soft)))
     passed = max(worst, worst_fused, worst_cons, worst_tiled) <= 1e-9
     return CheckResult("soft", passed,
                        f"max |matrix - summation| = {worst:.3e}, "
@@ -132,13 +131,13 @@ def check_bounds(instances: int = 1000, seed: int = 1004) -> CheckResult:
         n = int(rng.integers(3, 17))
         r = int(rng.integers(2, 6))
         if i % 2 == 0:
-            adj = build_adjacency(constant(rng.standard_normal((n, int(rng.integers(2, 6))))))
+            adj = build_adjacency(rng.standard_normal((n, int(rng.integers(2, 6)))))
         else:
             w = np.abs(rng.standard_normal((n, n))) + 1e-3
-            adj = AdjacencyMatrix(constant((w + w.T) / 2.0))
+            adj = AdjacencyMatrix((w + w.T) / 2.0)
         assignment = (hard_assignment(rng.integers(0, r, size=n), r)
                       if i % 4 < 2 else _random_soft(rng, n, r))
-        value = se_loss_matrix(adj, assignment).item()
+        value = se_loss_matrix(adj, assignment)
         lo = min(lo, value)
         hi_gap = max(hi_gap, value - math.log2(r))
     passed = lo >= -1e-12 and hi_gap <= 1e-12
@@ -158,15 +157,14 @@ def check_invariance(instances: int = 50, seed: int = 1005) -> CheckResult:
         h, labels, n, d, r = _random_instance(rng)
         adj = build_adjacency(h)
         c = hard_assignment(labels, r)
-        base = se_loss_matrix(adj, c).item()
+        base = se_loss_matrix(adj, c)
         for scale in (0.1, 10.0):
-            scaled = AdjacencyMatrix(constant(adj.weights.values * scale))
-            worst_scale = max(worst_scale, abs(se_loss_matrix(scaled, c).item() - base))
+            scaled = AdjacencyMatrix(adj.weights * scale)
+            worst_scale = max(worst_scale, abs(se_loss_matrix(scaled, c) - base))
         perm = rng.permutation(n)
-        h_p = constant(h.values[perm])
         c_p = hard_assignment(labels[perm], r)
         worst_perm = max(worst_perm,
-                         abs(se_loss_matrix(build_adjacency(h_p), c_p).item() - base))
+                         abs(se_loss_matrix(build_adjacency(h[perm]), c_p) - base))
     passed = worst_scale <= 1e-9 and worst_perm <= 1e-12
     return CheckResult("invariance", passed,
                        f"max scale gap = {worst_scale:.3e}, max permutation gap = "

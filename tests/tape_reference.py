@@ -9,16 +9,21 @@ and the weighted total.  ``tape_step`` runs that graph and one ``backward``
 from the summed loss, so its gradient carries the tape's accumulation order;
 the tests pin ``combined_loss`` to it bit for bit.  ``tape_check`` runs the
 flat-array ``finite_difference_check`` on a function of tape parameters.
+``constant`` and ``parameter`` make the tape's leaves: the package itself
+records no tape.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from bottletree.autodiff import (LOG_EPS, Tensor, constant,
-                                 finite_difference_check, softmax_values)
+from bottletree.autodiff import LOG_EPS, Tensor, finite_difference_check, softmax_values
 from bottletree.coder import LOGVAR_MAX, LOGVAR_MIN
 from bottletree.entropy import _check_embeddings, _se_slice
+
+
+def constant(values):
+    return Tensor(values, requires_grad=False)
 
 
 def parameter(values):
@@ -75,7 +80,7 @@ def task_loss(z, targets, kind):
 def se_loss(embeddings, assignment):
     h = embeddings.values
     _check_embeddings(h)
-    c = assignment.membership.values
+    c = assignment.membership
     slices = zip(h.reshape((-1,) + h.shape[-2:]), c.reshape((-1,) + c.shape[-2:]))
     parts = [_se_slice(h_s, c_s, embeddings.requires_grad) for h_s, c_s in slices]
     loss = np.array([value for value, _ in parts]).reshape(h.shape[:-2])

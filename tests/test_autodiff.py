@@ -1,12 +1,15 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from tape_reference import parameter, tape_check
+from tape_reference import constant, parameter, tape_check
 
+import bottletree
 from bottletree.autodiff import (DimensionError, GraphConsumedError, Tensor,
-                                 _stable_sigmoid, constant,
-                                 finite_difference_check)
+                                 _stable_sigmoid, finite_difference_check)
 
 
 def grad_of(build, x_vals):
@@ -40,9 +43,6 @@ class TestElementwise:
         assert _stable_sigmoid(scratch, out=out, den=scratch) is out
         assert np.array_equal(out, ref)
         assert np.isnan(_stable_sigmoid(np.array([np.nan]))[0])
-
-    def test_log2_exact_power(self):
-        assert constant([8.0]).log2().values[0] == 3.0
 
     def test_log_of_zero_is_clamped_finite(self):
         y = constant([0.0]).log()
@@ -84,7 +84,7 @@ class TestElementwise:
 
 
 ROW_OPS = [("add", lambda a, b: a + b), ("sub", lambda a, b: a - b),
-           ("mul", lambda a, b: a * b), ("div", lambda a, b: a / b)]
+           ("mul", lambda a, b: a * b)]
 
 
 class TestRowBroadcast:
@@ -225,7 +225,7 @@ class TestBackward:
 
         def run():
             x = parameter(vals)
-            ((x @ x.T).sigmoid().sum() * 2.0).backward()
+            ((x @ x).sigmoid().sum() * 2.0).backward()
             return x.grad
 
         g1, g2 = run(), run()
@@ -251,7 +251,7 @@ class TestBackward:
             a = s @ w
             t = (x * 0.5).exp()
             b = s * t
-            c = (a @ s.T).sigmoid()
+            c = ((a @ w) * s).sigmoid()
             return (b * b).sum() + c.sum() + (s * x).mean()
 
         params = [parameter(rng.standard_normal((3, 4))),
@@ -271,13 +271,14 @@ class TestBackward:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("value,build", [
-        # 1e200 * 0 = 0; the leaf gets -0 * 1 / (1e-200)^2 = -0 / 0 = nan
-        (1e-200, lambda x: (1.0 / x) * 0.0),
-        # the interior node z = 1e-200 x gets -1e-200 / z^2 = -inf, which its
-        # grad_fn scales by 1e-200 into the leaf: still -inf
-        (1.0, lambda x: (1.0 / (x * 1e-200)) * 1e-200),
-        # the same -inf meets a zero factor on its way to the leaf: nan
-        (1.0, lambda x: (1.0 / (x * 0.0 + 1e-200)) * 1e-200),
+        # 0 + -0 = 0; every interior gradient is 1e300, and the leaf's two
+        # contributions 1e300 * 1e300 = inf and 1e300 * -1e300 = -inf sum to nan
+        (0.0, lambda x: (x * 1e300) * 1e300 + (x * -1e300) * 1e300),
+        # the interior node z = 1e-300 x gets 1e300 * 1e300 = inf, which its
+        # grad_fn scales by 1e-300 into the leaf: still inf
+        (1.0, lambda x: ((x * 1e-300) * 1e300) * 1e300),
+        # the same inf meets a zero factor on its way to the leaf: nan
+        (1.0, lambda x: ((x * 0.0) * 1e300) * 1e300),
     ], ids=["leaf_nan", "interior_inf", "interior_inf_times_zero"])
     def test_nonfinite_gradient_from_finite_loss_raises(self, value, build):
         loss = build(parameter([[value]])).sum()
@@ -292,15 +293,12 @@ SMOOTH_OPS = [
     ("sub", lambda x: ((x - 2.0) * (x - 2.0)).mean()),
     ("exp", lambda x: x.exp().sum()),
     ("log", lambda x: (x * x + 1.0).log().sum()),
-    ("log2", lambda x: (x * x + 1.0).log2().sum()),
     ("sigmoid", lambda x: x.sigmoid().sum()),
     ("mul", lambda x: (x * x).sum()),
-    ("div", lambda x: (1.0 / (x * x + 1.0)).sum()),
     ("softmax", lambda x: (x.softmax(axis=1) * x.softmax(axis=1)).sum()),
     ("mean", lambda x: (x * x).mean()),
     ("sum_axis", lambda x: (x.sum(axis=0) * x.sum(axis=0)).sum()),
-    ("matmul", lambda x: ((x @ x.T).sigmoid()).sum()),
-    ("transpose", lambda x: (x.T * x.T).sum()),
+    ("matmul", lambda x: ((x.cols(0, 3) @ x).sigmoid()).sum()),
     ("cols", lambda x: x.cols(1, 2).sum()),
 ]
 
@@ -374,3 +372,24 @@ def test_values_are_float64_row_major():
     t = Tensor([[1, 2], [3, 4]])
     assert t.values.dtype == np.float64
     assert t.values.flags["C_CONTIGUOUS"]
+
+
+def test_no_module_but_autodiff_names_the_tape():
+    # The package records no tape: outside autodiff.py no import, name or
+    # attribute is ``Tensor`` or ``constant`` (strings and docstrings may say so).
+    found = []
+    for path in sorted(Path(bottletree.__file__).parent.glob("*.py")):
+        if path.name == "autodiff.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.alias):
+                names = [node.name, node.asname]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name in ("Tensor", "constant")]
+    assert not found

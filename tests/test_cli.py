@@ -1,6 +1,8 @@
 import csv
 import json
+import math
 import os
+import re
 import signal
 import time
 from dataclasses import replace
@@ -420,18 +422,27 @@ class TestVerify:
                 for g, v in zip(entry["cut_weights"], entry["class_volumes"]))
             assert entry["se_loss"] == pytest.approx(recomputed, abs=1e-9)
 
-    def test_corrupted_log_base_fails_oracle(self, monkeypatch, capsys):
-        # sabotage the differentiable loss with natural log: the set-theoretic
-        # oracle must catch the wrong base
-        import bottletree.autodiff as ad
+    @pytest.mark.parametrize("route", ["matrix", "fused"])
+    def test_corrupted_log_base_fails_oracle(self, monkeypatch, route):
+        # sabotage one route with the natural log (its loss in nats is ln 2
+        # times its loss in bits): the set-theoretic oracle must catch the
+        # wrong base in that route and only there
+        from bottletree import entropy
 
-        original = ad.Tensor.log2
-        monkeypatch.setattr(ad.Tensor, "log2", ad.Tensor.log)
-        try:
-            results = run_checks(["oracle"])
-        finally:
-            monkeypatch.setattr(ad.Tensor, "log2", original)
-        assert not results[0].passed
+        helper, loss_at = {"matrix": ("_class_terms", 2), "fused": ("_se_slice", 0)}[route]
+        original = getattr(entropy, helper)
+
+        def in_nats(*args):
+            out = list(original(*args))
+            out[loss_at] = out[loss_at] * math.log(2.0)
+            return tuple(out)
+
+        monkeypatch.setattr(entropy, helper, in_nats)
+        result = run_checks(["oracle"])[0]
+        assert not result.passed
+        gaps = dict(re.findall(r"max \|(\w+) - definition\| = (\S+?),? ", result.detail))
+        assert float(gaps[route]) > 1e-3
+        assert all(float(gap) <= 1e-9 for other, gap in gaps.items() if other != route)
 
 
 class TestUsageErrors:

@@ -1,11 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
-from tape_reference import parameter, tape_step
+from tape_reference import constant, parameter, tape_step
 
 from bottletree import autodiff
-from bottletree.autodiff import LOG_EPS, DimensionError, constant, finite_difference_check
+from bottletree.autodiff import LOG_EPS, DimensionError, finite_difference_check
 from bottletree.coder import (LOGVAR_MAX, LOGVAR_MIN, combined_loss, encode,
                               init_params, kl_to_standard_normal,
                               load_checkpoint, reparameterize, save_checkpoint,
@@ -594,3 +595,24 @@ class TestCheckpoint:
         for a, b in zip(tensors_of(params), tensors_of(loaded)):
             np.testing.assert_array_equal(a, b)
         assert_views_of_flat(loaded)
+        text = path.read_text()  # compact sorted JSON and a newline
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+
+    def test_a_failed_save_leaves_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.json"
+        first = init_params(5, (7,), 2, seed=1)
+        save_checkpoint(first, path, seed=1)
+        before = path.read_bytes()
+
+        def dump_half(doc, fh, **kwargs):
+            fh.write('{"activation": "relu", "hidden": [')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", dump_half)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(init_params(5, (7,), 2, seed=2), path, seed=2)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        loaded, seed = load_checkpoint(path)
+        assert seed == 1
+        np.testing.assert_array_equal(loaded.flat, first.flat)

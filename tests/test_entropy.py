@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from tape_reference import parameter, tape_check
 
 from bottletree import entropy
-from bottletree.autodiff import _stable_sigmoid, constant, finite_difference_check
+from bottletree.autodiff import LOG_EPS, _stable_sigmoid, finite_difference_check
 from bottletree.entropy import (AdjacencyMatrix, AssignmentMatrix,
                                 AssignmentModeError, DegenerateBatchError,
                                 DimensionError, EncodingTree, build_adjacency,
-                                class_cut_weights, class_volumes,
                                 entropy_report, hard_assignment,
                                 intermediate_layer_entropy, se_loss,
                                 se_loss_matrix,
@@ -24,56 +22,55 @@ def ring_graph_4():
     # complete graph on 4 vertices, unit weights, no self-loops
     a = np.ones((4, 4))
     np.fill_diagonal(a, 0.0)
-    return AdjacencyMatrix(constant(a))
+    return AdjacencyMatrix(a)
 
 
 def random_case(rng, n=None, r=None):
     n = n or int(rng.integers(4, 17))
     d = int(rng.integers(2, 6))
     r = r or int(rng.integers(2, 5))
-    h = constant(rng.standard_normal((n, d)))
+    h = rng.standard_normal((n, d))
     labels = rng.integers(0, r, size=n)
     return build_adjacency(h), hard_assignment(labels, r), h, labels
 
 
 class TestBuildAdjacency:
     def test_zero_embeddings_give_half_everywhere(self):
-        adj = build_adjacency(constant(np.zeros((3, 4))))
-        np.testing.assert_array_equal(adj.weights.values, np.full((3, 3), 0.5))
+        adj = build_adjacency(np.zeros((3, 4)))
+        np.testing.assert_array_equal(adj.weights, np.full((3, 3), 0.5))
         assert adj.volume == pytest.approx(4.5)
 
     def test_orthonormal_rows(self):
-        h = constant(np.eye(4)[:2])  # e1, e2
-        a = build_adjacency(h).weights.values
+        h = np.eye(4)[:2]  # e1, e2
+        a = build_adjacency(h).weights
         assert a[0, 1] == pytest.approx(0.5)
         assert a[0, 0] == pytest.approx(1.0 / (1.0 + math.exp(-1.0)), abs=1e-6)
 
     def test_symmetry(self):
         rng = np.random.default_rng(0)
-        a = build_adjacency(constant(rng.standard_normal((6, 3)))).weights.values
+        a = build_adjacency(rng.standard_normal((6, 3))).weights
         np.testing.assert_allclose(a, a.T, atol=1e-12)
 
     def test_degenerate_batch(self):
         with pytest.raises(DegenerateBatchError):
-            build_adjacency(constant(np.zeros((1, 4))))
+            build_adjacency(np.zeros((1, 4)))
 
     def test_volume_equals_degree_sum(self):
         rng = np.random.default_rng(1)
-        adj = build_adjacency(constant(rng.standard_normal((5, 3))))
+        adj = build_adjacency(rng.standard_normal((5, 3)))
         assert adj.volume == pytest.approx(adj.degrees.sum(), abs=1e-9)
-        assert adj.volume == pytest.approx(adj.weights.values.sum(), abs=1e-9)
+        assert adj.volume == pytest.approx(adj.weights.sum(), abs=1e-9)
 
 
 class TestHardAssignment:
     def test_one_hot_rows(self):
         c = hard_assignment([0, 1, 0], 2)
-        np.testing.assert_array_equal(c.membership.values,
-                                      [[1, 0], [0, 1], [1, 0]])
+        np.testing.assert_array_equal(c.membership, [[1, 0], [0, 1], [1, 0]])
         assert c.mode == "hard"
 
     def test_single_class_all_ones_column(self):
         c = hard_assignment([0, 0, 0], 1)
-        np.testing.assert_array_equal(c.membership.values, [[1], [1], [1]])
+        np.testing.assert_array_equal(c.membership, [[1], [1], [1]])
 
     def test_out_of_range_label(self):
         with pytest.raises(ValueError):
@@ -81,8 +78,8 @@ class TestHardAssignment:
 
     def test_soft_mode_validation(self):
         with pytest.raises(ValueError):
-            AssignmentMatrix(constant([[0.7, 0.7]]), mode="soft")
-        AssignmentMatrix(constant([[0.7, 0.3]]), mode="soft")  # ok
+            AssignmentMatrix([[0.7, 0.7]], mode="soft")
+        AssignmentMatrix([[0.7, 0.3]], mode="soft")  # ok
 
 
 class TestEncodingTree:
@@ -101,7 +98,7 @@ class TestEncodingTree:
         assert tree.nodes["class:1"].members == ()
 
     def test_soft_input_rejected(self):
-        soft = AssignmentMatrix(constant([[0.5, 0.5]]), mode="soft")
+        soft = AssignmentMatrix([[0.5, 0.5]], mode="soft")
         with pytest.raises(AssignmentModeError):
             tree_from_assignment(soft)
 
@@ -133,7 +130,7 @@ class TestDefinitionOracle:
         adj, c, h, labels = random_case(rng)
         per, total = structural_entropy_definition(adj, tree_from_assignment(c))
         perm = rng.permutation(adj.n)
-        adj_p = build_adjacency(constant(h.values[perm]))
+        adj_p = build_adjacency(h[perm])
         c_p = hard_assignment(labels[perm], c.num_classes)
         _, total_p = structural_entropy_definition(adj_p, tree_from_assignment(c_p))
         assert total_p == pytest.approx(total, abs=1e-12)
@@ -161,26 +158,25 @@ class TestIntermediateLayerEntropy:
         tree = tree_from_assignment(c)
         base = intermediate_layer_entropy(adj, tree)
         for scale in (0.1, 10.0):
-            scaled = AdjacencyMatrix(constant(adj.weights.values * scale))
+            scaled = AdjacencyMatrix(adj.weights * scale)
             assert intermediate_layer_entropy(scaled, tree) == pytest.approx(base, abs=1e-9)
 
 
 class TestSeLossMatrix:
     def test_single_class_is_zero(self):
         adj = ring_graph_4()
-        assert se_loss_matrix(adj, hard_assignment([0] * 4, 1)).item() == 0.0
+        assert se_loss_matrix(adj, hard_assignment([0] * 4, 1)) == 0.0
 
     def test_matches_hand_case(self):
         adj = ring_graph_4()
         c = hard_assignment([0, 0, 1, 1], 2)
-        assert se_loss_matrix(adj, c).item() == pytest.approx(2 / 3)
+        assert se_loss_matrix(adj, c) == pytest.approx(2 / 3)
 
     def test_empty_class_contributes_zero(self):
         adj = ring_graph_4()
         c = hard_assignment([0, 0, 1, 1], 3)  # class 2 empty
         c2 = hard_assignment([0, 0, 1, 1], 2)
-        assert se_loss_matrix(adj, c).item() == pytest.approx(
-            se_loss_matrix(adj, c2).item(), abs=1e-12)
+        assert se_loss_matrix(adj, c) == pytest.approx(se_loss_matrix(adj, c2), abs=1e-12)
 
     def test_row_count_mismatch(self):
         with pytest.raises(DimensionError):
@@ -191,7 +187,7 @@ class TestSeLossMatrix:
     def test_matrix_equals_definition(self, seed):
         rng = np.random.default_rng(seed)
         adj, c, _, _ = random_case(rng)
-        matrix_val = se_loss_matrix(adj, c).item()
+        matrix_val = se_loss_matrix(adj, c)
         oracle_val = intermediate_layer_entropy(adj, tree_from_assignment(c))
         assert matrix_val == pytest.approx(oracle_val, abs=1e-9)
 
@@ -200,7 +196,7 @@ class TestSeLossMatrix:
     def test_bounds(self, seed):
         rng = np.random.default_rng(seed)
         adj, c, _, _ = random_case(rng)
-        value = se_loss_matrix(adj, c).item()
+        value = se_loss_matrix(adj, c)
         assert -1e-12 <= value <= math.log2(c.num_classes) + 1e-12
 
     @given(st.integers(0, 2**32 - 1))
@@ -208,47 +204,64 @@ class TestSeLossMatrix:
     def test_scale_invariance(self, seed):
         rng = np.random.default_rng(seed)
         adj, c, _, _ = random_case(rng)
-        base = se_loss_matrix(adj, c).item()
+        base = se_loss_matrix(adj, c)
         for scale in (0.1, 10.0):
-            scaled = AdjacencyMatrix(constant(adj.weights.values * scale))
-            assert se_loss_matrix(scaled, c).item() == pytest.approx(base, abs=1e-9)
+            scaled = AdjacencyMatrix(adj.weights * scale)
+            assert se_loss_matrix(scaled, c) == pytest.approx(base, abs=1e-9)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_permutation_equivariance(self, seed):
         rng = np.random.default_rng(seed)
         adj, c, h, labels = random_case(rng)
-        base = se_loss_matrix(adj, c).item()
+        base = se_loss_matrix(adj, c)
         perm = rng.permutation(adj.n)
-        adj_p = build_adjacency(constant(h.values[perm]))
+        adj_p = build_adjacency(h[perm])
         c_p = hard_assignment(labels[perm], c.num_classes)
-        assert se_loss_matrix(adj_p, c_p).item() == pytest.approx(base, abs=1e-12)
+        assert se_loss_matrix(adj_p, c_p) == pytest.approx(base, abs=1e-12)
 
     @pytest.mark.parametrize("trial", range(5))
     def test_gradient_wrt_embeddings(self, trial):
         rng = np.random.default_rng(40 + trial)
         labels = rng.integers(0, 3, size=6)
         c = hard_assignment(labels, 3)
-        h = parameter(rng.standard_normal((6, 4)))
 
-        def f(params):
-            return se_loss_matrix(build_adjacency(params[0]), c)
+        def f(h):
+            return se_loss_matrix(build_adjacency(h), c), dense_se_gradient(h, c)
 
-        assert tape_check(f, [h], h=1e-5) < 1e-4
+        assert finite_difference_check(f, rng.standard_normal((6, 4)), h=1e-5) < 1e-4
+
+
+def dense_se_gradient(h, assignment):
+    """dL/dH of ``se_loss_matrix(build_adjacency(h), assignment)``, over the
+    whole n x n graph at once.
+
+    With a_k = dL/dcut_k, b_k = dL/dvol_k, s = dL/dsum(A) and u = C(a + b),
+    dL/dA = s 11^T + 1 u^T - C diag(a) C^T; chained through
+    A = sigmoid(HH^T), dL/dH = (M + M^T) H with M = dL/dA * A * (1 - A).
+    """
+    a, c = build_adjacency(h).weights, assignment.membership
+    total = a.sum()
+    cuts, vols = np.diag((1.0 - c).T @ a @ c), (a @ c).sum(axis=0)
+    ratio = np.maximum(vols / total, LOG_EPS)
+    inside = vols / total >= LOG_EPS  # the floored log passes no gradient
+    a_k = -np.log2(ratio) / total
+    b_k = -cuts * inside / (total * total * ratio * math.log(2.0))
+    s = (cuts * (np.log2(ratio) + inside / math.log(2.0))).sum() / (total * total)
+    d_a = s + (c @ (a_k + b_k))[None, :] - (c * a_k) @ c.T
+    m = d_a * a * (1.0 - a)
+    return (m + m.T) @ h
 
 
 class TestFusedSeLoss:
-    """``se_loss`` pinned to the on-tape composite it replaces in training."""
+    """``se_loss`` pinned to the matrix form and its dense gradient."""
 
     @staticmethod
-    def assert_matches_composite(h_values, c):
-        h_ref = parameter(h_values.copy())
-        ref = se_loss_matrix(build_adjacency(h_ref), c)
-        ref.backward()
-        fused, backward = se_loss(h_values, c, need_grad=True)
-        assert abs(fused - ref.item()) <= 1e-12
-        scale = np.abs(h_ref.grad).max()
-        assert np.abs(backward(1.0) - h_ref.grad).max() <= 1e-12 * scale
+    def assert_matches_composite(h, c):
+        fused, backward = se_loss(h, c, need_grad=True)
+        assert abs(fused - se_loss_matrix(build_adjacency(h), c)) <= 1e-12
+        ref = dense_se_gradient(h, c)
+        assert np.abs(backward(1.0) - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("block_rows", [None, 3, 1])
     @pytest.mark.parametrize("case", ["hard", "soft", "empty-class", "two-points"])
@@ -257,7 +270,7 @@ class TestFusedSeLoss:
         n = 2 if case == "two-points" else 23
         h = 1.5 * rng.standard_normal((n, 3))
         if case == "soft":
-            c = AssignmentMatrix(constant(rng.dirichlet(np.ones(4), size=n)), mode="soft")
+            c = AssignmentMatrix(rng.dirichlet(np.ones(4), size=n), mode="soft")
         elif case == "empty-class":
             c = hard_assignment(rng.integers(0, 2, size=n), 3)
         else:
@@ -269,7 +282,7 @@ class TestFusedSeLoss:
     def test_gradient_on_row_blocks(self, monkeypatch):
         monkeypatch.setattr(entropy, "SE_BLOCK_ENTRIES", 2 * 7)
         rng = np.random.default_rng(61)
-        c = AssignmentMatrix(constant(rng.dirichlet(np.ones(3), size=7)), mode="soft")
+        c = AssignmentMatrix(rng.dirichlet(np.ones(3), size=7), mode="soft")
 
         def f(h):
             loss, backward = se_loss(h, c, need_grad=True)
@@ -364,9 +377,6 @@ class TestFusedSeLoss:
             se_loss(np.zeros((1, 2)), hard_assignment([0], 2))
         with pytest.raises(ValueError, match="embeddings must be finite"):
             se_loss([[0.0], [np.nan], [1.0]], c)
-        graded = AssignmentMatrix(parameter(c.membership.values), mode="hard")
-        with pytest.raises(ValueError, match="must not require grad"):
-            se_loss(np.zeros((3, 2)), graded)
 
 
 class TestDebugReport:
@@ -383,7 +393,7 @@ class TestDebugReport:
         assert report["se_loss"] == pytest.approx(loss, abs=1e-9)
 
     def test_cut_and_volume_views_match_tree(self):
-        adj = ring_graph_4()
-        c = hard_assignment([0, 0, 1, 1], 2)
-        np.testing.assert_allclose(class_cut_weights(adj, c), [4.0, 4.0])
-        np.testing.assert_allclose(class_volumes(adj, c), [6.0, 6.0])
+        report = entropy_report(ring_graph_4(), hard_assignment([0, 0, 1, 1], 2))
+        np.testing.assert_allclose(report["cut_weights"], [4.0, 4.0])
+        np.testing.assert_allclose(report["class_volumes"], [6.0, 6.0])
+        assert report["se_loss"] == pytest.approx(2 / 3)
