@@ -15,7 +15,7 @@ from .coder import (EncoderParams, LossBreakdown,
 from .datasets import (Dataset, DatasetParseError, gen_blobs, gen_regression,
                        inject_label_noise, load_csv, save_csv,
                        subsample_train)
-from .entropy import (AdjacencyMatrix, AssignmentMatrix, AssignmentModeError,
+from .entropy import (AdjacencyMatrix, AssignmentMatrix,
                       DegenerateBatchError, EncodingTree, build_adjacency,
                       entropy_report, hard_assignment,
                       intermediate_layer_entropy, se_loss, se_loss_matrix,

@@ -14,12 +14,12 @@ import sys
 import numpy as np
 
 from .coder import save_checkpoint
-from .datasets import gen_blobs, gen_regression, load_csv, save_csv
+from .datasets import gen_blobs, gen_regression, load_csv, remove_files, save_csv
 from .entropy import build_adjacency, entropy_report, hard_assignment
 from .softbins import distance_matrix, make_bins, soften
 from .sweep import ExperimentSpec, build_task, run_sweep
-from .training import (HISTORY_FIELDS, TrainConfig, TrainingDiverged, evaluate,
-                       remove_files, train, write_csv, write_json)
+from .training import (HISTORY_FIELDS, TrainConfig, TrainingDiverged, evaluate, train,
+                       write_csv, write_json)
 from .verify import ALL_CHECKS, _random_instance, run_checks
 
 OUT_ENV = "BOTTLETREE_OUT"

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 from array import array
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,8 +244,19 @@ def _is_int_token(s: str) -> bool:
 @contextmanager
 def replacing(path, **kwargs):
     """A text file under a temporary name, renamed to ``path`` once complete:
-    a reader never sees half a file, and a failed write leaves ``path`` as it was."""
+    a reader never sees half a file; a failed write leaves ``path`` as it was, and no ``.tmp``."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", **kwargs) as fh:
-        yield fh
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:  # the half-written file goes, the error stays
+        remove_files(tmp)
+        raise
+
+
+def remove_files(*paths) -> None:
+    """Delete those of ``paths`` that exist: the records of an earlier run."""
+    for path in paths:
+        with suppress(FileNotFoundError):
+            os.remove(path)

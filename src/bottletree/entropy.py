@@ -17,8 +17,9 @@ cache-sized row tiles, and also accumulates the n x d(r+1) panel its
 gradient needs; the backward pass reads only that panel.  Graph memory is
 O(tile + n * r * d) instead of several n x n arrays.
 
-Graphs and assignments are plain arrays; nothing here records an autodiff
-tape.  Tests pin the routes against each other; never collapse them.
+A hard three-tier tree is the one-hot case of the row-stochastic membership
+``C``.  Graphs and assignments are plain arrays; nothing here records an
+autodiff tape.  Tests pin the routes against each other; never collapse them.
 """
 
 from __future__ import annotations
@@ -44,10 +45,6 @@ SE_BLOCK_ENTRIES = 1 << 16
 
 class DegenerateBatchError(ValueError):
     """A similarity graph needs at least two points."""
-
-
-class AssignmentModeError(ValueError):
-    """Operation received an assignment matrix in the wrong mode."""
 
 
 @dataclass
@@ -102,28 +99,20 @@ def build_adjacency(embeddings) -> AdjacencyMatrix:
 
 @dataclass
 class AssignmentMatrix:
-    """Leaf-to-class membership, (n, r) or (S, n, r): one-hot (hard) or row-stochastic (soft)."""
+    """Row-stochastic leaf-to-class membership, (n, r) or (S, n, r); one-hot for a hard tree."""
 
     membership: np.ndarray
-    mode: str  # "hard" | "soft"
     validate: InitVar[bool] = True  # False where the entries are valid by construction
 
     def __post_init__(self, validate: bool):
         self.membership = m = np.asarray(self.membership, dtype=np.float64)
         if m.ndim not in (2, 3):
             raise DimensionError(f"assignment must be 2-D or a stack, got shape {m.shape}")
-        if self.mode not in ("hard", "soft"):
-            raise AssignmentModeError(f"unknown assignment mode {self.mode!r}")
-        if validate and self.mode == "hard":
-            if not ((m == 0.0) | (m == 1.0)).all():
-                raise ValueError("hard assignment entries must be exactly 0 or 1")
-            if not (m.sum(axis=-1) == 1.0).all():
-                raise ValueError("hard assignment rows must sum to exactly 1")
-        elif validate:
+        if validate:
             if (m < -1e-12).any() or (m > 1.0 + 1e-12).any():
-                raise ValueError("soft assignment entries must lie in [0, 1]")
+                raise ValueError("assignment entries must lie in [0, 1]")
             if (np.abs(m.sum(axis=-1) - 1.0) > 1e-9).any():
-                raise ValueError("soft assignment rows must sum to 1 within 1e-9")
+                raise ValueError("assignment rows must sum to 1 within 1e-9")
 
     @property
     def n(self) -> int:
@@ -143,7 +132,7 @@ def hard_assignment(labels, num_classes: int) -> AssignmentMatrix:
         raise ValueError(f"labels must lie in [0, {num_classes}), got range "
                          f"[{labels.min()}, {labels.max()}]")
     onehot = np.eye(num_classes)[labels.astype(np.int64, copy=False)]
-    return AssignmentMatrix(onehot, "hard", validate=False)  # valid by construction
+    return AssignmentMatrix(onehot, validate=False)  # valid by construction
 
 
 @dataclass
@@ -188,10 +177,9 @@ class EncodingTree:
 
 def tree_from_assignment(assignment: AssignmentMatrix) -> EncodingTree:
     """Encoding tree whose intermediate node j holds {i : C_ij = 1}."""
-    if assignment.mode != "hard":
-        raise AssignmentModeError("tree_from_assignment needs a hard assignment; "
-                                  "soft memberships have no unique tree")
     m = assignment.membership
+    if not ((m == 0.0) | (m == 1.0)).all():
+        raise ValueError("a tree needs a one-hot membership; a soft one has no unique tree")
     classes = [tuple(int(i) for i in np.flatnonzero(m[:, j] == 1.0))
                for j in range(m.shape[1])]
     return EncodingTree(m.shape[0], classes)
@@ -369,7 +357,6 @@ def entropy_report(adj: AdjacencyMatrix, assignment: AssignmentMatrix) -> dict:
     return {
         "adjacency": adj.weights.tolist(),
         "assignment": assignment.membership.tolist(),
-        "mode": assignment.mode,
         "cut_weights": cuts.tolist(),
         "class_volumes": vols.tolist(),
         "volume": adj.volume,

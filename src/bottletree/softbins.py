@@ -4,9 +4,9 @@ Continuous labels are binned into r uniform classes, distances to the bin
 centers are softened row-wise with a softmax, and the resulting row-stochastic
 membership matrix plays the role of the assignment matrix in the structural
 entropy loss (``entropy.se_loss_matrix`` / ``entropy.se_loss`` with C = Y').
-Labels are data: distances and memberships are plain arrays that carry no
-gradient.  ``soft_cuts`` / ``soft_volumes`` are brute-force summation
-oracles for the matrix form.
+Labels are data, plain arrays with no gradient; a hard label is a one-hot row.
+``soft_cuts`` / ``soft_volumes`` are brute-force summation oracles for the
+matrix form, and the hard tree's cuts and volumes on one-hot rows.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def soften(distances: np.ndarray, temperature: float = 1.0) -> AssignmentMatrix:
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    return AssignmentMatrix(softmax_values(-distances / temperature, -1), mode="soft")
+    return AssignmentMatrix(softmax_values(-distances / temperature, -1))
 
 
 def nearest_bin(labels, bins: BinSpec) -> np.ndarray:

@@ -14,6 +14,7 @@ not yet finished, in any worker, is recorded as an error.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
@@ -21,11 +22,10 @@ from itertools import product
 
 import numpy as np
 
-from .datasets import Dataset, inject_label_noise, load_csv, subsample_train
+from .datasets import Dataset, inject_label_noise, load_csv, remove_files, subsample_train
 from .softbins import make_bins
 from .training import (ClassificationTask, RegressionTask, TrainConfig,
-                       evaluate, remove_files, train, train_seeds, write_csv,
-                       write_json)
+                       evaluate, train, train_seeds, write_csv, write_json)
 
 
 class WorkerCrashed(RuntimeError):
@@ -70,6 +70,10 @@ class ExperimentSpec:
             raise ValueError("grid values must be non-negative")
         if self.noise_rates and self.fractions:
             raise ValueError("choose label noise or train-fraction perturbation, not both")
+        counts = Counter(map(_cell_name, self.cells()))  # a cell's name is its identity
+        if repeated := [name for name, k in counts.items() if k > 1]:
+            raise ValueError(f"the grid repeats cells {repeated}; seeds and grid values "
+                             "must differ, values to :g precision")
 
     def perturbations(self) -> list[Perturbation]:
         if self.noise_rates:

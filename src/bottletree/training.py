@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
-from contextlib import suppress
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -351,10 +349,3 @@ def write_csv(path, fieldnames: list[str], rows: list[dict]) -> None:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         writer.writerows(rows)
-
-
-def remove_files(*paths) -> None:
-    """Delete those of ``paths`` that exist: the records of an earlier run."""
-    for path in paths:
-        with suppress(FileNotFoundError):
-            os.remove(path)

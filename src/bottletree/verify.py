@@ -1,9 +1,9 @@
 """Self-contained verification suite: oracle, invariant, and gradient checks.
 
-Each check pits the differentiable implementation against an independent
-route (set enumeration, brute-force summation, finite differences, Monte
-Carlo) on deterministic random instances.  The CLI ``verify`` subcommand and
-the acceptance tests both run these.
+Each check pits one route against an independent one (set enumeration,
+brute-force summation, finite differences, Monte Carlo) on deterministic
+random instances; ``reduction`` pits the two oracles on one-hot memberships.
+The CLI ``verify`` subcommand and the acceptance tests both run these.
 """
 
 from __future__ import annotations
@@ -48,7 +48,14 @@ def _random_instance(rng, n=None, d=None, r=None):
 
 
 def _random_soft(rng, n: int, r: int) -> AssignmentMatrix:
-    return AssignmentMatrix(rng.dirichlet(np.ones(r), size=n), mode="soft")
+    return AssignmentMatrix(rng.dirichlet(np.ones(r), size=n))
+
+
+def _summation_loss(adj: AdjacencyMatrix, assignment: AssignmentMatrix) -> float:
+    """The loss summed class by class from brute-force cuts and volumes."""
+    vol = adj.volume
+    return -sum((g / vol) * math.log2(max(v / vol, 1e-12))
+                for g, v in zip(soft_cuts(adj, assignment), soft_volumes(adj, assignment)))
 
 
 def check_matrix_definition(instances: int = 100, seed: int = 1001) -> CheckResult:
@@ -72,18 +79,18 @@ def check_matrix_definition(instances: int = 100, seed: int = 1001) -> CheckResu
 
 
 def check_soft_reduction(instances: int = 100, seed: int = 1002) -> CheckResult:
-    """One-hot soft memberships reproduce the hard loss bit-for-bit."""
+    """On one-hot memberships the soft summation == the hard tree's definition."""
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(instances):
         h, labels, n, d, r = _random_instance(rng)
         adj = build_adjacency(h)
-        hard = hard_assignment(labels, r)
-        onehot = AssignmentMatrix(hard.membership.copy(), mode="soft")
-        worst = max(worst, abs(se_loss_matrix(adj, onehot) - se_loss_matrix(adj, hard)))
+        onehot = hard_assignment(labels, r)
+        definition = intermediate_layer_entropy(adj, tree_from_assignment(onehot))
+        worst = max(worst, abs(_summation_loss(adj, onehot) - definition))
     return CheckResult("reduction", worst <= 1e-12,
-                       f"max one-hot gap = {worst:.3e} over {instances} instances",
+                       f"max |summation - definition| = {worst:.3e} over {instances} instances",
                        time.perf_counter() - start)
 
 
@@ -98,14 +105,10 @@ def check_soft_consistency(instances: int = 100, seed: int = 1003) -> CheckResul
         h, _, n, d, r = _random_instance(rng)
         adj = build_adjacency(h)
         soft = _random_soft(rng, n, r)
-        cuts = soft_cuts(adj, soft)
-        vols = soft_volumes(adj, soft)
-        vol = adj.volume
-        summation = -sum((g / vol) * math.log2(max(v / vol, 1e-12))
-                         for g, v in zip(cuts, vols))
+        summation = _summation_loss(adj, soft)
         worst = max(worst, abs(se_loss_matrix(adj, soft) - summation))
         worst_fused = max(worst_fused, abs(float(se_loss(h, soft)[0]) - summation))
-        worst_cons = max(worst_cons, abs(vols.sum() - vol))
+        worst_cons = max(worst_cons, abs(soft_volumes(adj, soft).sum() - adj.volume))
     worst_tiled = 0.0
     for n in MULTI_TILE_ROWS:
         h, _, _, _, r = _random_instance(rng, n=n)

@@ -10,11 +10,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bottletree import sweep
+from bottletree import coder, entropy, sweep, verify
 from bottletree.cli import main
 from bottletree.datasets import gen_blobs, load_csv, save_csv
 from bottletree.sweep import ExperimentSpec, run_sweep
-from bottletree.verify import run_checks
+from bottletree.verify import ALL_CHECKS, run_checks
 
 
 @pytest.fixture(scope="module")
@@ -381,6 +381,20 @@ class TestSweep:
         assert sorted(m.split("-", 1)[1] for m in os.listdir(marks)) == ["0-1", "2-3"]
         assert len(os.listdir(tmp_path / "out" / "runs")) == 4
 
+    @pytest.mark.parametrize("grid", [
+        ["--seeds", "0", "0"],
+        ["--betas", "1", "1.0"],
+        ["--gammas", "0.1", "0.1000001"],  # equal at :g precision
+        ["--noise-rates", "0.2", "0.2"],
+        ["--fractions", "0.5", "0.5000001"],
+    ], ids=["seed", "beta", "gamma", "noise", "fraction"])
+    def test_duplicate_cells_rejected_before_training(self, blob_csv, tmp_path, capsys, grid):
+        out = tmp_path / "dup"
+        assert main(["sweep", "--data", blob_csv, "--task", "classification", *grid,
+                     "--out-dir", str(out), *FAST]) == 2
+        assert "the grid repeats cells" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_parallel_jobs_match_serial(self, blob_csv, tmp_path):
         base = ["sweep", "--data", blob_csv, "--task", "classification",
                 "--gammas", "1", "--seeds", "0", "1", *FAST]
@@ -391,7 +405,45 @@ class TestSweep:
         assert (out1 / "aggregate.csv").read_bytes() == (out2 / "aggregate.csv").read_bytes()
 
 
+def _on_output(change):
+    return lambda original: lambda *args: change(original(*args))
+
+
+def _total_plus_one(terms):
+    """``_class_terms``' loss recomputed with sum(A) + 1 in place of sum(A)."""
+    cuts, vols, _ = terms
+    total = vols.sum() + 1.0  # the class volumes sum to sum(A)
+    return cuts, vols, float(-((cuts / total) * np.log2(np.maximum(vols / total, 1e-12))).sum())
+
+
+# Per verify check, a corruption of the route it guards:
+# (module, function, corrupted function given the original).
+SABOTAGE = {
+    "oracle": (entropy, "_class_terms",  # the matrix form in nats
+               _on_output(lambda out: (*out[:2], out[2] * math.log(2.0)))),
+    "reduction": (verify, "soft_cuts",  # sum_{i,k} A_ik Y'_kj without (1 - Y'_ij)
+                  lambda original: lambda adj, c: (adj.weights @ c.membership).sum(axis=0)),
+    "soft": (entropy, "_se_slice",  # the fused form in nats
+             _on_output(lambda out: (out[0] * math.log(2.0), out[1]))),
+    "bounds": (entropy, "_class_terms", _on_output(lambda out: (*out[:2], -out[2]))),
+    "invariance": (entropy, "_class_terms", _on_output(_total_plus_one)),
+    "grad": (coder, "kl_to_standard_normal",  # the KL backward doubled
+             _on_output(lambda out: (out[0], lambda g: tuple(2.0 * p for p in out[1](g))))),
+    "kl": (verify, "kl_to_standard_normal",
+           _on_output(lambda out: (out[0] + 0.1, out[1]))),
+}
+
+
 class TestVerify:
+    @pytest.mark.parametrize("check", list(ALL_CHECKS))
+    def test_every_check_fails_when_its_route_is_corrupted(self, monkeypatch, capsys, check):
+        assert set(SABOTAGE) == set(ALL_CHECKS)  # every check needs a case here
+        module, name, corrupt = SABOTAGE[check]
+        monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
+        assert not run_checks([check])[0].passed
+        assert main(["verify", "--only", check]) == 3
+        assert f"FAIL  {check}" in capsys.readouterr().out
+
     def test_full_suite_exits_zero(self, capsys):
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
@@ -427,8 +479,6 @@ class TestVerify:
         # sabotage one route with the natural log (its loss in nats is ln 2
         # times its loss in bits): the set-theoretic oracle must catch the
         # wrong base in that route and only there
-        from bottletree import entropy
-
         helper, loss_at = {"matrix": ("_class_terms", 2), "fused": ("_se_slice", 0)}[route]
         original = getattr(entropy, helper)
 

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -613,6 +614,7 @@ class TestCheckpoint:
             save_checkpoint(init_params(5, (7,), 2, seed=2), path, seed=2)
         monkeypatch.undo()
         assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.json"]  # no model.json.tmp
         loaded, seed = load_checkpoint(path)
         assert seed == 1
         np.testing.assert_array_equal(loaded.flat, first.flat)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bottletree import entropy
 from bottletree.autodiff import LOG_EPS, _stable_sigmoid, finite_difference_check
 from bottletree.entropy import (AdjacencyMatrix, AssignmentMatrix,
-                                AssignmentModeError, DegenerateBatchError,
+                                DegenerateBatchError,
                                 DimensionError, EncodingTree, build_adjacency,
                                 entropy_report, hard_assignment,
                                 intermediate_layer_entropy, se_loss,
@@ -66,7 +66,10 @@ class TestHardAssignment:
     def test_one_hot_rows(self):
         c = hard_assignment([0, 1, 0], 2)
         np.testing.assert_array_equal(c.membership, [[1, 0], [0, 1], [1, 0]])
-        assert c.mode == "hard"
+        # a one-hot membership built directly is the same hard tree
+        direct = AssignmentMatrix([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        assert (tree_from_assignment(direct).class_members
+                == tree_from_assignment(c).class_members == [(0, 2), (1,)])
 
     def test_single_class_all_ones_column(self):
         c = hard_assignment([0, 0, 0], 1)
@@ -77,9 +80,12 @@ class TestHardAssignment:
             hard_assignment([2], 2)
 
     def test_soft_mode_validation(self):
-        with pytest.raises(ValueError):
-            AssignmentMatrix([[0.7, 0.7]], mode="soft")
-        AssignmentMatrix([[0.7, 0.3]], mode="soft")  # ok
+        with pytest.raises(ValueError, match="sum to 1"):
+            AssignmentMatrix([[0.7, 0.7]])
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            AssignmentMatrix([[1.5, -0.5]])
+        AssignmentMatrix([[0.7, 0.3]])  # ok
+        AssignmentMatrix([[1.0, 0.0]])  # ok: one-hot is the hard case
 
 
 class TestEncodingTree:
@@ -98,8 +104,8 @@ class TestEncodingTree:
         assert tree.nodes["class:1"].members == ()
 
     def test_soft_input_rejected(self):
-        soft = AssignmentMatrix([[0.5, 0.5]], mode="soft")
-        with pytest.raises(AssignmentModeError):
+        soft = AssignmentMatrix([[1.0, 0.0], [0.5, 0.5]])
+        with pytest.raises(ValueError, match="one-hot"):
             tree_from_assignment(soft)
 
     def test_partition_must_cover(self):
@@ -270,7 +276,7 @@ class TestFusedSeLoss:
         n = 2 if case == "two-points" else 23
         h = 1.5 * rng.standard_normal((n, 3))
         if case == "soft":
-            c = AssignmentMatrix(rng.dirichlet(np.ones(4), size=n), mode="soft")
+            c = AssignmentMatrix(rng.dirichlet(np.ones(4), size=n))
         elif case == "empty-class":
             c = hard_assignment(rng.integers(0, 2, size=n), 3)
         else:
@@ -282,7 +288,7 @@ class TestFusedSeLoss:
     def test_gradient_on_row_blocks(self, monkeypatch):
         monkeypatch.setattr(entropy, "SE_BLOCK_ENTRIES", 2 * 7)
         rng = np.random.default_rng(61)
-        c = AssignmentMatrix(rng.dirichlet(np.ones(3), size=7), mode="soft")
+        c = AssignmentMatrix(rng.dirichlet(np.ones(3), size=7))
 
         def f(h):
             loss, backward = se_loss(h, c, need_grad=True)

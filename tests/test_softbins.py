@@ -18,7 +18,7 @@ def random_adj(rng, n):
 
 
 def random_soft(rng, n, r):
-    return AssignmentMatrix(rng.dirichlet(np.ones(r), size=n), mode="soft")
+    return AssignmentMatrix(rng.dirichlet(np.ones(r), size=n))
 
 
 class TestMakeBins:
@@ -126,14 +126,14 @@ class TestSoftVolumes:
         adj = random_adj(rng, 6)
         labels = rng.integers(0, 3, size=6)
         hard = hard_assignment(labels, 3)
-        onehot = AssignmentMatrix(hard.membership, mode="soft")
+        onehot = AssignmentMatrix(hard.membership)
         expected = [adj.degrees[labels == j].sum() for j in range(3)]
         np.testing.assert_allclose(soft_volumes(adj, onehot), expected, atol=1e-12)
 
     def test_uniform_membership_splits_volume_evenly(self):
         rng = np.random.default_rng(2)
         adj = random_adj(rng, 5)
-        uniform = AssignmentMatrix(np.full((5, 4), 0.25), mode="soft")
+        uniform = AssignmentMatrix(np.full((5, 4), 0.25))
         np.testing.assert_allclose(soft_volumes(adj, uniform),
                                    np.full(4, adj.volume / 4), atol=1e-9)
 
@@ -152,7 +152,7 @@ class TestSoftCuts:
         rng = np.random.default_rng(3)
         adj = random_adj(rng, 6)
         labels = rng.integers(0, 2, size=6)
-        onehot = AssignmentMatrix(hard_assignment(labels, 2).membership, mode="soft")
+        onehot = AssignmentMatrix(hard_assignment(labels, 2).membership)
         a = adj.weights
         for j in range(2):
             inside = np.flatnonzero(labels == j)
@@ -165,7 +165,7 @@ class TestSoftCuts:
         adj = random_adj(rng, 4)
         m = np.zeros((4, 2))
         m[:, 0] = 1.0
-        soft = AssignmentMatrix(m, mode="soft")
+        soft = AssignmentMatrix(m)
         cuts = soft_cuts(adj, soft)
         assert cuts[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -185,7 +185,7 @@ class TestSoftSeLoss:
         adj = random_adj(rng, 8)
         labels = rng.integers(0, 3, size=8)
         hard = hard_assignment(labels, 3)
-        onehot = AssignmentMatrix(hard.membership.copy(), mode="soft")
+        onehot = AssignmentMatrix(hard.membership.copy())
         assert se_loss_matrix(adj, onehot) == se_loss_matrix(adj, hard)
 
     def test_uniform_membership_closed_form(self):
@@ -194,7 +194,7 @@ class TestSoftSeLoss:
         for r in (2, 3, 5):
             n = int(rng.integers(3, 10))
             adj = random_adj(rng, n)
-            uniform = AssignmentMatrix(np.full((n, r), 1.0 / r), mode="soft")
+            uniform = AssignmentMatrix(np.full((n, r), 1.0 / r))
             expected = (r - 1) / r * math.log2(r)
             assert se_loss_matrix(adj, uniform) == pytest.approx(expected, abs=1e-9)
 

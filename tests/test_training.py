@@ -1,4 +1,5 @@
 import json
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,8 @@ from bottletree.softbins import make_bins
 from bottletree.sweep import ExperimentSpec, run_sweep
 from bottletree.training import (Adam, ClassificationTask, RegressionTask,
                                  HISTORY_FIELDS, TrainConfig, TrainingDiverged,
-                                 evaluate, predict, train, train_seeds, write_csv)
+                                 evaluate, predict, train, train_seeds, write_csv,
+                                 write_json)
 
 
 def blob_config(ds, **overrides):
@@ -382,3 +384,18 @@ def test_history_csv_columns(tmp_path, easy_blobs):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "epoch,task,kl,se,total,dev_metric"
     assert len(lines) == 1 + len(result.history)
+
+
+def test_failed_write_leaves_path_and_no_temporary(tmp_path, monkeypatch):
+    path = tmp_path / "report.json"
+    path.write_text("earlier run\n")
+
+    def dump_half(doc, fh, **kwargs):
+        fh.write('{"epoch": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", dump_half)
+    with pytest.raises(OSError, match="disk full"):
+        write_json(path, {"epoch": 1})
+    assert path.read_text() == "earlier run\n"
+    assert os.listdir(tmp_path) == ["report.json"]  # no report.json.tmp
