@@ -15,7 +15,9 @@ Two independent routes to the same quantity live here on purpose:
 Its forward pass visits the upper half of the symmetric ``A`` once, in
 cache-sized row tiles, and also accumulates the n x d(r+1) panel its
 gradient needs; the backward pass reads only that panel.  Graph memory is
-O(tile + n * r * d) instead of several n x n arrays.
+O(tile + n * r * d) instead of several n x n arrays.  Its graph, formed as
+``1 / (1 + exp(-HH^T))``, and its ``sum(A)``, summed from the row degrees,
+agree with the matrix form to about an ulp, not bit for bit.
 
 A hard three-tier tree is the one-hot case of the row-stochastic membership
 ``C``.  Graphs and assignments are plain arrays; nothing here records an
@@ -37,9 +39,9 @@ _LN2 = float(np.log(2.0))
 # columns from its first row on, and a batch of <= 256 rows is one tile.  The
 # tile's two buffers (Gram and graph, 512 KiB each, allocated once per call)
 # fit a 2 MiB per-core L2.
-# Timed against 2**14, 2**15 and 2**17: smaller tiles pay more per-tile call
-# overhead (a 6000-row split is 3000 tiles at 2**14); at 2**17 the buffers
-# alone fill the L2.
+# Timed on the three-pass tile against 2**14 to 2**18: fastest at n=1024 (fwd +
+# bwd) and within 6% of 2**17 at n=6000 (fwd); 2**14 pays per-tile call
+# overhead (3000 tiles at n=6000), and 2**18's buffers overflow the L2.
 SE_BLOCK_ENTRIES = 1 << 16
 
 
@@ -93,7 +95,7 @@ def build_adjacency(embeddings) -> AdjacencyMatrix:
     """
     h = np.asarray(embeddings, dtype=np.float64)
     _check_embeddings(h)
-    # Against a contiguous transpose, as ``_se_slice`` forms its Gram tiles.
+    # Against a contiguous transpose, as ``_se_slice`` forms its (negated) Gram tiles.
     return AdjacencyMatrix(_stable_sigmoid(h @ h.T.copy()))
 
 
@@ -178,6 +180,8 @@ class EncodingTree:
 def tree_from_assignment(assignment: AssignmentMatrix) -> EncodingTree:
     """Encoding tree whose intermediate node j holds {i : C_ij = 1}."""
     m = assignment.membership
+    if m.ndim != 2:
+        raise DimensionError(f"a tree needs a 2-D (n, r) membership, got shape {m.shape}")
     if not ((m == 0.0) | (m == 1.0)).all():
         raise ValueError("a tree needs a one-hot membership; a soft one has no unique tree")
     classes = [tuple(int(i) for i in np.flatnonzero(m[:, j] == 1.0))
@@ -264,9 +268,9 @@ def se_loss(embeddings: np.ndarray, assignment: AssignmentMatrix, need_grad: boo
     form: (loss, backward), with backward(g) = dL/dH * g shaped like the
     embeddings, or None unless ``need_grad``.
 
-    The forward pass accumulates ``AC`` and ``sum(A)`` over row tiles of
-    ``rows = SE_BLOCK_ENTRIES // n`` rows and, with ``need_grad``, the panel
-    ``Q = S [H, C_1*H, ..., C_r*H]`` with ``S = A*(1-A)``.  Tile
+    The forward pass accumulates ``A [C | 1]`` (``AC`` and the degrees) over
+    row tiles of ``rows = SE_BLOCK_ENTRIES // n`` rows and, with ``need_grad``,
+    the panel ``Q = S [H, C_1*H, ..., C_r*H]`` with ``S = A*(1-A)``.  Tile
     ``I = [start, stop)`` forms only ``A[I, start:] = sigmoid(H_I H[start:]^T)``,
     about n^2/2 + n*rows/2 entries in all, and adds its block right of the
     diagonal, transposed, to the rows after ``stop``; a batch of at most
@@ -290,44 +294,50 @@ def se_loss(embeddings: np.ndarray, assignment: AssignmentMatrix, need_grad: boo
     return loss, backward if need_grad else None
 
 
+def _graph_tile(neg_gram: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``sigmoid(x)`` from ``-x`` in three in-place passes; 0 where ``exp`` overflows."""
+    np.exp(neg_gram, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
+
+
 def _se_slice(h: np.ndarray, c: np.ndarray, need_grad: bool):
     """``se_loss`` of one (n, d) slice: the loss and its backward, g -> dL/dH * g."""
-    # Contiguous, as ``build_adjacency`` makes it, so the Gram tiles equal
-    # the matrix form's bit for bit.
-    h_t = h.T.copy()
+    # Negation is exact, so the Gram tiles against -H^T are -HH^T bit for bit.
+    neg_h_t = np.negative(h.T, order="C")
     (n, d), r = h.shape, c.shape[1]
     rows = min(n, max(1, SE_BLOCK_ENTRIES // n))
     if need_grad:
         # built as (r+1) x d x n, so that each product runs along n
-        panel = np.concatenate([h_t[None], c.T[:, None, :] * h_t]).reshape(-1, n).T
+        panel = np.concatenate([h.T[None], c.T[:, None, :] * h.T]).reshape(-1, n).T
         q = np.empty((n, (r + 1) * d))
     gram, a = np.empty(rows * n), np.empty(rows * n)
-    ac = np.empty(c.shape)
-    total = 0.0
+    c1 = np.concatenate([c, np.ones((n, 1))], axis=1)  # [C | 1]: AC and the degrees
+    ac1 = np.empty(c1.shape)
     # Tiles run last to first: the rows after a tile already hold their own
     # products when its block A[I, stop:], transposed, is added to them, and
     # a tile's own rows are written, not accumulated.
-    for start in reversed(range(0, n, rows)):
-        stop = min(start + rows, n)
-        tile, right = slice(start, stop), slice(stop - start, None)
-        shape = (stop - start, n - start)
-        g_t = gram[:shape[0] * shape[1]].reshape(shape)
-        if d == 1:  # one rounded product per entry, the bits of the matmul
-            np.multiply(h[tile], h_t[:, start:], out=g_t)
-        else:
-            np.matmul(h[tile], h_t[:, start:], out=g_t)
-        a_t = _stable_sigmoid(g_t, out=a[:g_t.size].reshape(shape), den=g_t)
-        np.matmul(a_t, c[start:], out=ac[tile])
-        total += a_t.sum()
-        if stop < n:
-            ac[stop:] += a_t[:, right].T @ c[tile]
-            total += a_t[:, right].sum()
-        if need_grad:
-            s_t = np.subtract(1.0, a_t, out=g_t)
-            s_t *= a_t
-            np.matmul(s_t, panel[start:], out=q[tile])
+    with np.errstate(over="ignore"):
+        for start in reversed(range(0, n, rows)):
+            stop = min(start + rows, n)
+            tile, right = slice(start, stop), slice(stop - start, None)
+            shape = (stop - start, n - start)
+            g_t = gram[:shape[0] * shape[1]].reshape(shape)
+            if d == 1:  # one rounded product per entry, the bits of the matmul
+                np.multiply(h[tile], neg_h_t[:, start:], out=g_t)
+            else:
+                np.matmul(h[tile], neg_h_t[:, start:], out=g_t)
+            a_t = _graph_tile(g_t, a[:g_t.size].reshape(shape))
+            np.matmul(a_t, c1[start:], out=ac1[tile])
             if stop < n:
-                q[stop:] += s_t[:, right].T @ panel[tile]
+                ac1[stop:] += a_t[:, right].T @ c1[tile]
+            if need_grad:
+                s_t = np.subtract(1.0, a_t, out=g_t)
+                s_t *= a_t
+                np.matmul(s_t, panel[start:], out=q[tile])
+                if stop < n:
+                    q[stop:] += s_t[:, right].T @ panel[tile]
+    ac, total = ac1[:, :r], ac1[:, r].sum()
     cuts = ((1.0 - c) * ac).sum(axis=0)
     vols = ac.sum(axis=0)
     ratio = vols / total

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bottletree import entropy
-from bottletree.autodiff import LOG_EPS, _stable_sigmoid, finite_difference_check
+from bottletree.autodiff import LOG_EPS, finite_difference_check
 from bottletree.entropy import (AdjacencyMatrix, AssignmentMatrix,
                                 DegenerateBatchError,
                                 DimensionError, EncodingTree, build_adjacency,
@@ -102,6 +103,10 @@ class TestEncodingTree:
         tree = tree_from_assignment(hard_assignment([0, 0], 2))
         assert tree.class_members == [(0, 1), ()]
         assert tree.nodes["class:1"].members == ()
+
+    def test_stacked_membership_rejected(self):
+        with pytest.raises(DimensionError, match="2-D"):
+            tree_from_assignment(hard_assignment([[0, 1], [1, 0]], 2))
 
     def test_soft_input_rejected(self):
         soft = AssignmentMatrix([[1.0, 0.0], [0.5, 0.5]])
@@ -322,19 +327,36 @@ class TestFusedSeLoss:
             self.assert_matches_composite(1.5 * rng.standard_normal((n, 3)), c)
 
     def test_forward_visits_only_the_upper_half_graph(self, monkeypatch):
-        entries = []
+        entries, graph_tile = [], entropy._graph_tile
 
         def counted(x, *args, **kwargs):
             entries.append(x.size)
-            return _stable_sigmoid(x, *args, **kwargs)
+            return graph_tile(x, *args, **kwargs)
 
-        monkeypatch.setattr(entropy, "_stable_sigmoid", counted)
+        monkeypatch.setattr(entropy, "_graph_tile", counted)
         n = 1024
         rows = entropy.SE_BLOCK_ENTRIES // n
         h, c = self.regression_case(n, 67)
         se_loss(h, c, need_grad=True)[1](1.0)
         assert len(entries) == n // rows
         assert sum(entries) <= n * (n + rows) // 2  # the full graph is n * n
+
+    @pytest.mark.parametrize("n, tiles", [(20, 1), (401, 3)], ids=["one-tile", "ragged-tiles"])
+    def test_extreme_latents_stay_finite_and_pinned(self, n, tiles):
+        # Past exp's overflow: h_i . h_j reaches -1e3 and below, where
+        # exp(-x) is inf, and 37 and above, where sigmoid(x) is exactly 1.0.
+        rng = np.random.default_rng(72)
+        h = 40.0 * rng.standard_normal((n, 2))
+        c = AssignmentMatrix(rng.dirichlet(np.ones(3), size=n))
+        gram = h @ h.T
+        assert (gram < -1e3).any() and (gram >= 37.0).any()
+        assert math.ceil(n / (entropy.SE_BLOCK_ENTRIES // n)) == tiles
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            loss, backward = se_loss(h, c, need_grad=True)
+            grad = backward(1.0)
+        assert np.isfinite(loss) and np.isfinite(grad).all()
+        self.assert_matches_composite(h, c)
 
     def test_width_one_gram_by_broadcast_equals_matmul(self):
         h = self.regression_case(1024, 68)[0]

@@ -7,7 +7,7 @@ import pytest
 from test_cli import gradient_overflow_blobs
 from test_coder import tensors_of
 
-from bottletree import autodiff
+from bottletree import autodiff, entropy
 from bottletree.coder import combined_loss, init_params
 from bottletree.datasets import gen_blobs, gen_regression, save_csv
 from bottletree.softbins import make_bins
@@ -215,6 +215,7 @@ class TestTrain:
 
 def lockstep_case(name):
     """(dataset, config) of one lockstep-vs-solo grid case, seed 0."""
+    name = name.removesuffix("-tiles")
     if name == "regression-soft":
         ds = gen_regression(240, 4, noise_std=0.2, lo=0.0, hi=5.0, seed=33)
         return ds, TrainConfig(task=RegressionTask(make_bins(0.0, 5.0, 5)), beta=0.01,
@@ -230,8 +231,14 @@ def lockstep_case(name):
 
 class TestLockstep:
     @pytest.mark.parametrize("name", ["early-stop", "regression-soft", "two-samples",
-                                      "mu-graph"])
-    def test_every_seed_matches_its_solo_run(self, name):
+                                      "mu-graph", "regression-soft-tiles",
+                                      "two-samples-tiles"])
+    def test_every_seed_matches_its_solo_run(self, monkeypatch, name):
+        if name.endswith("-tiles"):
+            # Ragged multi-tile graphs everywhere: 7-row tiles at B=32, 10 at
+            # B=24, 15 at a last batch of 16 and 5 at the 48-row dev and test
+            # splits.
+            monkeypatch.setattr(entropy, "SE_BLOCK_ENTRIES", 240)
         ds, config = lockstep_case(name)
         configs = [replace(config, seed=seed) for seed in range(4)]
         stacked = train_seeds(configs, ds.subset("train"), ds.subset("dev"))
