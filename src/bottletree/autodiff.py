@@ -1,5 +1,7 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays,
-and the numeric helpers the closed-form training step shares with it.
+and the numeric helpers the closed-form training step shares with it: the
+package's one sigmoid, ``_sigmoid_of_negated``, serves ``Tensor.sigmoid``,
+the encoder and both entropy routes.
 
 Nothing in the package records a tape: training (``coder.combined_loss``),
 ``evaluate``, the matrix-form reference ``entropy.se_loss_matrix`` and
@@ -173,7 +175,7 @@ class Tensor:
         return Tensor._from_op(np.log(clamped), [(self, lambda g: g * mask / clamped)])
 
     def sigmoid(self):
-        out_vals = _stable_sigmoid(self.values)
+        out_vals = _sigmoid_of_negated(-self.values)
         return Tensor._from_op(out_vals, [(self, lambda g: g * out_vals * (1.0 - out_vals))])
 
     def clamp(self, lo: float | None = None, hi: float | None = None):
@@ -306,20 +308,14 @@ def softmax_values(x: np.ndarray, axis: int) -> np.ndarray:
     return e
 
 
-def _stable_sigmoid(x: np.ndarray, out: np.ndarray | None = None,
-                    den: np.ndarray | None = None) -> np.ndarray:
-    # max([x >= 0], e) / (1 + e) with e = exp(-|x|): 1 / (1 + exp(-x)) for
-    # x >= 0 and exp(x) / (1 + exp(x)) below, bit for bit, with one exp and
-    # no masked gathers (e <= 1, so the max picks 1 or e).
-    # ``out`` and the scratch ``den`` are optional buffers; ``den`` may be x.
-    out = np.greater_equal(x, 0.0, out=np.empty_like(x) if out is None else out)
-    den = np.abs(x, out=np.empty_like(x) if den is None else den)
-    np.negative(den, out=den)
-    np.exp(den, out=den)
-    np.maximum(out, den, out=out)
+def _sigmoid_of_negated(neg_x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``sigmoid(x) = 1 / (1 + exp(-x))`` from ``neg_x = -x`` in three passes,
+    ``exp``, ``+= 1`` and ``1 / .``, into ``out`` if given (it may be ``neg_x``).
+    Exactly 0 where ``exp`` overflows (x < -709.78), 0.5 at +-0, NaN for NaN."""
+    with np.errstate(over="ignore"):
+        den = np.exp(neg_x, out=out)
     den += 1.0
-    out /= den
-    return out
+    return np.divide(1.0, den, out=out)
 
 
 def finite_difference_check(f: Callable[[np.ndarray], tuple[float, np.ndarray]],

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import LOG_EPS, DimensionError, _stable_sigmoid, softmax_values
+from .autodiff import LOG_EPS, DimensionError, _sigmoid_of_negated, softmax_values
 from .datasets import replacing
 from .entropy import AssignmentMatrix, se_loss
 
@@ -109,7 +109,9 @@ def init_params(input_dim: int,
 
 def encode(params: EncoderParams, inputs):
     """Forward pass: (mu, logvar, backward), the log-variance clamped to
-    [LOGVAR_MIN, LOGVAR_MAX]; ``backward(d_mu, d_logvar)`` is the flat gradient."""
+    [LOGVAR_MIN, LOGVAR_MAX]; ``backward(d_mu, d_logvar)`` is the flat gradient.
+    The sigmoid activation is ``_sigmoid_of_negated``, in place: exactly 0,
+    without a warning, where ``exp`` overflows."""
     x = np.asarray(inputs, dtype=np.float64)
     stack = params.flat.shape[:-1]  # (S,) for a stack of S models, or ()
     if x.ndim != len(stack) + 2 or x.shape[:-2] != stack or x.shape[-1] != params.input_dim:
@@ -126,7 +128,7 @@ def encode(params: EncoderParams, inputs):
             masks.append(h >= 0.0)
             np.maximum(h, 0.0, out=h)
         elif layer < last:
-            h = _stable_sigmoid(h)
+            h = _sigmoid_of_negated(np.negative(h, out=h), out=h)
     mu, raw = h[..., :params.latent_dim].copy(), h[..., params.latent_dim:]
     logvar = np.minimum(np.maximum(raw, LOGVAR_MIN), LOGVAR_MAX)
 

@@ -15,9 +15,11 @@ Two independent routes to the same quantity live here on purpose:
 Its forward pass visits the upper half of the symmetric ``A`` once, in
 cache-sized row tiles, and also accumulates the n x d(r+1) panel its
 gradient needs; the backward pass reads only that panel.  Graph memory is
-O(tile + n * r * d) instead of several n x n arrays.  Its graph, formed as
-``1 / (1 + exp(-HH^T))``, and its ``sum(A)``, summed from the row degrees,
-agree with the matrix form to about an ulp, not bit for bit.
+O(tile + n * r * d) instead of several n x n arrays.  Both routes form the
+graph with the one sigmoid, ``autodiff._sigmoid_of_negated``, from a negated
+Gram; at d = 1 each tile is bit for bit a block of ``build_adjacency``'s
+graph.  ``se_loss`` sums ``sum(A)`` from the row degrees, so the two losses
+agree to about an ulp, not bit for bit.
 
 A hard three-tier tree is the one-hot case of the row-stochastic membership
 ``C``.  Graphs and assignments are plain arrays; nothing here records an
@@ -31,7 +33,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .autodiff import LOG_EPS, DimensionError, NonFiniteError, _stable_sigmoid
+from .autodiff import LOG_EPS, DimensionError, NonFiniteError, _sigmoid_of_negated
 
 _LN2 = float(np.log(2.0))
 
@@ -95,8 +97,9 @@ def build_adjacency(embeddings) -> AdjacencyMatrix:
     """
     h = np.asarray(embeddings, dtype=np.float64)
     _check_embeddings(h)
-    # Against a contiguous transpose, as ``_se_slice`` forms its (negated) Gram tiles.
-    return AdjacencyMatrix(_stable_sigmoid(h @ h.T.copy()))
+    # The negated Gram, formed as ``_se_slice`` forms its tiles.
+    neg_gram = h @ np.negative(h.T, order="C")
+    return AdjacencyMatrix(_sigmoid_of_negated(neg_gram, out=neg_gram))
 
 
 @dataclass
@@ -294,13 +297,6 @@ def se_loss(embeddings: np.ndarray, assignment: AssignmentMatrix, need_grad: boo
     return loss, backward if need_grad else None
 
 
-def _graph_tile(neg_gram: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``sigmoid(x)`` from ``-x`` in three in-place passes; 0 where ``exp`` overflows."""
-    np.exp(neg_gram, out=out)
-    out += 1.0
-    return np.divide(1.0, out, out=out)
-
-
 def _se_slice(h: np.ndarray, c: np.ndarray, need_grad: bool):
     """``se_loss`` of one (n, d) slice: the loss and its backward, g -> dL/dH * g."""
     # Negation is exact, so the Gram tiles against -H^T are -HH^T bit for bit.
@@ -317,26 +313,25 @@ def _se_slice(h: np.ndarray, c: np.ndarray, need_grad: bool):
     # Tiles run last to first: the rows after a tile already hold their own
     # products when its block A[I, stop:], transposed, is added to them, and
     # a tile's own rows are written, not accumulated.
-    with np.errstate(over="ignore"):
-        for start in reversed(range(0, n, rows)):
-            stop = min(start + rows, n)
-            tile, right = slice(start, stop), slice(stop - start, None)
-            shape = (stop - start, n - start)
-            g_t = gram[:shape[0] * shape[1]].reshape(shape)
-            if d == 1:  # one rounded product per entry, the bits of the matmul
-                np.multiply(h[tile], neg_h_t[:, start:], out=g_t)
-            else:
-                np.matmul(h[tile], neg_h_t[:, start:], out=g_t)
-            a_t = _graph_tile(g_t, a[:g_t.size].reshape(shape))
-            np.matmul(a_t, c1[start:], out=ac1[tile])
+    for start in reversed(range(0, n, rows)):
+        stop = min(start + rows, n)
+        tile, right = slice(start, stop), slice(stop - start, None)
+        shape = (stop - start, n - start)
+        g_t = gram[:shape[0] * shape[1]].reshape(shape)
+        if d == 1:  # one rounded product per entry, the bits of the matmul
+            np.multiply(h[tile], neg_h_t[:, start:], out=g_t)
+        else:
+            np.matmul(h[tile], neg_h_t[:, start:], out=g_t)
+        a_t = _sigmoid_of_negated(g_t, out=a[:g_t.size].reshape(shape))
+        np.matmul(a_t, c1[start:], out=ac1[tile])
+        if stop < n:
+            ac1[stop:] += a_t[:, right].T @ c1[tile]
+        if need_grad:
+            s_t = np.subtract(1.0, a_t, out=g_t)
+            s_t *= a_t
+            np.matmul(s_t, panel[start:], out=q[tile])
             if stop < n:
-                ac1[stop:] += a_t[:, right].T @ c1[tile]
-            if need_grad:
-                s_t = np.subtract(1.0, a_t, out=g_t)
-                s_t *= a_t
-                np.matmul(s_t, panel[start:], out=q[tile])
-                if stop < n:
-                    q[stop:] += s_t[:, right].T @ panel[tile]
+                q[stop:] += s_t[:, right].T @ panel[tile]
     ac, total = ac1[:, :r], ac1[:, r].sum()
     cuts = ((1.0 - c) * ac).sum(axis=0)
     vols = ac.sum(axis=0)

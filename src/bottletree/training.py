@@ -76,25 +76,15 @@ class TrainConfig:
             raise ValueError("samples_per_input must be >= 1")
 
     def echo(self) -> dict:
-        doc = {
-            "beta": self.beta, "gamma": self.gamma, "lr": self.lr,
-            "epochs": self.epochs, "patience": self.patience,
-            "batch_size": self.batch_size, "seed": self.seed,
-            "hidden": list(self.hidden), "activation": self.activation,
-            "use_mu_for_graph": self.use_mu_for_graph,
-            "samples_per_input": self.samples_per_input,
-            "warmup_fraction": WARMUP_FRACTION,
-        }
         if isinstance(self.task, ClassificationTask):
-            doc["task"] = {"kind": "classification",
-                           "num_classes": self.task.num_classes}
+            task = {"kind": "classification", "num_classes": self.task.num_classes}
         else:
-            doc["task"] = {"kind": "regression",
-                           "bins": self.task.bins.num_bins,
-                           "lo": self.task.bins.lo, "hi": self.task.bins.hi,
-                           "soft_labels": self.task.soft_labels,
-                           "temperature": self.task.temperature}
-        return doc
+            task = {"kind": "regression", "bins": self.task.bins.num_bins,
+                    "lo": self.task.bins.lo, "hi": self.task.bins.hi,
+                    "soft_labels": self.task.soft_labels,
+                    "temperature": self.task.temperature}
+        return {**asdict(self), "task": task, "hidden": list(self.hidden),
+                "warmup_fraction": WARMUP_FRACTION}
 
 
 class TrainingDiverged(RuntimeError):

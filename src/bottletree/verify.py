@@ -21,7 +21,7 @@ from .entropy import (AdjacencyMatrix, AssignmentMatrix, build_adjacency,
                       hard_assignment, intermediate_layer_entropy, se_loss,
                       se_loss_matrix, tree_from_assignment)
 from .softbins import make_bins, soft_cuts, soft_volumes
-from .training import batch_assignment, RegressionTask
+from .training import ClassificationTask, RegressionTask, batch_assignment
 
 
 @dataclass
@@ -180,27 +180,20 @@ def check_gradients(batches: int = 12, seed: int = 1006, h: float = 1e-5) -> Che
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
-    bins = make_bins(0.0, 5.0, 5)
+    n, input_dim = 8, 5
+    tasks = (ClassificationTask(3), RegressionTask(make_bins(0.0, 5.0, 5)))
     for b in range(batches):
-        classification = b % 2 == 0
-        n, input_dim = 8, 5
-        latent = 3 if classification else 1
-        params = init_params(input_dim, (16,), latent, int(rng.integers(0, 2**32)))
+        task = tasks[b % 2]
+        params = init_params(input_dim, (16,), task.latent_dim, int(rng.integers(0, 2**32)))
         X = rng.standard_normal((n, input_dim))
-        noise = rng.standard_normal((1, n, latent))
-        beta, gamma = 0.1, 1.0
-        if classification:
-            y = rng.integers(0, latent, size=n)
-            assignment = hard_assignment(y, latent)
-            kind = "classification"
-        else:
-            y = rng.uniform(0.0, 5.0, size=n)
-            assignment = batch_assignment(RegressionTask(bins), y)
-            kind = "regression"
+        noise = rng.standard_normal((1, n, task.latent_dim))
+        y = (rng.integers(0, task.num_classes, size=n) if task.kind == "classification"
+             else rng.uniform(0.0, 5.0, size=n))
+        assignment = batch_assignment(task, y)
 
         def f(flat):
-            bd = combined_loss(params.like(flat), X, assignment, y, kind=kind, beta=beta,
-                               gamma=gamma, noise=noise, need_grad=True)
+            bd = combined_loss(params.like(flat), X, assignment, y, kind=task.kind, beta=0.1,
+                               gamma=1.0, noise=noise, need_grad=True)
             return bd.total, bd.grad
 
         worst = max(worst, finite_difference_check(f, params.flat, h=h))

@@ -1,15 +1,17 @@
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 from tape_reference import constant, parameter, tape_check
 
 import bottletree
 from bottletree.autodiff import (DimensionError, GraphConsumedError, Tensor,
-                                 _stable_sigmoid, finite_difference_check)
+                                 _sigmoid_of_negated, finite_difference_check)
 
 
 def grad_of(build, x_vals):
@@ -26,23 +28,29 @@ class TestElementwise:
         y.sum().backward()
         assert x.grad[0] == 0.25
 
-    def test_sigmoid_equals_two_branch_form_bit_for_bit(self):
+    def test_sigmoid_of_negated_matches_expit(self):
         rng = np.random.default_rng(3)
-        x = np.concatenate([30.0 * rng.standard_normal(4000),
-                            [0.0, -0.0, 1e-300, -1e-300, 800.0, -800.0,
-                             np.inf, -np.inf]])
-        pos = x >= 0
-        ref = np.empty_like(x)
-        ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        ref[~pos] = ex / (1.0 + ex)
-        assert np.array_equal(_stable_sigmoid(x), ref)
-        assert _stable_sigmoid(np.asarray(-2.0)).shape == ()
-        # as ``se_loss`` calls it: into a buffer, with x itself as scratch
-        out, scratch = np.empty_like(x), x.copy()
-        assert _stable_sigmoid(scratch, out=out, den=scratch) is out
-        assert np.array_equal(out, ref)
-        assert np.isnan(_stable_sigmoid(np.array([np.nan]))[0])
+        x = np.concatenate([30.0 * rng.standard_normal(100_000),
+                            rng.uniform(-745.0, 40.0, 100_000),
+                            rng.uniform(-5.0, 5.0, 100_000), [1e-300, -1e-300]])
+        ref, got = expit(x), _sigmoid_of_negated(-x)
+        normal = ref >= np.finfo(np.float64).tiny
+        assert normal.sum() > 290_000
+        # within 4 ulp: both are positive doubles, so ulps are an integer difference
+        ulps = np.abs(got[normal].view(np.int64) - ref[normal].view(np.int64))
+        assert ulps.max() <= 4
+        # exp(-x) overflows below -709.78: exactly 0, and no warning
+        x = np.array([-709.8, -800.0, -1e308, -np.inf, 0.0, -0.0, 800.0, np.inf, np.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _sigmoid_of_negated(-x)
+        assert np.array_equal(got[:4], np.zeros(4))
+        assert np.array_equal(got[4:8], [0.5, 0.5, 1.0, 1.0]) and np.isnan(got[8])
+        # in place, as the encoder and the graph tiles call it
+        x = rng.standard_normal((7, 5))
+        neg_x = -x
+        assert _sigmoid_of_negated(neg_x, out=neg_x) is neg_x
+        assert np.array_equal(neg_x, _sigmoid_of_negated(-x))
 
     def test_log_of_zero_is_clamped_finite(self):
         y = constant([0.0]).log()

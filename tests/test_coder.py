@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -83,6 +84,20 @@ class TestEncode:
         assert logvar[0, 0] == 10.0
         grad = params.like(backward(np.ones((1, 1)), np.ones((1, 1))))
         assert grad.weights[0][:, 0].all() and not grad.weights[0][:, 1].any()
+
+    def test_sigmoid_saturates_to_exact_zeros_without_warning(self):
+        # pre-activations of -1000 and -1750: exp(-x) overflows, so the hidden
+        # units are exactly 0, and the encoder lets no RuntimeWarning out
+        params = init_params(2, (4,), 1, seed=3, activation="sigmoid")
+        params.weights[0][...] = -100.0
+        params.biases[1][...] = 0.25
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            mu, logvar, backward = encode(params, [[5.0, 5.0], [10.0, 7.5]])
+            grad = params.like(backward(np.ones((2, 1)), np.ones((2, 1))))
+        assert (mu == 0.25).all() and (logvar == 0.25).all()
+        assert np.isfinite(grad.flat).all()
+        assert not grad.weights[1].any()  # the hidden units it reads are 0
 
     @pytest.mark.parametrize("trial", range(3))
     def test_first_layer_gradient(self, trial):

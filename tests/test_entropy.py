@@ -327,19 +327,41 @@ class TestFusedSeLoss:
             self.assert_matches_composite(1.5 * rng.standard_normal((n, 3)), c)
 
     def test_forward_visits_only_the_upper_half_graph(self, monkeypatch):
-        entries, graph_tile = [], entropy._graph_tile
+        entries, sigmoid = [], entropy._sigmoid_of_negated
 
         def counted(x, *args, **kwargs):
             entries.append(x.size)
-            return graph_tile(x, *args, **kwargs)
+            return sigmoid(x, *args, **kwargs)
 
-        monkeypatch.setattr(entropy, "_graph_tile", counted)
+        monkeypatch.setattr(entropy, "_sigmoid_of_negated", counted)
         n = 1024
         rows = entropy.SE_BLOCK_ENTRIES // n
         h, c = self.regression_case(n, 67)
         se_loss(h, c, need_grad=True)[1](1.0)
         assert len(entries) == n // rows
         assert sum(entries) <= n * (n + rows) // 2  # the full graph is n * n
+
+    def test_d1_tiles_are_blocks_of_build_adjacency(self, monkeypatch):
+        # At d = 1 every Gram entry is one rounded product in both routes,
+        # and both apply the one sigmoid, so each tile is a block of A.
+        tiles, sigmoid = [], entropy._sigmoid_of_negated
+
+        def captured(x, *args, **kwargs):
+            a_t = sigmoid(x, *args, **kwargs)
+            tiles.append(a_t.copy())
+            return a_t
+
+        monkeypatch.setattr(entropy, "_sigmoid_of_negated", captured)
+        n = 401
+        rows = entropy.SE_BLOCK_ENTRIES // n
+        h, c = self.regression_case(n, 68)
+        se_loss(h, c, need_grad=True)
+        monkeypatch.undo()
+        a = build_adjacency(h).weights
+        assert len(tiles) == math.ceil(n / rows) >= 3 and n % rows
+        for a_t in tiles:  # tile [start, start + rows) forms columns start:
+            start = n - a_t.shape[1]
+            assert np.array_equal(a_t, a[start:start + a_t.shape[0], start:])
 
     @pytest.mark.parametrize("n, tiles", [(20, 1), (401, 3)], ids=["one-tile", "ragged-tiles"])
     def test_extreme_latents_stay_finite_and_pinned(self, n, tiles):
