@@ -96,6 +96,8 @@ def build_adjacency(embeddings) -> AdjacencyMatrix:
     Symmetric with entries in (0, 1); the diagonal (self-similarity) is kept.
     """
     h = np.asarray(embeddings, dtype=np.float64)
+    if h.ndim != 2:
+        raise DimensionError(f"build_adjacency takes one (n, d) batch, got shape {h.shape}")
     _check_embeddings(h)
     # The negated Gram, formed as ``_se_slice`` forms its tiles.
     neg_gram = h @ np.negative(h.T, order="C")
@@ -146,10 +148,6 @@ class TreeNode:
     members: tuple[int, ...]  # leaf indices covered by this node
     parent: str | None
     children: list[str] = field(default_factory=list)
-
-    @property
-    def num_children(self) -> int:
-        return len(self.children)
 
 
 class EncodingTree:

@@ -70,6 +70,9 @@ class ExperimentSpec:
             raise ValueError("grid values must be non-negative")
         if self.noise_rates and self.fractions:
             raise ValueError("choose label noise or train-fraction perturbation, not both")
+        if self.noise_rates and self.task_kind == "regression":
+            raise ValueError("label noise applies to classification only; "
+                             "a regression sweep may perturb train fractions")
         counts = Counter(map(_cell_name, self.cells()))  # a cell's name is its identity
         if repeated := [name for name, k in counts.items() if k > 1]:
             raise ValueError(f"the grid repeats cells {repeated}; seeds and grid values "

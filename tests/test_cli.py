@@ -3,9 +3,11 @@ import json
 import math
 import os
 import re
+import shlex
 import signal
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -395,6 +397,21 @@ class TestSweep:
         assert "the grid repeats cells" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_regression_label_noise_rejected_before_training(self, regression_csv, tmp_path,
+                                                            capsys):
+        out = tmp_path / "reg_noise"
+        assert main(["sweep", "--data", regression_csv, "--task", "regression",
+                     "--noise-rates", "0.1", "--out-dir", str(out), *FAST]) == 2
+        assert "label noise applies to classification only" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_regression_fraction_sweep_succeeds(self, regression_csv, tmp_path):
+        out = tmp_path / "reg_frac"
+        assert main(["sweep", "--data", regression_csv, "--task", "regression",
+                     "--fractions", "0.5", "--seeds", "0", "--out-dir", str(out), *FAST]) == 0
+        assert not (out / "errors.json").exists()
+        assert os.listdir(out / "runs") == ["run_b0.01_g1_pfraction0.5_s0.json"]
+
     def test_parallel_jobs_match_serial(self, blob_csv, tmp_path):
         base = ["sweep", "--data", blob_csv, "--task", "classification",
                 "--gammas", "1", "--seeds", "0", "1", *FAST]
@@ -403,6 +420,41 @@ class TestSweep:
         assert main([*base, "--out-dir", str(out2), "--jobs", "2"]) == 0
         assert (out1 / "runs.csv").read_bytes() == (out2 / "runs.csv").read_bytes()
         assert (out1 / "aggregate.csv").read_bytes() == (out2 / "aggregate.csv").read_bytes()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# Appended to the README's protocol lines so the suite runs them small; argparse
+# keeps an option's last value.
+SMALL = {"gen": ["--n", "200"], "sweep": ["--seeds", "0", "1", "--epochs", "2",
+                                          "--patience", "1"]}
+
+
+def protocol_lines() -> list[list[str]]:
+    """The argv of every ``bottletree`` line of the README's protocol block."""
+    block = re.search(r"^## Protocols\n.*?^```bash\n(.*?)^```", README.read_text(),
+                      re.DOTALL | re.MULTILINE).group(1)
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("bottletree ")]
+
+
+class TestProtocols:
+    def test_readme_protocols_run_and_rerun_byte_identical(self, tmp_path, monkeypatch):
+        lines = protocol_lines()
+        assert [argv[0] for argv in lines] == ["gen"] * 2 + ["sweep"] * 4
+        outputs = []
+        for root in ("first", "second"):
+            (tmp_path / root).mkdir()
+            monkeypatch.chdir(tmp_path / root)
+            for argv in lines:
+                assert main([*argv, *SMALL[argv[0]]]) == 0, argv
+            outputs.append({path: path.read_bytes()
+                            for path in Path("runs").rglob("*") if path.is_file()})
+        first, second = outputs
+        assert not [path for path in first if path.name == "errors.json"]
+        # 24 (gamma, perturbation) groups of 2 seeds in 4 sweeps
+        assert sum(path.parent.name == "runs" for path in first) == 48
+        assert sum(path.name in ("runs.csv", "aggregate.csv") for path in first) == 8
+        assert first == second
 
 
 def _on_output(change):

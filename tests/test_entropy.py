@@ -56,6 +56,10 @@ class TestBuildAdjacency:
         with pytest.raises(DegenerateBatchError):
             build_adjacency(np.zeros((1, 4)))
 
+    def test_rejects_a_stack(self):
+        with pytest.raises(DimensionError, match=r"\(2, 3, 4\)"):
+            build_adjacency(np.zeros((2, 3, 4)))
+
     def test_volume_equals_degree_sum(self):
         rng = np.random.default_rng(1)
         adj = build_adjacency(rng.standard_normal((5, 3)))
@@ -93,7 +97,7 @@ class TestEncodingTree:
     def test_two_singleton_classes(self):
         tree = tree_from_assignment(hard_assignment([0, 1], 2))
         assert tree.class_members == [(0,), (1,)]
-        assert tree.nodes["root"].num_children == 2
+        assert len(tree.nodes["root"].children) == 2
 
     def test_single_class_holds_all(self):
         tree = tree_from_assignment(hard_assignment([0, 0, 0], 1))
