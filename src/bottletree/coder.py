@@ -172,34 +172,36 @@ def kl_to_standard_normal(mu: np.ndarray, logvar: np.ndarray):
 
 def task_loss(z: np.ndarray, targets, kind: str):
     """The task term of ``kind``: softmax cross-entropy of class logits
-    ("classification"), or the squared error of a 1-d latent, read as the
-    prediction, against real targets ("regression"); each is the batch mean.
-    Returns (loss, backward), with backward(g) = d_z.  The cross-entropy
-    floors the true-class probability at LOG_EPS; a row below the floor
-    contributes log(LOG_EPS) and no gradient.
+    against one-hot targets shaped like them ("classification"), or the
+    squared error of a 1-d latent, read as the prediction, against one real
+    target per row ("regression"); each is the batch mean.  Returns (loss,
+    backward), with backward(g) = d_z.  The cross-entropy floors the
+    true-class probability at LOG_EPS; a row below the floor contributes
+    log(LOG_EPS) and no gradient.
     """
     if kind not in ("classification", "regression"):
         raise ValueError(f"unknown task kind {kind!r}")
     t = np.asarray(targets)
-    if t.shape != z.shape[:-1] or t.ndim not in (1, 2) or (
-            kind == "regression" and z.shape[-1] != 1):
+    regression = kind == "regression"
+    if z.ndim not in (2, 3) or t.shape != (z.shape[:-1] if regression else z.shape) or (
+            regression and z.shape[-1] != 1):
         raise DimensionError(f"{kind} needs one target per row of its latent: targets "
                              f"{t.shape} against {z.shape}")
-    n = t.shape[-1]
-    if kind == "regression":
+    n = z.shape[-2]
+    if regression:
         d = z[..., 0] - t
         return (d * d).mean(axis=-1), lambda g: (2 * (np.expand_dims(g / n, -1) * d))[..., None]
     probs = softmax_values(z, -1)
-    onehot = np.eye(z.shape[-1])[t.astype(np.int64, copy=False)]
-    true_prob = (probs * onehot).sum(axis=-1)
+    true_prob = (probs * t).sum(axis=-1)
     loss = -np.asarray(np.log(np.maximum(true_prob, LOG_EPS)).sum(axis=-1) / n)
-    return loss, lambda g: (probs - onehot) * (
+    return loss, lambda g: (probs - t) * (
         (true_prob >= LOG_EPS) * (g[..., None] / n))[..., None]
 
 
 @dataclass
 class LossBreakdown:
-    """The objective, total = task + beta*kl - gamma*se, and its flat gradient if asked."""
+    """The objective, total = task + beta*kl - gamma*se, its flat gradient if
+    asked, and the posterior mean the terms were computed from, if any."""
 
     task: np.ndarray
     kl: np.ndarray
@@ -208,6 +210,7 @@ class LossBreakdown:
     beta: float
     gamma: float
     grad: np.ndarray | None = None
+    mu: np.ndarray | None = None
 
     def scalars(self, row: int | None = None) -> dict[str, float]:
         """The terms as floats; ``row`` picks one model of a stack."""
@@ -232,14 +235,20 @@ def combined_loss(params: EncoderParams, inputs, assignment: AssignmentMatrix, t
     ``noise`` is k standard-normal draws shaped like the posterior, stacked
     on a new leading axis; their task and entropy terms get averaged.  The
     similarity graph is built from the sampled latent by default, or from
-    the posterior mean when ``use_mu_for_graph`` is set.
+    the posterior mean when ``use_mu_for_graph`` is set.  A classification
+    batch's cross-entropy reads its one-hot targets from ``assignment``, the
+    hard tree of its labels; ``targets`` are read for regression only.  At
+    ``gamma == 0`` the entropy runs forward only: its gradient, times -0.0,
+    could add nothing but signed zeros, which the encoder's ``+= 0.0`` clears.
     """
     mu, logvar, encoder_backward = encode(params, inputs)
     if not need_grad:
         encoder_backward = None  # frees the activations it holds
-    if kind == "classification" and mu.shape[-1] != assignment.num_classes:
-        raise DimensionError(f"latent dim {mu.shape[-1]} must equal "
-                             f"the class count {assignment.num_classes}")
+    if kind == "classification":
+        if mu.shape[-1] != assignment.num_classes:
+            raise DimensionError(f"latent dim {mu.shape[-1]} must equal "
+                                 f"the class count {assignment.num_classes}")
+        targets = assignment.membership
     kl, kl_backward = kl_to_standard_normal(mu, logvar)
 
     draws = np.asarray(noise, dtype=np.float64)
@@ -250,10 +259,12 @@ def combined_loss(params: EncoderParams, inputs, assignment: AssignmentMatrix, t
     for eps in draws:
         z, z_backward = reparameterize(mu, logvar, eps)
         task, task_backward = task_loss(z, targets, kind)
-        se, se_backward = se_loss(mu if use_mu_for_graph else z, assignment, need_grad)
+        se, se_backward = se_loss(mu if use_mu_for_graph else z, assignment,
+                                  need_grad and gamma != 0)
         samples.append((task, se, z_backward, task_backward, se_backward))
     breakdown = total_loss(_average([s[0] for s in samples]), kl,
                            _average([s[1] for s in samples]), beta, gamma)
+    breakdown.mu = mu
     if not need_grad:
         return breakdown
 
@@ -264,11 +275,13 @@ def combined_loss(params: EncoderParams, inputs, assignment: AssignmentMatrix, t
     g_task, g_se = np.full(shape, share), np.full(shape, -breakdown.gamma * share)
     d_mu = d_logvar = 0.0  # the encoder's += 0.0 makes 0.0 + x the tape's x
     for _, _, z_backward, task_backward, se_backward in reversed(samples):
-        d_se, d_z = se_backward(g_se), task_backward(g_task)
-        if use_mu_for_graph:
-            d_mu = d_mu + d_se
-        else:
-            d_z = d_se + d_z
+        d_z = task_backward(g_task)
+        if se_backward is not None:  # None at gamma == 0
+            d_se = se_backward(g_se)
+            if use_mu_for_graph:
+                d_mu = d_mu + d_se
+            else:
+                d_z = d_se + d_z
         z_mu, z_logvar = z_backward(d_z)
         d_mu, d_logvar = d_mu + z_mu, d_logvar + z_logvar
     kl_mu, kl_logvar = kl_backward(np.full(shape, breakdown.beta))

@@ -28,20 +28,35 @@ def accuracy(preds, golds) -> float:
     return float(np.mean(preds == golds))
 
 
-def per_class_f1(preds, golds, num_classes: int) -> np.ndarray:
-    """F1 per class; a class never predicted nor present scores 0."""
+def confusion_matrix(preds, golds, num_classes: int) -> np.ndarray:
+    """(r, r) integer counts: row ``c`` holds the rows of gold class ``c``,
+    column ``k`` those predicted as ``k``."""
     preds, golds = _check_pair(preds, golds)
     if golds.size and (min(preds.min(), golds.min()) < 0
                        or max(preds.max(), golds.max()) >= num_classes):
         raise ValueError(f"labels must lie in [0, {num_classes})")
-    out = np.zeros(num_classes)
-    for c in range(num_classes):
-        tp = float(np.sum((preds == c) & (golds == c)))
-        fp = float(np.sum((preds == c) & (golds != c)))
-        fn = float(np.sum((preds != c) & (golds == c)))
-        denom = 2.0 * tp + fp + fn
-        out[c] = 2.0 * tp / denom if denom > 0 else 0.0
+    cells = golds.astype(np.int64, copy=False) * num_classes + preds.astype(np.int64, copy=False)
+    return np.bincount(cells, minlength=num_classes * num_classes).reshape(
+        num_classes, num_classes)
+
+
+def _f1_of(confusion: np.ndarray) -> np.ndarray:
+    denom = confusion.sum(axis=0) + confusion.sum(axis=1)  # 2tp + fp + fn
+    out = np.zeros(confusion.shape[0])
+    np.divide(2.0 * np.diag(confusion), denom, out=out, where=denom > 0)
     return out
+
+
+def _recall_of(confusion: np.ndarray) -> float:
+    support = confusion.sum(axis=1)
+    recalls = np.zeros(confusion.shape[0])
+    np.divide(np.diag(confusion), support, out=recalls, where=support > 0)
+    return float(recalls.mean())
+
+
+def per_class_f1(preds, golds, num_classes: int) -> np.ndarray:
+    """F1 per class; a class never predicted nor present scores 0."""
+    return _f1_of(confusion_matrix(preds, golds, num_classes))
 
 
 def macro_f1(preds, golds, num_classes: int) -> float:
@@ -50,13 +65,17 @@ def macro_f1(preds, golds, num_classes: int) -> float:
 
 def macro_recall(preds, golds, num_classes: int) -> float:
     """Unweighted mean of per-class recall; absent classes contribute 0."""
-    preds, golds = _check_pair(preds, golds)
-    recalls = np.zeros(num_classes)
-    for c in range(num_classes):
-        support = float(np.sum(golds == c))
-        if support > 0:
-            recalls[c] = float(np.sum((preds == c) & (golds == c))) / support
-    return float(recalls.mean())
+    return _recall_of(confusion_matrix(preds, golds, num_classes))
+
+
+def classification_scores(preds, golds, num_classes: int) -> dict:
+    """Accuracy, macro-F1, macro-recall and per-class F1 from one confusion
+    matrix, with the values of the functions of those names."""
+    confusion = confusion_matrix(preds, golds, num_classes)
+    f1 = _f1_of(confusion)
+    return {"accuracy": float(np.trace(confusion) / confusion.sum()),
+            "macro_f1": float(f1.mean()), "macro_recall": _recall_of(confusion),
+            "per_class_f1": f1.tolist()}
 
 
 def pearson(x, y) -> float:

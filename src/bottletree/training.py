@@ -115,14 +115,23 @@ class Adam:
         self.t = 0
 
     def step(self, g: np.ndarray, lr_scale: float = 1.0) -> None:
+        """flat -= lr * lr_scale * m_hat / (sqrt(v_hat) + eps), with the moments
+        updated in place, each op in the order of that formula."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        flat = self.params.flat
-        self.m = b1 * self.m + (1 - b1) * g
-        self.v = b2 * self.v + (1 - b2) * g * g
-        m_hat = self.m / (1 - b1 ** self.t)
-        v_hat = self.v / (1 - b2 ** self.t)
-        flat -= self.lr * lr_scale * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m *= b1
+        self.m += (1 - b1) * g
+        self.v *= b2
+        g2 = (1 - b2) * g
+        g2 *= g
+        self.v += g2
+        denom = np.divide(self.v, 1 - b2 ** self.t, out=g2)  # v_hat
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        update = self.m / (1 - b1 ** self.t)  # m_hat
+        update *= self.lr * lr_scale
+        update /= denom
+        self.params.flat -= update
 
     def keep(self, rows: list[int]) -> None:
         """Keep only the models at ``rows`` of a stack, moments included."""
@@ -194,6 +203,7 @@ def train_seeds(configs: list[TrainConfig],
     if any(replace(c, seed=config.seed) != config for c in configs):
         raise ValueError("lockstep configs must differ only in their seed")
     runs = [_Run(c, X_train.shape[1]) for c in configs]
+    membership = batch_assignment(task, y_train).membership  # each step gathers its rows
     active = runs  # row i of the stack trains active[i]
     opt = Adam(runs[0].init.like(np.stack([run.init.flat for run in runs])), config.lr)
     steps_per_epoch = max(1, n // config.batch_size)
@@ -212,7 +222,7 @@ def train_seeds(configs: list[TrainConfig],
             noise = np.array([run.noise_rng.standard_normal(
                 (config.samples_per_input, idx.shape[1], task.latent_dim))
                 for run in active]).swapaxes(0, 1)
-            assignment = batch_assignment(task, yb)
+            assignment = AssignmentMatrix(membership[idx], validate=False)
             step += 1
             try:
                 breakdown = combined_loss(
@@ -257,7 +267,11 @@ def train_seeds(configs: list[TrainConfig],
 
 def predict(params: EncoderParams, X: np.ndarray, task) -> np.ndarray:
     """Deterministic predictions from the posterior mean (no sampling)."""
-    mu = encode(params, X)[0]
+    return _predictions(encode(params, X)[0], task)
+
+
+def _predictions(mu: np.ndarray, task) -> np.ndarray:
+    """Class ids (the argmax of the mean) or the 1-d mean itself."""
     if isinstance(task, ClassificationTask):
         return np.argmax(mu, axis=1)
     return mu[:, 0]
@@ -303,7 +317,9 @@ def evaluate(params: EncoderParams, X: np.ndarray, y: np.ndarray,
     The loss breakdown is evaluated on the whole split in one batch with zero
     sampling noise (so z = mu), without a gradient: ``entropy.se_loss`` then
     visits the split's graph in row tiles without building its gradient
-    panel, and graph memory is O(tile + n * r), not n x n.
+    panel, and graph memory is O(tile + n * r), not n x n.  The predictions
+    come from the posterior mean that forward pass computed, and the
+    classification scores from one confusion matrix.
     """
     if X.shape[0] == 0:
         raise ValueError("cannot evaluate an empty split")
@@ -313,18 +329,12 @@ def evaluate(params: EncoderParams, X: np.ndarray, y: np.ndarray,
     breakdown = combined_loss(params, X, assignment, y,
                               kind=task.kind, beta=config.beta, gamma=config.gamma,
                               noise=noise, use_mu_for_graph=config.use_mu_for_graph)
-    preds = predict(params, X, task)
-    report = MetricsReport(kind=task.kind, n=int(X.shape[0]), seed=config.seed,
-                           config=config.echo(), loss=breakdown.scalars())
-    if isinstance(task, ClassificationTask):
-        report.accuracy = M.accuracy(preds, y)
-        report.macro_f1 = M.macro_f1(preds, y, task.num_classes)
-        report.macro_recall = M.macro_recall(preds, y, task.num_classes)
-        report.per_class_f1 = M.per_class_f1(preds, y, task.num_classes).tolist()
-    else:
-        report.pearson = M.pearson(preds, y)
-        report.spearman = M.spearman(preds, y)
-    return report
+    preds = _predictions(breakdown.mu, task)
+    scores = (M.classification_scores(preds, y, task.num_classes)
+              if isinstance(task, ClassificationTask)
+              else {"pearson": M.pearson(preds, y), "spearman": M.spearman(preds, y)})
+    return MetricsReport(kind=task.kind, n=int(X.shape[0]), seed=config.seed,
+                         config=config.echo(), loss=breakdown.scalars(), **scores)
 
 
 def write_json(path, doc) -> None:

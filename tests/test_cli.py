@@ -5,6 +5,8 @@ import os
 import re
 import shlex
 import signal
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -217,6 +219,35 @@ class TestTrain:
         rc = main(["train", "--data", regression_csv, "--task", "classification",
                    "--out-dir", str(tmp_path), *FAST])
         assert rc == 2
+
+    def test_unset_blas_threads_give_the_bytes_of_one_thread(self, tmp_path):
+        """A regression ``train`` writes the same bytes with the BLAS thread
+        variables unset as with them set to 1.  With OpenBLAS's default of
+        one thread per core, this run's ``history.csv`` and ``model.json``
+        differ in their last digits on two cores.  On one core the two runs
+        are the same run, so there the test cannot tell them apart."""
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in names}
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+        def cli(*args, **extra_env):
+            subprocess.run([sys.executable, "-m", "bottletree", *map(str, args)],
+                           env={**env, **extra_env}, check=True, capture_output=True,
+                           timeout=120)
+
+        data = tmp_path / "reg.csv"
+        cli("gen", "regression", "--n", 6000, "--dim", 64, "--lo", 0, "--hi", 5,
+            "--seed", 1, "--out", data)
+        runs = []
+        for extra_env in ({}, dict.fromkeys(names, "1")):
+            out = tmp_path / f"run{len(runs)}"
+            cli("train", "--data", data, "--task", "regression", "--lo", 0, "--hi", 5,
+                "--hidden", "256,128", "--batch-size", 1024, "--epochs", 3,
+                "--patience", 3, "--out-dir", out, **extra_env)
+            runs.append({name: (out / name).read_bytes()
+                         for name in ("history.csv", "model.json", "report.json")})
+        assert runs[0] == runs[1]
 
 
 class TestSweep:

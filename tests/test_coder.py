@@ -7,15 +7,20 @@ import numpy as np
 import pytest
 from tape_reference import constant, parameter, tape_step
 
-from bottletree import autodiff
+from bottletree import autodiff, coder
 from bottletree.autodiff import LOG_EPS, DimensionError, finite_difference_check
 from bottletree.coder import (LOGVAR_MAX, LOGVAR_MIN, combined_loss, encode,
                               init_params, kl_to_standard_normal,
                               load_checkpoint, reparameterize, save_checkpoint,
                               task_loss, total_loss)
-from bottletree.entropy import hard_assignment
+from bottletree.entropy import hard_assignment, se_loss
 from bottletree.softbins import make_bins
 from bottletree.training import ClassificationTask, RegressionTask, batch_assignment
+
+
+def onehot(labels, num_classes):
+    """The one-hot targets ``task_loss`` takes for classification."""
+    return hard_assignment(labels, num_classes).membership
 
 
 def zero_params(input_dim=3, hidden=(4,), latent=2):
@@ -185,21 +190,21 @@ class TestPredictions:
         logits = np.array([[0.0, 0.0]])
         np.testing.assert_allclose(autodiff.softmax_values(logits, 1), [[0.5, 0.5]])
         for label in (0, 1):
-            assert task_loss(logits, [label], "classification")[0] == pytest.approx(
+            assert task_loss(logits, onehot([label], 2), "classification")[0] == pytest.approx(
                 math.log(2.0))
 
     def test_classification_shift_invariance(self):
         z = np.random.default_rng(1).standard_normal((4, 3))
         labels = [0, 2, 1, 1]
-        a = task_loss(z, labels, "classification")[0]
-        b = task_loss(z + 7.0, labels, "classification")[0]
+        a = task_loss(z, onehot(labels, 3), "classification")[0]
+        b = task_loss(z + 7.0, onehot(labels, 3), "classification")[0]
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_classification_argmax(self):
         logits = np.array([[2.0, 0.0]])
         assert np.argmax(autodiff.softmax_values(logits, 1)[0]) == 0
-        assert (task_loss(logits, [0], "classification")[0]
-                < task_loss(logits, [1], "classification")[0])
+        assert (task_loss(logits, onehot([0], 2), "classification")[0]
+                < task_loss(logits, onehot([1], 2), "classification")[0])
 
     def test_classification_dim_mismatch(self):
         params = init_params(3, (4,), 2, seed=0)
@@ -231,12 +236,12 @@ class TestPredictions:
 class TestTaskLoss:
     def test_perfect_prediction_near_zero_ce(self):
         pred = np.array([[40.0, 0.0], [0.0, 40.0]])
-        loss = task_loss(pred, [0, 1], "classification")[0]
+        loss = task_loss(pred, onehot([0, 1], 2), "classification")[0]
         assert loss == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_prediction_is_log_r(self):
         r = 4
-        loss = task_loss(np.zeros((3, r)), [0, 1, 2], "classification")[0]
+        loss = task_loss(np.zeros((3, r)), onehot([0, 1, 2], r), "classification")[0]
         assert loss == pytest.approx(math.log(r))
 
     def test_mse_zero_on_match(self):
@@ -250,6 +255,8 @@ class TestTaskLoss:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             task_loss(np.array([[1.0], [2.0]]), [1.0], "regression")
+        with pytest.raises(DimensionError):  # labels, not their one-hot rows
+            task_loss(np.zeros((2, 3)), [0, 1], "classification")
 
 
 def assert_close(fused, composite):
@@ -303,7 +310,7 @@ class TestFusedHeads:
         logits = 3.0 * rng.standard_normal((8, 4))
         labels = rng.integers(0, 4, size=8)
         logits[0, labels[0]] -= 40.0  # true-class probability below LOG_EPS
-        fused, backward = task_loss(logits, labels, "classification")
+        fused, backward = task_loss(logits, onehot(labels, 4), "classification")
         ref, (ref_grad,) = self.run(lambda z: composite_cross_entropy(z, labels) * 3.0,
                                     [logits])
         assert np.array_equal(fused * 3.0, ref)
@@ -329,7 +336,7 @@ class TestFusedHeads:
         logits = np.zeros((2, 3))
         logits[1, 2] = bad
         with pytest.raises(ValueError, match="softmax needs finite inputs"):
-            task_loss(logits, [0, 1], "classification")
+            task_loss(logits, onehot([0, 1], 3), "classification")
         with pytest.raises(ValueError, match="softmax needs finite inputs"):
             composite_cross_entropy(parameter(logits), [0, 1])
 
@@ -359,7 +366,7 @@ class TestTotalLoss:
 
 def step_case(kind="classification", stack=None, *, hard=False, samples=1,
               use_mu_for_graph=False, activation="relu", clamp=False, floor=False,
-              hidden=(8, 5), n=12, seed=0):
+              gamma=0.7, hidden=(8, 5), n=12, seed=0):
     """(params, inputs, assignment, targets, keyword arguments) of one step.
 
     ``stack`` is None for one model, or the S of an (S, P) stack with its own
@@ -384,7 +391,8 @@ def step_case(kind="classification", stack=None, *, hard=False, samples=1,
     if floor:
         params.weights[-1][..., :latent] *= 60.0
     noise = rng.standard_normal((samples,) + rows + (latent,))
-    kwargs = dict(kind=kind, beta=0.3, gamma=0.7, noise=noise, use_mu_for_graph=use_mu_for_graph)
+    kwargs = dict(kind=kind, beta=0.3, gamma=gamma, noise=noise,
+                  use_mu_for_graph=use_mu_for_graph)
     return params, X, batch_assignment(task, y), y, kwargs
 
 
@@ -406,6 +414,11 @@ STEP_GRID = {
     "clamped-logvar-regression-s6": {"clamp": True, "kind": "regression", "stack": 6},
     "below-ce-floor": {"floor": True},
     "below-ce-floor-s6": {"floor": True, "stack": 6},
+    # At gamma=0 the step skips the entropy backward that the tape still runs;
+    # the floor case's task gradient holds -0.0 entries.
+    "below-ce-floor-gamma0": {"floor": True, "gamma": 0.0},
+    "mu-graph-three-samples-s6-gamma0": {"use_mu_for_graph": True, "samples": 3,
+                                         "stack": 6, "gamma": 0.0},
 }
 
 
@@ -433,6 +446,21 @@ class TestClosedFormStep:
             probs = autodiff.softmax_values(z, -1)
             true_prob = probs[np.arange(len(y)), y]
             assert (true_prob < LOG_EPS).any() and (true_prob >= LOG_EPS).any()
+            d_z = task_loss(z, assignment.membership, "classification")[1](np.asarray(1.0))
+            assert np.signbit(d_z[d_z == 0.0]).any()  # -0.0 task gradients
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.7])
+    def test_the_entropy_backward_runs_only_at_nonzero_gamma(self, monkeypatch, gamma):
+        asked = []
+
+        def recording(embeddings, assignment, need_grad=False):
+            asked.append(need_grad)
+            return se_loss(embeddings, assignment, need_grad)
+
+        params, *args, kwargs = step_case(samples=2, gamma=gamma)
+        monkeypatch.setattr(coder, "se_loss", recording)
+        combined_loss(params, *args, need_grad=True, **kwargs)
+        assert asked == [gamma != 0.0] * 2
 
     def test_no_gradient_unless_asked(self):
         params, *args, kwargs = step_case()

@@ -4,8 +4,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from bottletree.metrics import (accuracy, average_ranks, macro_f1,
-                                macro_recall, pearson, per_class_f1, spearman)
+from bottletree.metrics import (accuracy, average_ranks, classification_scores,
+                                macro_f1, macro_recall, pearson, per_class_f1,
+                                spearman)
+
+
+def loop_f1_and_recall(preds, golds, num_classes):
+    """Per-class F1 and recall, class by class from boolean masks: the reference."""
+    preds, golds = np.asarray(preds), np.asarray(golds)
+    f1, recall = np.zeros(num_classes), np.zeros(num_classes)
+    for c in range(num_classes):
+        tp = float(np.sum((preds == c) & (golds == c)))
+        fp = float(np.sum((preds == c) & (golds != c)))
+        fn = float(np.sum((preds != c) & (golds == c)))
+        denom = 2.0 * tp + fp + fn
+        f1[c] = 2.0 * tp / denom if denom > 0 else 0.0
+        support = float(np.sum(golds == c))
+        recall[c] = tp / support if support > 0 else 0.0
+    return f1, recall
 
 
 class TestMacroF1:
@@ -48,6 +64,21 @@ class TestMacroF1:
             assert 0.0 <= macro_f1(preds, golds, 3) <= 1.0
 
 
+class TestConfusionMatrix:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_scores_equal_the_class_loop_bit_for_bit(self, seed, n, r):
+        rng = np.random.default_rng(seed)
+        preds, golds = rng.integers(0, r, size=n), rng.integers(0, r, size=n)
+        f1, recall = loop_f1_and_recall(preds, golds, r)
+        assert per_class_f1(preds, golds, r).tobytes() == f1.tobytes()
+        assert macro_f1(preds, golds, r) == float(f1.mean())
+        assert macro_recall(preds, golds, r) == float(recall.mean())
+        assert classification_scores(preds, golds, r) == {
+            "accuracy": accuracy(preds, golds), "macro_f1": float(f1.mean()),
+            "macro_recall": float(recall.mean()), "per_class_f1": f1.tolist()}
+
+
 class TestMacroRecall:
     def test_perfect(self):
         assert macro_recall([0, 1, 2], [0, 1, 2], 3) == 1.0
@@ -55,6 +86,12 @@ class TestMacroRecall:
     def test_partial(self):
         # class 0 recall 1/2, class 1 recall 1
         assert macro_recall([0, 1, 1], [0, 0, 1], 2) == pytest.approx(0.75)
+
+    @pytest.mark.parametrize("preds, golds", [([0, 2], [0, 1]), ([0, 1], [0, 2]),
+                                              ([0, -1], [0, 1])])
+    def test_out_of_range(self, preds, golds):
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
+            macro_recall(preds, golds, 2)
 
 
 class TestAccuracy:

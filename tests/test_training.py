@@ -7,15 +7,16 @@ import pytest
 from test_cli import gradient_overflow_blobs
 from test_coder import tensors_of
 
-from bottletree import autodiff, entropy
+from bottletree import autodiff, coder, entropy, training
+from bottletree import metrics as M
 from bottletree.coder import combined_loss, init_params
 from bottletree.datasets import gen_blobs, gen_regression, save_csv
 from bottletree.softbins import make_bins
 from bottletree.sweep import ExperimentSpec, run_sweep
 from bottletree.training import (Adam, ClassificationTask, RegressionTask,
                                  HISTORY_FIELDS, TrainConfig, TrainingDiverged,
-                                 evaluate, predict, train, train_seeds, write_csv,
-                                 write_json)
+                                 batch_assignment, evaluate, predict, train,
+                                 train_seeds, write_csv, write_json)
 
 
 def blob_config(ds, **overrides):
@@ -119,6 +120,18 @@ class TestTrain:
         assert dev_f1 == pytest.approx(result.best_metric, abs=1e-12)
         assert result.best_metric == pytest.approx(
             max(row["dev_metric"] for row in result.history), abs=1e-12)
+
+    def test_label_memberships_are_built_once_per_train(self, easy_blobs, monkeypatch):
+        built = []
+
+        def counting(task, y):
+            built.append(np.shape(y))
+            return batch_assignment(task, y)
+
+        monkeypatch.setattr(training, "batch_assignment", counting)
+        X, y = easy_blobs.subset("train")
+        result = train(blob_config(easy_blobs, epochs=3), (X, y), easy_blobs.subset("dev"))
+        assert len(result.history) == 3 and built == [y.shape]
 
     def test_early_stopping_halts_after_patience(self, easy_blobs):
         # lr=0 -> no parameter changes -> dev metric never improves after epoch 0
@@ -356,6 +369,32 @@ class TestEvaluate:
         r1 = evaluate(result.params, *easy_blobs.subset("test"), cfg)
         r2 = evaluate(result.params, *easy_blobs.subset("test"), cfg)
         assert r1.to_json_dict() == r2.to_json_dict()
+
+    @pytest.mark.parametrize("kind", ["classification", "regression"])
+    def test_the_split_is_encoded_once(self, monkeypatch, kind):
+        if kind == "classification":
+            ds, cfg = gen_blobs(3, 90, 4, 0.5, seed=5), TrainConfig(task=ClassificationTask(3))
+        else:
+            ds = gen_regression(90, 4, 0.1, lo=0.0, hi=5.0, seed=5)
+            cfg = TrainConfig(task=RegressionTask(make_bins(0.0, 5.0, 4)))
+        params = init_params(4, cfg.hidden, cfg.task.latent_dim, seed=3)
+        X, y = ds.subset("test")
+        preds = predict(params, X, cfg.task)
+        encoded, original = [], coder.encode
+
+        def counting(*args):
+            encoded.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(coder, "encode", counting)
+        monkeypatch.setattr(training, "encode", counting)
+        report = evaluate(params, X, y, cfg)
+        assert len(encoded) == 1
+        if kind == "classification":  # the scores of ``predict``'s classes
+            assert report.per_class_f1 == M.per_class_f1(preds, y, 3).tolist()
+            assert report.accuracy == M.accuracy(preds, y)
+        else:
+            assert report.spearman == M.spearman(preds, y)
 
     def test_regression_eval_on_perfect_predictor_data(self):
         # identity network cannot be constructed directly; instead check the
