@@ -25,8 +25,8 @@ from .coder import (EncoderParams, LossBreakdown,  # noqa: E402
 from .datasets import (Dataset, DatasetParseError, gen_blobs, gen_regression,  # noqa: E402
                        inject_label_noise, load_csv, save_csv,
                        subsample_train)
-from .entropy import (AdjacencyMatrix, AssignmentMatrix,  # noqa: E402
-                      DegenerateBatchError, EncodingTree, build_adjacency,
+from .entropy import (DegenerateBatchError, EncodingTree,  # noqa: E402
+                      build_adjacency, check_graph, check_membership,
                       entropy_report, hard_assignment,
                       intermediate_layer_entropy, se_loss, se_loss_matrix,
                       structural_entropy_definition, tree_from_assignment)

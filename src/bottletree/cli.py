@@ -212,7 +212,7 @@ def _write_debug_dump(path: str) -> None:
     rng = np.random.default_rng(0)
     h, labels, n, d, r = _random_instance(rng, n=8, d=3, r=3)
     adj = build_adjacency(h)
-    soft = soften(distance_matrix(rng.uniform(0.0, 5.0, size=adj.n),
+    soft = soften(distance_matrix(rng.uniform(0.0, 5.0, size=n),
                                   make_bins(0.0, 5.0, 3)))
     record = {
         "hard": entropy_report(adj, hard_assignment(labels, r)),

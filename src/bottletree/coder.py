@@ -26,7 +26,7 @@ import numpy as np
 
 from .autodiff import LOG_EPS, DimensionError, _sigmoid_of_negated, softmax_values
 from .datasets import replacing
-from .entropy import AssignmentMatrix, se_loss
+from .entropy import se_loss
 
 LOGVAR_MIN = -10.0
 LOGVAR_MAX = 10.0
@@ -226,7 +226,7 @@ def total_loss(task, kl, se, beta: float, gamma: float) -> LossBreakdown:
                          beta=beta, gamma=gamma)
 
 
-def combined_loss(params: EncoderParams, inputs, assignment: AssignmentMatrix, targets, *,
+def combined_loss(params: EncoderParams, inputs, assignment: np.ndarray, targets, *,
                   kind: str, beta: float, gamma: float, noise, use_mu_for_graph: bool = False,
                   need_grad: bool = False) -> LossBreakdown:
     """Full objective for one batch, and with ``need_grad`` its flat gradient
@@ -235,20 +235,23 @@ def combined_loss(params: EncoderParams, inputs, assignment: AssignmentMatrix, t
     ``noise`` is k standard-normal draws shaped like the posterior, stacked
     on a new leading axis; their task and entropy terms get averaged.  The
     similarity graph is built from the sampled latent by default, or from
-    the posterior mean when ``use_mu_for_graph`` is set.  A classification
-    batch's cross-entropy reads its one-hot targets from ``assignment``, the
-    hard tree of its labels; ``targets`` are read for regression only.  At
-    ``gamma == 0`` the entropy runs forward only: its gradient, times -0.0,
-    could add nothing but signed zeros, which the encoder's ``+= 0.0`` clears.
+    the posterior mean when ``use_mu_for_graph`` is set.  ``assignment`` is
+    the batch's membership from ``training.batch_assignment`` (or
+    ``hard_assignment`` / ``soften``); its shape is checked, not its entries.
+    A classification batch's cross-entropy reads its one-hot targets from
+    ``assignment``, the hard tree of its labels; ``targets`` are read for
+    regression only.  At ``gamma == 0`` the entropy runs forward only: its
+    gradient, times -0.0, could add nothing but signed zeros, which the
+    encoder's ``+= 0.0`` clears.
     """
     mu, logvar, encoder_backward = encode(params, inputs)
     if not need_grad:
         encoder_backward = None  # frees the activations it holds
     if kind == "classification":
-        if mu.shape[-1] != assignment.num_classes:
+        if mu.shape[-1] != assignment.shape[-1]:
             raise DimensionError(f"latent dim {mu.shape[-1]} must equal "
-                                 f"the class count {assignment.num_classes}")
-        targets = assignment.membership
+                                 f"the class count {assignment.shape[-1]}")
+        targets = assignment
     kl, kl_backward = kl_to_standard_normal(mu, logvar)
 
     draws = np.asarray(noise, dtype=np.float64)

@@ -93,6 +93,8 @@ def gen_blobs(num_classes: int, n: int, dim: int, spread: float, seed: int) -> D
         raise ValueError("need at least 2 classes")
     if n < num_classes:
         raise ValueError("need at least one sample per class")
+    if dim < 1:
+        raise ValueError(f"need at least 1 feature, got dim={dim}")
     if spread <= 0:
         raise ValueError("spread must be positive")
     rng = np.random.default_rng(seed)
@@ -116,6 +118,8 @@ def gen_regression(n: int, dim: int, noise_std: float, lo: float, hi: float,
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     if noise_std < 0:
         raise ValueError("noise_std must be non-negative")
+    if dim < 1:
+        raise ValueError(f"need at least 1 feature, got dim={dim}")
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, dim))
     u = rng.standard_normal(dim)

@@ -22,14 +22,16 @@ graph.  ``se_loss`` sums ``sum(A)`` from the row degrees, so the two losses
 agree to about an ulp, not bit for bit.
 
 A hard three-tier tree is the one-hot case of the row-stochastic membership
-``C``.  Graphs and assignments are plain arrays; nothing here records an
-autodiff tape.  Tests pin the routes against each other; never collapse them.
+``C``.  Graphs and assignments are plain float64 arrays, checked by
+``check_graph`` and ``check_membership`` where a route takes them from its
+caller; nothing here records an autodiff tape.  Tests pin the routes against
+each other; never collapse them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,8 +41,8 @@ _LN2 = float(np.log(2.0))
 
 # Graph entries per full-width row tile of ``se_loss``; a tile forms only the
 # columns from its first row on, and a batch of <= 256 rows is one tile.  The
-# tile's two buffers (Gram and graph, 512 KiB each, allocated once per call)
-# fit a 2 MiB per-core L2.
+# tile's two buffers (Gram and graph, 512 KiB each, one block allocated once
+# per call) fit a 2 MiB per-core L2.
 # Timed on the three-pass tile against 2**14 to 2**18: fastest at n=1024 (fwd +
 # bwd) and within 6% of 2**17 at n=6000 (fwd); 2**14 pays per-tile call
 # overhead (3000 tiles at n=6000), and 2**18's buffers overflow the L2.
@@ -51,34 +53,40 @@ class DegenerateBatchError(ValueError):
     """A similarity graph needs at least two points."""
 
 
-@dataclass
-class AdjacencyMatrix:
-    """Batch-level similarity graph: weights, per-point degrees, total volume.
+def check_graph(a) -> np.ndarray:
+    """A similarity graph as a float64 array: 2-D, square and finite.
 
-    Degrees are row sums including the diagonal; the volume is the sum of all
-    entries, so volume == sum(degrees) by construction.
+    Degrees are row sums including the diagonal, ``a.sum(axis=1)``; the
+    volume is the sum of all entries, ``a.sum()``.
     """
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError(f"adjacency must be square, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("adjacency entries must be finite")
+    return a
 
-    weights: np.ndarray
 
-    def __post_init__(self):
-        self.weights = v = np.asarray(self.weights, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise DimensionError(f"adjacency must be square, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("adjacency entries must be finite")
+def check_membership(c) -> np.ndarray:
+    """A leaf-to-class membership as a float64 array, (n, r) or a stack
+    (S, n, r): entries in [0, 1] and rows summing to 1; one-hot for a hard tree."""
+    c = np.asarray(c, dtype=np.float64)
+    if c.ndim not in (2, 3):
+        raise DimensionError(f"assignment must be 2-D or a stack, got shape {c.shape}")
+    if (c < -1e-12).any() or (c > 1.0 + 1e-12).any():
+        raise ValueError("assignment entries must lie in [0, 1]")
+    if (np.abs(c.sum(axis=-1) - 1.0) > 1e-9).any():
+        raise ValueError("assignment rows must sum to 1 within 1e-9")
+    return c
 
-    @property
-    def n(self) -> int:
-        return self.weights.shape[0]
 
-    @property
-    def degrees(self) -> np.ndarray:
-        return self.weights.sum(axis=1)
-
-    @property
-    def volume(self) -> float:
-        return float(self.weights.sum())
+def _check_pair(a, c) -> tuple[np.ndarray, np.ndarray]:
+    """``check_graph(a)`` and ``check_membership(c)``, with one row per vertex."""
+    a, c = check_graph(a), check_membership(c)
+    if c.shape[-2] != a.shape[0]:
+        raise DimensionError(
+            f"assignment has {c.shape[-2]} rows but graph has {a.shape[0]} vertices")
+    return a, c
 
 
 def _check_embeddings(h: np.ndarray) -> None:
@@ -90,7 +98,7 @@ def _check_embeddings(h: np.ndarray) -> None:
         raise NonFiniteError("embedding", "embeddings must be finite")
 
 
-def build_adjacency(embeddings) -> AdjacencyMatrix:
+def build_adjacency(embeddings) -> np.ndarray:
     """Similarity graph over a batch of embeddings: sigmoid of the Gram matrix.
 
     Symmetric with entries in (0, 1); the diagonal (self-similarity) is kept.
@@ -101,45 +109,20 @@ def build_adjacency(embeddings) -> AdjacencyMatrix:
     _check_embeddings(h)
     # The negated Gram, formed as ``_se_slice`` forms its tiles.
     neg_gram = h @ np.negative(h.T, order="C")
-    return AdjacencyMatrix(_sigmoid_of_negated(neg_gram, out=neg_gram))
+    return _sigmoid_of_negated(neg_gram, out=neg_gram)
 
 
-@dataclass
-class AssignmentMatrix:
-    """Row-stochastic leaf-to-class membership, (n, r) or (S, n, r); one-hot for a hard tree."""
-
-    membership: np.ndarray
-    validate: InitVar[bool] = True  # False where the entries are valid by construction
-
-    def __post_init__(self, validate: bool):
-        self.membership = m = np.asarray(self.membership, dtype=np.float64)
-        if m.ndim not in (2, 3):
-            raise DimensionError(f"assignment must be 2-D or a stack, got shape {m.shape}")
-        if validate:
-            if (m < -1e-12).any() or (m > 1.0 + 1e-12).any():
-                raise ValueError("assignment entries must lie in [0, 1]")
-            if (np.abs(m.sum(axis=-1) - 1.0) > 1e-9).any():
-                raise ValueError("assignment rows must sum to 1 within 1e-9")
-
-    @property
-    def n(self) -> int:
-        return self.membership.shape[-2]
-
-    @property
-    def num_classes(self) -> int:
-        return self.membership.shape[-1]
-
-
-def hard_assignment(labels, num_classes: int) -> AssignmentMatrix:
-    """One-hot assignment from integer class labels, (n,) or a stack (S, n)."""
+def hard_assignment(labels, num_classes: int) -> np.ndarray:
+    """One-hot membership from integer class labels, (n,) or a stack (S, n)."""
     labels = np.asarray(labels)
     if labels.ndim not in (1, 2):
         raise DimensionError("labels must be a 1-D sequence or a stack of them")
+    if labels.dtype.kind not in "biu" and not (labels == np.round(labels)).all():
+        raise ValueError("class labels must be integers")
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise ValueError(f"labels must lie in [0, {num_classes}), got range "
                          f"[{labels.min()}, {labels.max()}]")
-    onehot = np.eye(num_classes)[labels.astype(np.int64, copy=False)]
-    return AssignmentMatrix(onehot, validate=False)  # valid by construction
+    return np.eye(num_classes)[labels.astype(np.int64, copy=False)]
 
 
 @dataclass
@@ -147,7 +130,6 @@ class TreeNode:
     name: str
     members: tuple[int, ...]  # leaf indices covered by this node
     parent: str | None
-    children: list[str] = field(default_factory=list)
 
 
 class EncodingTree:
@@ -161,26 +143,21 @@ class EncodingTree:
         self.n = n
         self.class_members = [tuple(sorted(m)) for m in class_members]
         self.nodes: dict[str, TreeNode] = {}
-        root = TreeNode("root", tuple(range(n)), None)
-        self.nodes["root"] = root
+        self.nodes["root"] = TreeNode("root", tuple(range(n)), None)
         for j, members in enumerate(self.class_members):
             cname = f"class:{j}"
-            root.children.append(cname)
-            cnode = TreeNode(cname, members, "root")
-            self.nodes[cname] = cnode
+            self.nodes[cname] = TreeNode(cname, members, "root")
             for i in members:
-                lname = f"leaf:{i}"
-                cnode.children.append(lname)
-                self.nodes[lname] = TreeNode(lname, (i,), cname)
+                self.nodes[f"leaf:{i}"] = TreeNode(f"leaf:{i}", (i,), cname)
 
     @property
     def num_classes(self) -> int:
         return len(self.class_members)
 
 
-def tree_from_assignment(assignment: AssignmentMatrix) -> EncodingTree:
+def tree_from_assignment(assignment) -> EncodingTree:
     """Encoding tree whose intermediate node j holds {i : C_ij = 1}."""
-    m = assignment.membership
+    m = check_membership(assignment)
     if m.ndim != 2:
         raise DimensionError(f"a tree needs a 2-D (n, r) membership, got shape {m.shape}")
     if not ((m == 0.0) | (m == 1.0)).all():
@@ -202,8 +179,7 @@ def _cut_weight(a: np.ndarray, members: tuple[int, ...]) -> float:
     return total
 
 
-def structural_entropy_definition(adj: AdjacencyMatrix,
-                                  tree: EncodingTree) -> tuple[dict[str, float], float]:
+def structural_entropy_definition(adj, tree: EncodingTree) -> tuple[dict[str, float], float]:
     """Per-node structural entropies and their sum, straight from the definition.
 
     Each non-root node alpha contributes
@@ -211,10 +187,10 @@ def structural_entropy_definition(adj: AdjacencyMatrix,
     empty member set (or zero cut) contribute 0.  Set enumeration only - the
     independent oracle for the matrix-form loss.
     """
-    if tree.n != adj.n:
-        raise DimensionError(f"tree covers {tree.n} leaves but graph has {adj.n} vertices")
-    a = adj.weights
-    degrees = adj.degrees
+    a = check_graph(adj)
+    if tree.n != a.shape[0]:
+        raise DimensionError(f"tree covers {tree.n} leaves but graph has {a.shape[0]} vertices")
+    degrees = a.sum(axis=1)
     vol = float(degrees.sum())
 
     def set_volume(members: tuple[int, ...]) -> float:
@@ -234,28 +210,24 @@ def structural_entropy_definition(adj: AdjacencyMatrix,
     return per_node, sum(per_node.values())
 
 
-def intermediate_layer_entropy(adj: AdjacencyMatrix, tree: EncodingTree) -> float:
+def intermediate_layer_entropy(adj, tree: EncodingTree) -> float:
     """Structural entropy restricted to the class (intermediate) tier."""
     per_node, _ = structural_entropy_definition(adj, tree)
     return sum(per_node[f"class:{j}"] for j in range(tree.num_classes))
 
 
-def se_loss_matrix(adj: AdjacencyMatrix, assignment: AssignmentMatrix) -> float:
+def se_loss_matrix(adj, assignment) -> float:
     """Matrix form of the intermediate-layer structural entropy.
 
     ``-sum_j cut_j/sum(A) * log2(vol_j/sum(A))`` with
     ``cut_j = ((1-C)^T A C)_jj`` and ``vol_j = (1^T A C)_jj``.  Log arguments
     are floored at 1e-12, so empty classes contribute exactly 0.
     """
-    return _class_terms(adj, assignment)[2]
+    return _class_terms(*_check_pair(adj, assignment))[2]
 
 
-def _class_terms(adj: AdjacencyMatrix, assignment: AssignmentMatrix):
+def _class_terms(a: np.ndarray, c: np.ndarray):
     """Per-class cuts and volumes of ``se_loss_matrix``, and its value, from one ``A @ C``."""
-    if assignment.n != adj.n:
-        raise DimensionError(
-            f"assignment has {assignment.n} rows but graph has {adj.n} vertices")
-    a, c = adj.weights, assignment.membership
     ac = a @ c                            # n x r
     total = a.sum()
     cuts = ((1.0 - c) * ac).sum(axis=0)   # diag((1-C)^T A C)
@@ -264,7 +236,7 @@ def _class_terms(adj: AdjacencyMatrix, assignment: AssignmentMatrix):
     return cuts, vols, float(loss)
 
 
-def se_loss(embeddings: np.ndarray, assignment: AssignmentMatrix, need_grad: bool = False):
+def se_loss(embeddings: np.ndarray, assignment: np.ndarray, need_grad: bool = False):
     """``se_loss_matrix(build_adjacency(embeddings), assignment)`` in closed
     form: (loss, backward), with backward(g) = dL/dH * g shaped like the
     embeddings, or None unless ``need_grad``.
@@ -277,11 +249,13 @@ def se_loss(embeddings: np.ndarray, assignment: AssignmentMatrix, need_grad: boo
     diagonal, transposed, to the rows after ``stop``; a batch of at most
     ``rows`` rows (256 at the shipped size) is one tile.  The assignment is
     data.  Stacks (S, n, d) and (S, n, r) give the (S,) losses of the
-    slices, each computed alone, with its own bits.
+    slices, each computed alone, with its own bits.  The assignment's shape
+    is checked, not its entries: it comes from ``hard_assignment`` or
+    ``soften``, which make valid ones.
     """
     h = np.asarray(embeddings, dtype=np.float64)
     _check_embeddings(h)
-    c = assignment.membership
+    c = np.asarray(assignment, dtype=np.float64)
     if c.ndim != h.ndim or c.shape[:-1] != h.shape[:-1]:
         raise DimensionError(f"assignment {c.shape} does not match embeddings {h.shape}")
     slices = zip(h.reshape((-1,) + h.shape[-2:]), c.reshape((-1,) + c.shape[-2:]))
@@ -305,7 +279,10 @@ def _se_slice(h: np.ndarray, c: np.ndarray, need_grad: bool):
         # built as (r+1) x d x n, so that each product runs along n
         panel = np.concatenate([h.T[None], c.T[:, None, :] * h.T]).reshape(-1, n).T
         q = np.empty((n, (r + 1) * d))
-    gram, a = np.empty(rows * n), np.empty(rows * n)
+    # One block, not two: freeing it sets glibc's heap-trim threshold to twice
+    # its size, so the next call reuses the pages; two 512 KiB buffers sat at
+    # that threshold and, by heap layout, were re-faulted on every call.
+    gram, a = np.empty((2, rows * n))
     c1 = np.concatenate([c, np.ones((n, 1))], axis=1)  # [C | 1]: AC and the degrees
     ac1 = np.empty(c1.shape)
     # Tiles run last to first: the rows after a tile already hold their own
@@ -354,14 +331,15 @@ def _se_slice(h: np.ndarray, c: np.ndarray, need_grad: bool):
     return loss, backward
 
 
-def entropy_report(adj: AdjacencyMatrix, assignment: AssignmentMatrix) -> dict:
+def entropy_report(adj, assignment) -> dict:
     """JSON-ready debug record: graph, assignment, per-class cuts/volumes, loss."""
-    cuts, vols, loss = _class_terms(adj, assignment)
+    a, c = _check_pair(adj, assignment)
+    cuts, vols, loss = _class_terms(a, c)
     return {
-        "adjacency": adj.weights.tolist(),
-        "assignment": assignment.membership.tolist(),
+        "adjacency": a.tolist(),
+        "assignment": c.tolist(),
         "cut_weights": cuts.tolist(),
         "class_volumes": vols.tolist(),
-        "volume": adj.volume,
+        "volume": float(a.sum()),
         "se_loss": loss,
     }

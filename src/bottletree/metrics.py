@@ -32,6 +32,8 @@ def confusion_matrix(preds, golds, num_classes: int) -> np.ndarray:
     """(r, r) integer counts: row ``c`` holds the rows of gold class ``c``,
     column ``k`` those predicted as ``k``."""
     preds, golds = _check_pair(preds, golds)
+    if any(v.dtype.kind not in "biu" and not (v == np.round(v)).all() for v in (preds, golds)):
+        raise ValueError("class labels must be integers")
     if golds.size and (min(preds.min(), golds.min()) < 0
                        or max(preds.max(), golds.max()) >= num_classes):
         raise ValueError(f"labels must lie in [0, {num_classes})")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import DimensionError, softmax_values
-from .entropy import AdjacencyMatrix, AssignmentMatrix
+from .entropy import _check_pair, check_membership
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ def distance_matrix(labels, bins: BinSpec) -> np.ndarray:
     return np.abs(y[..., None] - centers)
 
 
-def soften(distances: np.ndarray, temperature: float = 1.0) -> AssignmentMatrix:
+def soften(distances: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """Row-stochastic membership: softmax of negated distances.
 
     Closer bin centers get higher probability; temperature 1 is the plain
@@ -69,7 +69,7 @@ def soften(distances: np.ndarray, temperature: float = 1.0) -> AssignmentMatrix:
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    return AssignmentMatrix(softmax_values(-distances / temperature, -1))
+    return check_membership(softmax_values(-distances / temperature, -1))
 
 
 def nearest_bin(labels, bins: BinSpec) -> np.ndarray:
@@ -79,16 +79,14 @@ def nearest_bin(labels, bins: BinSpec) -> np.ndarray:
     return np.argmin(np.abs(y[..., None] - centers), axis=-1)
 
 
-def soft_volumes(adj: AdjacencyMatrix, assignment: AssignmentMatrix) -> np.ndarray:
+def soft_volumes(adj, assignment) -> np.ndarray:
     """Per-class soft volumes sum_i Y'_ij * d_i, by direct summation.
 
     Conserves the graph volume: the values sum to vol(G) for any
     row-stochastic membership.
     """
-    m = assignment.membership
-    if m.shape[0] != adj.n:
-        raise DimensionError(f"membership has {m.shape[0]} rows, graph has {adj.n}")
-    degrees = adj.degrees
+    a, m = _check_pair(adj, assignment)
+    degrees = a.sum(axis=1)
     out = np.zeros(m.shape[1])
     for j in range(m.shape[1]):
         acc = 0.0
@@ -98,17 +96,14 @@ def soft_volumes(adj: AdjacencyMatrix, assignment: AssignmentMatrix) -> np.ndarr
     return out
 
 
-def soft_cuts(adj: AdjacencyMatrix, assignment: AssignmentMatrix) -> np.ndarray:
+def soft_cuts(adj, assignment) -> np.ndarray:
     """Per-class soft cuts sum_{i,k} A_ik * Y'_kj * (1 - Y'_ij), by direct summation.
 
     Each edge weight is scaled by the probability that one endpoint belongs
     to the class and the other does not; reduces to the hard cut for one-hot
     memberships.
     """
-    m = assignment.membership
-    if m.shape[0] != adj.n:
-        raise DimensionError(f"membership has {m.shape[0]} rows, graph has {adj.n}")
-    a = adj.weights
+    a, m = _check_pair(adj, assignment)
     n, r = m.shape
     out = np.zeros(r)
     for j in range(r):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from . import metrics as M
 from .autodiff import NonFiniteError
 from .coder import EncoderParams, combined_loss, encode, init_params
 from .datasets import replacing
-from .entropy import AssignmentMatrix, hard_assignment
+from .entropy import hard_assignment
 from .softbins import BinSpec, distance_matrix, nearest_bin, soften
 
 REPORT_SCHEMA_VERSION = 1
@@ -83,7 +83,8 @@ class TrainConfig:
                     "lo": self.task.bins.lo, "hi": self.task.bins.hi,
                     "soft_labels": self.task.soft_labels,
                     "temperature": self.task.temperature}
-        return {**asdict(self), "task": task, "hidden": list(self.hidden),
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "task": task, "hidden": list(self.hidden),
                 "warmup_fraction": WARMUP_FRACTION}
 
 
@@ -139,8 +140,8 @@ class Adam:
         self.m, self.v = self.m[rows], self.v[rows]
 
 
-def batch_assignment(task, y_batch) -> AssignmentMatrix:
-    """Assignment matrix for one batch's labels; labels never carry gradients."""
+def batch_assignment(task, y_batch) -> np.ndarray:
+    """Membership for one batch's labels; labels never carry gradients."""
     if isinstance(task, ClassificationTask):
         return hard_assignment(y_batch, task.num_classes)
     if task.soft_labels:
@@ -203,7 +204,7 @@ def train_seeds(configs: list[TrainConfig],
     if any(replace(c, seed=config.seed) != config for c in configs):
         raise ValueError("lockstep configs must differ only in their seed")
     runs = [_Run(c, X_train.shape[1]) for c in configs]
-    membership = batch_assignment(task, y_train).membership  # each step gathers its rows
+    membership = batch_assignment(task, y_train)  # each step gathers its rows
     active = runs  # row i of the stack trains active[i]
     opt = Adam(runs[0].init.like(np.stack([run.init.flat for run in runs])), config.lr)
     steps_per_epoch = max(1, n // config.batch_size)
@@ -222,7 +223,10 @@ def train_seeds(configs: list[TrainConfig],
             noise = np.array([run.noise_rng.standard_normal(
                 (config.samples_per_input, idx.shape[1], task.latent_dim))
                 for run in active]).swapaxes(0, 1)
-            assignment = AssignmentMatrix(membership[idx], validate=False)
+            # Bound, not inlined into the call: with two tile buffers the inlined
+            # gather moved ``evaluate``'s minor faults 10x; with one block
+            # (``entropy._se_slice``) neither form faults after two calls.
+            assignment = membership[idx]
             step += 1
             try:
                 breakdown = combined_loss(

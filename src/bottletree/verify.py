@@ -17,9 +17,9 @@ import numpy as np
 
 from .autodiff import finite_difference_check
 from .coder import combined_loss, init_params, kl_to_standard_normal
-from .entropy import (AdjacencyMatrix, AssignmentMatrix, build_adjacency,
-                      hard_assignment, intermediate_layer_entropy, se_loss,
-                      se_loss_matrix, tree_from_assignment)
+from .entropy import (build_adjacency, check_membership, hard_assignment,
+                      intermediate_layer_entropy, se_loss, se_loss_matrix,
+                      tree_from_assignment)
 from .softbins import make_bins, soft_cuts, soft_volumes
 from .training import ClassificationTask, RegressionTask, batch_assignment
 
@@ -47,13 +47,13 @@ def _random_instance(rng, n=None, d=None, r=None):
     return h, labels, n, d, r
 
 
-def _random_soft(rng, n: int, r: int) -> AssignmentMatrix:
-    return AssignmentMatrix(rng.dirichlet(np.ones(r), size=n))
+def _random_soft(rng, n: int, r: int) -> np.ndarray:
+    return check_membership(rng.dirichlet(np.ones(r), size=n))
 
 
-def _summation_loss(adj: AdjacencyMatrix, assignment: AssignmentMatrix) -> float:
+def _summation_loss(adj: np.ndarray, assignment: np.ndarray) -> float:
     """The loss summed class by class from brute-force cuts and volumes."""
-    vol = adj.volume
+    vol = adj.sum()
     return -sum((g / vol) * math.log2(max(v / vol, 1e-12))
                 for g, v in zip(soft_cuts(adj, assignment), soft_volumes(adj, assignment)))
 
@@ -108,7 +108,7 @@ def check_soft_consistency(instances: int = 100, seed: int = 1003) -> CheckResul
         summation = _summation_loss(adj, soft)
         worst = max(worst, abs(se_loss_matrix(adj, soft) - summation))
         worst_fused = max(worst_fused, abs(float(se_loss(h, soft)[0]) - summation))
-        worst_cons = max(worst_cons, abs(soft_volumes(adj, soft).sum() - adj.volume))
+        worst_cons = max(worst_cons, abs(soft_volumes(adj, soft).sum() - adj.sum()))
     worst_tiled = 0.0
     for n in MULTI_TILE_ROWS:
         h, _, _, _, r = _random_instance(rng, n=n)
@@ -137,7 +137,7 @@ def check_bounds(instances: int = 1000, seed: int = 1004) -> CheckResult:
             adj = build_adjacency(rng.standard_normal((n, int(rng.integers(2, 6)))))
         else:
             w = np.abs(rng.standard_normal((n, n))) + 1e-3
-            adj = AdjacencyMatrix((w + w.T) / 2.0)
+            adj = (w + w.T) / 2.0
         assignment = (hard_assignment(rng.integers(0, r, size=n), r)
                       if i % 4 < 2 else _random_soft(rng, n, r))
         value = se_loss_matrix(adj, assignment)
@@ -162,7 +162,7 @@ def check_invariance(instances: int = 50, seed: int = 1005) -> CheckResult:
         c = hard_assignment(labels, r)
         base = se_loss_matrix(adj, c)
         for scale in (0.1, 10.0):
-            scaled = AdjacencyMatrix(adj.weights * scale)
+            scaled = adj * scale
             worst_scale = max(worst_scale, abs(se_loss_matrix(scaled, c) - base))
         perm = rng.permutation(n)
         c_p = hard_assignment(labels[perm], r)

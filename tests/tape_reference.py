@@ -80,7 +80,7 @@ def task_loss(z, targets, kind):
 def se_loss(embeddings, assignment):
     h = embeddings.values
     _check_embeddings(h)
-    c = assignment.membership
+    c = assignment
     slices = zip(h.reshape((-1,) + h.shape[-2:]), c.reshape((-1,) + c.shape[-2:]))
     parts = [_se_slice(h_s, c_s, embeddings.requires_grad) for h_s, c_s in slices]
     loss = np.array([value for value, _ in parts]).reshape(h.shape[:-2])

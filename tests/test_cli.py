@@ -86,6 +86,16 @@ class TestGen:
         assert not out.exists()
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", [["blobs", "--classes", "2"],
+                                      ["regression", "--lo", "0", "--hi", "5"]],
+                             ids=["blobs", "regression"])
+    def test_zero_features_exit_two_without_file(self, kind, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        rc = main(["gen", *kind, "--n", "10", "--dim", "0", "--seed", "0", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert "need at least 1 feature, got dim=0" in capsys.readouterr().err
+
     def test_out_env_var_sets_default_dir(self, blob_csv, tmp_path, monkeypatch):
         monkeypatch.setenv("BOTTLETREE_OUT", str(tmp_path / "envout"))
         rc = main(["gen", "blobs", "--classes", "2", "--n", "20", "--dim", "3",
@@ -505,7 +515,7 @@ SABOTAGE = {
     "oracle": (entropy, "_class_terms",  # the matrix form in nats
                _on_output(lambda out: (*out[:2], out[2] * math.log(2.0)))),
     "reduction": (verify, "soft_cuts",  # sum_{i,k} A_ik Y'_kj without (1 - Y'_ij)
-                  lambda original: lambda adj, c: (adj.weights @ c.membership).sum(axis=0)),
+                  lambda original: lambda adj, c: (adj @ c).sum(axis=0)),
     "soft": (entropy, "_se_slice",  # the fused form in nats
              _on_output(lambda out: (out[0] * math.log(2.0), out[1]))),
     "bounds": (entropy, "_class_terms", _on_output(lambda out: (*out[:2], -out[2]))),

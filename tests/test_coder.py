@@ -20,7 +20,7 @@ from bottletree.training import ClassificationTask, RegressionTask, batch_assign
 
 def onehot(labels, num_classes):
     """The one-hot targets ``task_loss`` takes for classification."""
-    return hard_assignment(labels, num_classes).membership
+    return hard_assignment(labels, num_classes)
 
 
 def zero_params(input_dim=3, hidden=(4,), latent=2):
@@ -446,7 +446,7 @@ class TestClosedFormStep:
             probs = autodiff.softmax_values(z, -1)
             true_prob = probs[np.arange(len(y)), y]
             assert (true_prob < LOG_EPS).any() and (true_prob >= LOG_EPS).any()
-            d_z = task_loss(z, assignment.membership, "classification")[1](np.asarray(1.0))
+            d_z = task_loss(z, assignment, "classification")[1](np.asarray(1.0))
             assert np.signbit(d_z[d_z == 0.0]).any()  # -0.0 task gradients
 
     @pytest.mark.parametrize("gamma", [0.0, 0.7])

@@ -8,22 +8,21 @@ from hypothesis import strategies as st
 
 from bottletree import entropy
 from bottletree.autodiff import LOG_EPS, finite_difference_check
-from bottletree.entropy import (AdjacencyMatrix, AssignmentMatrix,
-                                DegenerateBatchError,
-                                DimensionError, EncodingTree, build_adjacency,
-                                entropy_report, hard_assignment,
-                                intermediate_layer_entropy, se_loss,
-                                se_loss_matrix,
+from bottletree.entropy import (DegenerateBatchError, DimensionError,
+                                EncodingTree, build_adjacency, check_graph,
+                                check_membership, entropy_report,
+                                hard_assignment, intermediate_layer_entropy,
+                                se_loss, se_loss_matrix,
                                 structural_entropy_definition,
                                 tree_from_assignment)
-from bottletree.softbins import distance_matrix, make_bins, soften
+from bottletree.softbins import distance_matrix, make_bins, soft_cuts, soft_volumes, soften
 
 
 def ring_graph_4():
     # complete graph on 4 vertices, unit weights, no self-loops
     a = np.ones((4, 4))
     np.fill_diagonal(a, 0.0)
-    return AdjacencyMatrix(a)
+    return a
 
 
 def random_case(rng, n=None, r=None):
@@ -38,18 +37,18 @@ def random_case(rng, n=None, r=None):
 class TestBuildAdjacency:
     def test_zero_embeddings_give_half_everywhere(self):
         adj = build_adjacency(np.zeros((3, 4)))
-        np.testing.assert_array_equal(adj.weights, np.full((3, 3), 0.5))
-        assert adj.volume == pytest.approx(4.5)
+        np.testing.assert_array_equal(adj, np.full((3, 3), 0.5))
+        assert adj.sum() == pytest.approx(4.5)
 
     def test_orthonormal_rows(self):
         h = np.eye(4)[:2]  # e1, e2
-        a = build_adjacency(h).weights
+        a = build_adjacency(h)
         assert a[0, 1] == pytest.approx(0.5)
         assert a[0, 0] == pytest.approx(1.0 / (1.0 + math.exp(-1.0)), abs=1e-6)
 
     def test_symmetry(self):
         rng = np.random.default_rng(0)
-        a = build_adjacency(rng.standard_normal((6, 3))).weights
+        a = build_adjacency(rng.standard_normal((6, 3)))
         np.testing.assert_allclose(a, a.T, atol=1e-12)
 
     def test_degenerate_batch(self):
@@ -63,41 +62,101 @@ class TestBuildAdjacency:
     def test_volume_equals_degree_sum(self):
         rng = np.random.default_rng(1)
         adj = build_adjacency(rng.standard_normal((5, 3)))
-        assert adj.volume == pytest.approx(adj.degrees.sum(), abs=1e-9)
-        assert adj.volume == pytest.approx(adj.weights.sum(), abs=1e-9)
+        assert adj.dtype == np.float64 and adj.shape == (5, 5)
+        assert adj.sum() == pytest.approx(adj.sum(axis=1).sum(), abs=1e-9)
 
 
 class TestHardAssignment:
     def test_one_hot_rows(self):
         c = hard_assignment([0, 1, 0], 2)
-        np.testing.assert_array_equal(c.membership, [[1, 0], [0, 1], [1, 0]])
+        np.testing.assert_array_equal(c, [[1, 0], [0, 1], [1, 0]])
         # a one-hot membership built directly is the same hard tree
-        direct = AssignmentMatrix([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        direct = [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
         assert (tree_from_assignment(direct).class_members
                 == tree_from_assignment(c).class_members == [(0, 2), (1,)])
 
     def test_single_class_all_ones_column(self):
         c = hard_assignment([0, 0, 0], 1)
-        np.testing.assert_array_equal(c.membership, [[1], [1], [1]])
+        np.testing.assert_array_equal(c, [[1], [1], [1]])
 
     def test_out_of_range_label(self):
         with pytest.raises(ValueError):
             hard_assignment([2], 2)
 
+    @pytest.mark.parametrize("labels", [[0.9, 1.5], [0.0, np.nan]], ids=["fraction", "nan"])
+    def test_non_integral_labels_rejected(self, labels):
+        with pytest.raises(ValueError, match="class labels must be integers"):
+            hard_assignment(np.array(labels), 3)
+
+    def test_integral_floats_and_empty_labels_are_labels(self):
+        np.testing.assert_array_equal(hard_assignment(np.array([2.0, 0.0]), 3),
+                                      [[0, 0, 1], [1, 0, 0]])
+        assert hard_assignment([], 3).shape == (0, 3)
+
     def test_soft_mode_validation(self):
         with pytest.raises(ValueError, match="sum to 1"):
-            AssignmentMatrix([[0.7, 0.7]])
+            check_membership([[0.7, 0.7]])
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            AssignmentMatrix([[1.5, -0.5]])
-        AssignmentMatrix([[0.7, 0.3]])  # ok
-        AssignmentMatrix([[1.0, 0.0]])  # ok: one-hot is the hard case
+            check_membership([[1.5, -0.5]])
+        check_membership([[0.7, 0.3]])  # ok
+        check_membership([[1.0, 0.0]])  # ok: one-hot is the hard case
+
+
+def _entry_points():
+    """Every route that takes a graph or a membership from its caller, as
+    (route of (graph, membership), takes a graph, takes a membership)."""
+    tree = EncodingTree(4, [(0, 1), (2, 3)])
+    return {
+        "se_loss_matrix": (se_loss_matrix, True, True),
+        "entropy_report": (entropy_report, True, True),
+        "soft_cuts": (soft_cuts, True, True),
+        "soft_volumes": (soft_volumes, True, True),
+        "structural_entropy_definition":
+            (lambda a, c: structural_entropy_definition(a, tree), True, False),
+        "intermediate_layer_entropy":
+            (lambda a, c: intermediate_layer_entropy(a, tree), True, False),
+        "tree_from_assignment": (lambda a, c: tree_from_assignment(c), False, True),
+    }
+
+
+# (graph or None for a valid one, membership or None, error, message)
+BAD_INPUTS = {
+    "rows-sum-past-1": (None, [[0.7, 0.7]], ValueError, "rows must sum to 1 within 1e-9"),
+    "entries-outside-0-1": (None, [[1.5, -0.5]], ValueError, r"entries must lie in \[0, 1\]"),
+    "graph-not-square": (np.ones((4, 3)), None, DimensionError,
+                         r"adjacency must be square, got shape \(4, 3\)"),
+    "graph-with-nan": (np.where(np.eye(4) > 0, np.nan, 1.0), None, ValueError,
+                       "adjacency entries must be finite"),
+}
+
+
+class TestChecksAtEntry:
+    @pytest.mark.parametrize("route, bad", [
+        (route, bad) for route, (_, graph, membership) in _entry_points().items()
+        for bad, (a, c, _, _) in BAD_INPUTS.items()
+        if (graph and a is not None) or (membership and c is not None)])
+    def test_every_route_checks_what_it_takes(self, route, bad):
+        fn = _entry_points()[route][0]
+        a, c, error, message = BAD_INPUTS[bad]
+        a = ring_graph_4() if a is None else a
+        c = hard_assignment([0, 0, 1, 1], 2) if c is None else c
+        fn(ring_graph_4(), hard_assignment([0, 0, 1, 1], 2))  # the valid pair passes
+        with pytest.raises(error, match=message):
+            fn(a, c)
+
+    def test_checks_return_float64_arrays(self):
+        a, c = check_graph([[1, 0], [0, 1]]), check_membership([[1, 0], [0, 1]])
+        assert a.dtype == c.dtype == np.float64 and type(a) is type(c) is np.ndarray
+
+    def test_pair_row_counts_must_match(self):
+        with pytest.raises(DimensionError, match="assignment has 2 rows but graph has 4"):
+            soft_cuts(ring_graph_4(), hard_assignment([0, 1], 2))
 
 
 class TestEncodingTree:
     def test_two_singleton_classes(self):
         tree = tree_from_assignment(hard_assignment([0, 1], 2))
         assert tree.class_members == [(0,), (1,)]
-        assert len(tree.nodes["root"].children) == 2
 
     def test_single_class_holds_all(self):
         tree = tree_from_assignment(hard_assignment([0, 0, 0], 1))
@@ -113,7 +172,7 @@ class TestEncodingTree:
             tree_from_assignment(hard_assignment([[0, 1], [1, 0]], 2))
 
     def test_soft_input_rejected(self):
-        soft = AssignmentMatrix([[1.0, 0.0], [0.5, 0.5]])
+        soft = [[1.0, 0.0], [0.5, 0.5]]
         with pytest.raises(ValueError, match="one-hot"):
             tree_from_assignment(soft)
 
@@ -144,9 +203,9 @@ class TestDefinitionOracle:
         rng = np.random.default_rng(5)
         adj, c, h, labels = random_case(rng)
         per, total = structural_entropy_definition(adj, tree_from_assignment(c))
-        perm = rng.permutation(adj.n)
+        perm = rng.permutation(len(adj))
         adj_p = build_adjacency(h[perm])
-        c_p = hard_assignment(labels[perm], c.num_classes)
+        c_p = hard_assignment(labels[perm], c.shape[1])
         _, total_p = structural_entropy_definition(adj_p, tree_from_assignment(c_p))
         assert total_p == pytest.approx(total, abs=1e-12)
 
@@ -173,7 +232,7 @@ class TestIntermediateLayerEntropy:
         tree = tree_from_assignment(c)
         base = intermediate_layer_entropy(adj, tree)
         for scale in (0.1, 10.0):
-            scaled = AdjacencyMatrix(adj.weights * scale)
+            scaled = adj * scale
             assert intermediate_layer_entropy(scaled, tree) == pytest.approx(base, abs=1e-9)
 
 
@@ -212,7 +271,7 @@ class TestSeLossMatrix:
         rng = np.random.default_rng(seed)
         adj, c, _, _ = random_case(rng)
         value = se_loss_matrix(adj, c)
-        assert -1e-12 <= value <= math.log2(c.num_classes) + 1e-12
+        assert -1e-12 <= value <= math.log2(c.shape[1]) + 1e-12
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -221,7 +280,7 @@ class TestSeLossMatrix:
         adj, c, _, _ = random_case(rng)
         base = se_loss_matrix(adj, c)
         for scale in (0.1, 10.0):
-            scaled = AdjacencyMatrix(adj.weights * scale)
+            scaled = adj * scale
             assert se_loss_matrix(scaled, c) == pytest.approx(base, abs=1e-9)
 
     @given(st.integers(0, 2**32 - 1))
@@ -230,9 +289,9 @@ class TestSeLossMatrix:
         rng = np.random.default_rng(seed)
         adj, c, h, labels = random_case(rng)
         base = se_loss_matrix(adj, c)
-        perm = rng.permutation(adj.n)
+        perm = rng.permutation(len(adj))
         adj_p = build_adjacency(h[perm])
-        c_p = hard_assignment(labels[perm], c.num_classes)
+        c_p = hard_assignment(labels[perm], c.shape[1])
         assert se_loss_matrix(adj_p, c_p) == pytest.approx(base, abs=1e-12)
 
     @pytest.mark.parametrize("trial", range(5))
@@ -255,7 +314,7 @@ def dense_se_gradient(h, assignment):
     dL/dA = s 11^T + 1 u^T - C diag(a) C^T; chained through
     A = sigmoid(HH^T), dL/dH = (M + M^T) H with M = dL/dA * A * (1 - A).
     """
-    a, c = build_adjacency(h).weights, assignment.membership
+    a, c = build_adjacency(h), assignment
     total = a.sum()
     cuts, vols = np.diag((1.0 - c).T @ a @ c), (a @ c).sum(axis=0)
     ratio = np.maximum(vols / total, LOG_EPS)
@@ -285,7 +344,7 @@ class TestFusedSeLoss:
         n = 2 if case == "two-points" else 23
         h = 1.5 * rng.standard_normal((n, 3))
         if case == "soft":
-            c = AssignmentMatrix(rng.dirichlet(np.ones(4), size=n))
+            c = check_membership(rng.dirichlet(np.ones(4), size=n))
         elif case == "empty-class":
             c = hard_assignment(rng.integers(0, 2, size=n), 3)
         else:
@@ -297,7 +356,7 @@ class TestFusedSeLoss:
     def test_gradient_on_row_blocks(self, monkeypatch):
         monkeypatch.setattr(entropy, "SE_BLOCK_ENTRIES", 2 * 7)
         rng = np.random.default_rng(61)
-        c = AssignmentMatrix(rng.dirichlet(np.ones(3), size=7))
+        c = check_membership(rng.dirichlet(np.ones(3), size=7))
 
         def f(h):
             loss, backward = se_loss(h, c, need_grad=True)
@@ -361,7 +420,7 @@ class TestFusedSeLoss:
         h, c = self.regression_case(n, 68)
         se_loss(h, c, need_grad=True)
         monkeypatch.undo()
-        a = build_adjacency(h).weights
+        a = build_adjacency(h)
         assert len(tiles) == math.ceil(n / rows) >= 3 and n % rows
         for a_t in tiles:  # tile [start, start + rows) forms columns start:
             start = n - a_t.shape[1]
@@ -373,7 +432,7 @@ class TestFusedSeLoss:
         # exp(-x) is inf, and 37 and above, where sigmoid(x) is exactly 1.0.
         rng = np.random.default_rng(72)
         h = 40.0 * rng.standard_normal((n, 2))
-        c = AssignmentMatrix(rng.dirichlet(np.ones(3), size=n))
+        c = check_membership(rng.dirichlet(np.ones(3), size=n))
         gram = h @ h.T
         assert (gram < -1e3).any() and (gram >= 37.0).any()
         assert math.ceil(n / (entropy.SE_BLOCK_ENTRIES // n)) == tiles

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from bottletree.metrics import (accuracy, average_ranks, classification_scores,
-                                macro_f1, macro_recall, pearson, per_class_f1,
-                                spearman)
+                                confusion_matrix, macro_f1, macro_recall, pearson,
+                                per_class_f1, spearman)
 
 
 def loop_f1_and_recall(preds, golds, num_classes):
@@ -77,6 +77,17 @@ class TestConfusionMatrix:
         assert classification_scores(preds, golds, r) == {
             "accuracy": accuracy(preds, golds), "macro_f1": float(f1.mean()),
             "macro_recall": float(recall.mean()), "per_class_f1": f1.tolist()}
+
+
+    @pytest.mark.parametrize("preds, golds", [([0.9, 1.2], [0, 1]), ([0, 1], [0.0, 1.5]),
+                                              ([0, 1], [0.0, np.nan])])
+    def test_non_integral_labels_rejected(self, preds, golds):
+        with pytest.raises(ValueError, match="class labels must be integers"):
+            macro_f1(preds, golds, 2)
+
+    def test_integral_floats_and_empty_input_are_labels(self):
+        assert macro_f1([0.0, 1.0], [0, 1], 2) == 1.0
+        assert confusion_matrix([], [], 2).tolist() == [[0, 0], [0, 0]]
 
 
 class TestMacroRecall:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tape_reference import constant
 
-from bottletree.entropy import (AssignmentMatrix, build_adjacency,
+from bottletree.entropy import (build_adjacency, check_membership,
                                 hard_assignment, se_loss_matrix)
 from bottletree.softbins import (BinSpec, distance_matrix, make_bins,
                                  nearest_bin, soft_cuts, soft_volumes, soften)
@@ -18,7 +18,7 @@ def random_adj(rng, n):
 
 
 def random_soft(rng, n, r):
-    return AssignmentMatrix(rng.dirichlet(np.ones(r), size=n))
+    return check_membership(rng.dirichlet(np.ones(r), size=n))
 
 
 class TestMakeBins:
@@ -65,15 +65,15 @@ class TestDistanceMatrix:
 class TestSoften:
     def test_equidistant_row_is_uniform(self):
         out = soften(np.array([[1.0, 1.0, 1.0]]))
-        np.testing.assert_allclose(out.membership, [[1 / 3] * 3])
+        np.testing.assert_allclose(out, [[1 / 3] * 3])
 
     def test_direct_evaluation(self):
         out = soften(np.array([[0.5, 1.5]]))
-        np.testing.assert_allclose(out.membership,
+        np.testing.assert_allclose(out,
                                    [[0.73106, 0.26894]], atol=1e-5)
 
     def test_monotonicity(self):
-        out = soften(np.array([[0.2, 1.0, 3.0]])).membership[0]
+        out = soften(np.array([[0.2, 1.0, 3.0]]))[0]
         assert out[0] > out[1] > out[2]
 
     def test_argmax_is_nearest_bin(self):
@@ -81,20 +81,20 @@ class TestSoften:
         bins = make_bins(0.0, 5.0, 5)
         y = rng.uniform(0, 5, size=40)
         soft = soften(distance_matrix(y, bins))
-        np.testing.assert_array_equal(np.argmax(soft.membership, axis=1),
+        np.testing.assert_array_equal(np.argmax(soft, axis=1),
                                       nearest_bin(y, bins))
 
     @given(st.lists(st.floats(0, 5), min_size=1, max_size=20))
     @settings(max_examples=50, deadline=None)
     def test_rows_sum_to_one(self, labels):
         soft = soften(distance_matrix(labels, make_bins(0.0, 5.0, 5)))
-        np.testing.assert_allclose(soft.membership.sum(axis=1), 1.0,
+        np.testing.assert_allclose(soft.sum(axis=1), 1.0,
                                    atol=1e-12)
 
     def test_temperature_sharpens(self):
         d = np.array([[0.5, 1.5]])
-        cold = soften(d, temperature=0.1).membership[0, 0]
-        warm = soften(d, temperature=1.0).membership[0, 0]
+        cold = soften(d, temperature=0.1)[0, 0]
+        warm = soften(d, temperature=1.0)[0, 0]
         assert cold > warm
 
     @pytest.mark.parametrize("temperature", [0.1, 1.0, 3.0])
@@ -102,22 +102,22 @@ class TestSoften:
         rng = np.random.default_rng(61)
         d = distance_matrix(rng.uniform(0.0, 5.0, size=40), make_bins(0.0, 5.0, 5))
         reference = constant(-d / temperature).softmax(axis=1).values
-        assert np.array_equal(soften(d, temperature).membership, reference)
+        assert np.array_equal(soften(d, temperature), reference)
 
     def test_stacked_labels_soften_slice_by_slice(self):
         rng = np.random.default_rng(62)
         bins = make_bins(0.0, 5.0, 5)
         y = rng.uniform(0.0, 5.0, size=(3, 16))
         stacked = soften(distance_matrix(y, bins), 0.5)
-        assert stacked.n == 16 and stacked.num_classes == 5
-        for row, labels in zip(stacked.membership, y):
-            assert np.array_equal(row, soften(distance_matrix(labels, bins), 0.5).membership)
+        assert stacked.shape == (3, 16, 5)
+        for row, labels in zip(stacked, y):
+            assert np.array_equal(row, soften(distance_matrix(labels, bins), 0.5))
         assert np.array_equal(nearest_bin(y, bins)[1], nearest_bin(y[1], bins))
 
     def test_no_gradient_flows_into_membership(self):
         # labels are data: the membership is a plain array, never a tape node
         soft = soften(np.array([[0.5, 1.5]]))
-        assert type(soft.membership) is np.ndarray
+        assert type(soft) is np.ndarray
 
 
 class TestSoftVolumes:
@@ -126,16 +126,16 @@ class TestSoftVolumes:
         adj = random_adj(rng, 6)
         labels = rng.integers(0, 3, size=6)
         hard = hard_assignment(labels, 3)
-        onehot = AssignmentMatrix(hard.membership)
-        expected = [adj.degrees[labels == j].sum() for j in range(3)]
+        onehot = check_membership(hard)
+        expected = [adj.sum(axis=1)[labels == j].sum() for j in range(3)]
         np.testing.assert_allclose(soft_volumes(adj, onehot), expected, atol=1e-12)
 
     def test_uniform_membership_splits_volume_evenly(self):
         rng = np.random.default_rng(2)
         adj = random_adj(rng, 5)
-        uniform = AssignmentMatrix(np.full((5, 4), 0.25))
+        uniform = np.full((5, 4), 0.25)
         np.testing.assert_allclose(soft_volumes(adj, uniform),
-                                   np.full(4, adj.volume / 4), atol=1e-9)
+                                   np.full(4, adj.sum() / 4), atol=1e-9)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -144,7 +144,7 @@ class TestSoftVolumes:
         n, r = int(rng.integers(3, 12)), int(rng.integers(2, 5))
         adj = random_adj(rng, n)
         soft = random_soft(rng, n, r)
-        assert soft_volumes(adj, soft).sum() == pytest.approx(adj.volume, abs=1e-9)
+        assert soft_volumes(adj, soft).sum() == pytest.approx(adj.sum(), abs=1e-9)
 
 
 class TestSoftCuts:
@@ -152,8 +152,8 @@ class TestSoftCuts:
         rng = np.random.default_rng(3)
         adj = random_adj(rng, 6)
         labels = rng.integers(0, 2, size=6)
-        onehot = AssignmentMatrix(hard_assignment(labels, 2).membership)
-        a = adj.weights
+        onehot = hard_assignment(labels, 2)
+        a = adj
         for j in range(2):
             inside = np.flatnonzero(labels == j)
             outside = np.flatnonzero(labels != j)
@@ -165,7 +165,7 @@ class TestSoftCuts:
         adj = random_adj(rng, 4)
         m = np.zeros((4, 2))
         m[:, 0] = 1.0
-        soft = AssignmentMatrix(m)
+        soft = m
         cuts = soft_cuts(adj, soft)
         assert cuts[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -173,8 +173,7 @@ class TestSoftCuts:
         rng = np.random.default_rng(5)
         adj = random_adj(rng, 7)
         soft = random_soft(rng, 7, 3)
-        m = soft.membership
-        a = adj.weights
+        m, a = soft, adj
         matrix_diag = np.diag((1.0 - m).T @ a @ m)
         np.testing.assert_allclose(soft_cuts(adj, soft), matrix_diag, atol=1e-9)
 
@@ -185,7 +184,7 @@ class TestSoftSeLoss:
         adj = random_adj(rng, 8)
         labels = rng.integers(0, 3, size=8)
         hard = hard_assignment(labels, 3)
-        onehot = AssignmentMatrix(hard.membership.copy())
+        onehot = check_membership(hard.copy())
         assert se_loss_matrix(adj, onehot) == se_loss_matrix(adj, hard)
 
     def test_uniform_membership_closed_form(self):
@@ -194,7 +193,7 @@ class TestSoftSeLoss:
         for r in (2, 3, 5):
             n = int(rng.integers(3, 10))
             adj = random_adj(rng, n)
-            uniform = AssignmentMatrix(np.full((n, r), 1.0 / r))
+            uniform = np.full((n, r), 1.0 / r)
             expected = (r - 1) / r * math.log2(r)
             assert se_loss_matrix(adj, uniform) == pytest.approx(expected, abs=1e-9)
 
@@ -206,7 +205,7 @@ class TestSoftSeLoss:
         adj = random_adj(rng, n)
         soft = random_soft(rng, n, r)
         cuts, vols = soft_cuts(adj, soft), soft_volumes(adj, soft)
-        vol = adj.volume
+        vol = adj.sum()
         expected = -sum((g / vol) * math.log2(max(v / vol, 1e-12))
                         for g, v in zip(cuts, vols))
         assert se_loss_matrix(adj, soft) == pytest.approx(expected, abs=1e-9)

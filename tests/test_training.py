@@ -49,6 +49,20 @@ class TestTrainConfig:
         cfg = TrainConfig(task=RegressionTask(make_bins(0, 5, 5)))
         json.dumps(cfg.echo())
 
+    @pytest.mark.parametrize("task, echoed", [
+        (ClassificationTask(3), {"kind": "classification", "num_classes": 3}),
+        (RegressionTask(make_bins(0, 5, 5), soft_labels=False, temperature=0.5),
+         {"kind": "regression", "bins": 5, "lo": 0.0, "hi": 5.0, "soft_labels": False,
+          "temperature": 0.5}),
+    ], ids=["classification", "regression"])
+    def test_echo_is_pinned(self, task, echoed):
+        cfg = TrainConfig(task=task, gamma=0.5, hidden=(8, 4), seed=3, use_mu_for_graph=True)
+        assert list(cfg.echo().items()) == [
+            ("task", echoed), ("beta", 0.01), ("gamma", 0.5), ("lr", 0.001), ("epochs", 20),
+            ("patience", 5), ("batch_size", 128), ("seed", 3), ("hidden", [8, 4]),
+            ("activation", "relu"), ("use_mu_for_graph", True), ("samples_per_input", 1),
+            ("warmup_fraction", 0.1)]
+
 
 class TestAdam:
     def test_flat_step_matches_per_tensor_updates_bit_for_bit(self):
