@@ -118,6 +118,8 @@ def gen_regression(n: int, dim: int, noise_std: float, lo: float, hi: float,
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     if noise_std < 0:
         raise ValueError("noise_std must be non-negative")
+    if n < 1:
+        raise ValueError(f"need at least 1 row, got n={n}")
     if dim < 1:
         raise ValueError(f"need at least 1 feature, got dim={dim}")
     rng = np.random.default_rng(seed)

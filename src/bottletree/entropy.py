@@ -15,10 +15,11 @@ Two independent routes to the same quantity live here on purpose:
 Its forward pass visits the upper half of the symmetric ``A`` once, in
 cache-sized row tiles, and also accumulates the n x d(r+1) panel its
 gradient needs; the backward pass reads only that panel.  Graph memory is
-O(tile + n * r * d) instead of several n x n arrays.  Both routes form the
-graph with the one sigmoid, ``autodiff._sigmoid_of_negated``, from a negated
-Gram; at d = 1 each tile is bit for bit a block of ``build_adjacency``'s
-graph.  ``se_loss`` sums ``sum(A)`` from the row degrees, so the two losses
+O(tile + n * r * d) instead of several n x n arrays.  A stack of S slices
+runs its tiles slice by slice in one tile block, and all the rest once over
+the stack.  Both routes form the graph with the one sigmoid,
+``autodiff._sigmoid_of_negated``, from a negated Gram; at d = 1 each tile
+is bit for bit a block of ``build_adjacency``'s graph.  ``se_loss`` sums ``sum(A)`` from the row degrees, so the two losses
 agree to about an ulp, not bit for bit.
 
 A hard three-tier tree is the one-hot case of the row-stochastic membership
@@ -107,7 +108,7 @@ def build_adjacency(embeddings) -> np.ndarray:
     if h.ndim != 2:
         raise DimensionError(f"build_adjacency takes one (n, d) batch, got shape {h.shape}")
     _check_embeddings(h)
-    # The negated Gram, formed as ``_se_slice`` forms its tiles.
+    # The negated Gram, formed as ``_se_stack`` forms its tiles.
     neg_gram = h @ np.negative(h.T, order="C")
     return _sigmoid_of_negated(neg_gram, out=neg_gram)
 
@@ -249,84 +250,95 @@ def se_loss(embeddings: np.ndarray, assignment: np.ndarray, need_grad: bool = Fa
     diagonal, transposed, to the rows after ``stop``; a batch of at most
     ``rows`` rows (256 at the shipped size) is one tile.  The assignment is
     data.  Stacks (S, n, d) and (S, n, r) give the (S,) losses of the
-    slices, each computed alone, with its own bits.  The assignment's shape
-    is checked, not its entries: it comes from ``hard_assignment`` or
-    ``soften``, which make valid ones.
+    slices, each with the bits it has alone: only the graph tiles run slice
+    by slice, and the panel, ``[C | 1]``, the per-class terms and the
+    backward run once over the stack.  The assignment's shape is checked,
+    not its entries: it comes from ``hard_assignment`` or ``soften``, which
+    make valid ones.
     """
     h = np.asarray(embeddings, dtype=np.float64)
     _check_embeddings(h)
     c = np.asarray(assignment, dtype=np.float64)
     if c.ndim != h.ndim or c.shape[:-1] != h.shape[:-1]:
         raise DimensionError(f"assignment {c.shape} does not match embeddings {h.shape}")
-    slices = zip(h.reshape((-1,) + h.shape[-2:]), c.reshape((-1,) + c.shape[-2:]))
-    parts = [_se_slice(h_s, c_s, need_grad) for h_s, c_s in slices]
-    loss = np.array([value for value, _ in parts]).reshape(h.shape[:-2])
-
-    def backward(g):
-        grads = [back(float(g_s)) for (_, back), g_s in zip(parts, np.reshape(g, -1))]
-        return (grads[0] if len(grads) == 1 else np.array(grads)).reshape(h.shape)
-
-    return loss, backward if need_grad else None
+    loss, back = _se_stack(h.reshape((-1,) + h.shape[-2:]),
+                           c.reshape((-1,) + c.shape[-2:]), need_grad)
+    if back is None:
+        return loss.reshape(h.shape[:-2]), None
+    return loss.reshape(h.shape[:-2]), lambda g: back(np.reshape(g, -1)).reshape(h.shape)
 
 
-def _se_slice(h: np.ndarray, c: np.ndarray, need_grad: bool):
-    """``se_loss`` of one (n, d) slice: the loss and its backward, g -> dL/dH * g."""
+def _se_stack(h: np.ndarray, c: np.ndarray, need_grad: bool):
+    """``se_loss`` of a stack of (S, n, d) slices and their (S, n, r)
+    memberships: the (S,) losses and the backward, g (S,) -> dL/dH * g, or
+    None.  The graph tiles run slice by slice in one tile block; everything
+    else runs once over the stack, each slice with its solo bits."""
     # Negation is exact, so the Gram tiles against -H^T are -HH^T bit for bit.
-    neg_h_t = np.negative(h.T, order="C")
-    (n, d), r = h.shape, c.shape[1]
+    neg_h_t = np.negative(h.transpose(0, 2, 1), order="C")
+    (k, n, d), r = h.shape, c.shape[-1]
     rows = min(n, max(1, SE_BLOCK_ENTRIES // n))
     if need_grad:
-        # built as (r+1) x d x n, so that each product runs along n
-        panel = np.concatenate([h.T[None], c.T[:, None, :] * h.T]).reshape(-1, n).T
-        q = np.empty((n, (r + 1) * d))
+        # Row i of a slice's panel is [H_i, C_i1*H_i, ..., C_ir*H_i]; it is
+        # formed as (S, r+1, d, n), so that each product runs along n, in
+        # memory laid out row-major as (S, n, (r+1)*d), the layout that sets
+        # the order, so the bits, of the S*panel products.
+        h_t = h.transpose(0, 2, 1)
+        panel = np.concatenate([h_t[:, None], c.transpose(0, 2, 1)[:, :, None] * h_t[:, None]],
+                               axis=1).transpose(0, 3, 1, 2).reshape(k, n, -1)
+        q = np.empty(panel.shape)
     # One block, not two: freeing it sets glibc's heap-trim threshold to twice
     # its size, so the next call reuses the pages; two 512 KiB buffers sat at
     # that threshold and, by heap layout, were re-faulted on every call.
     gram, a = np.empty((2, rows * n))
-    c1 = np.concatenate([c, np.ones((n, 1))], axis=1)  # [C | 1]: AC and the degrees
+    c1 = np.empty((k, n, r + 1))  # [C | 1]: AC and the degrees
+    c1[..., :r], c1[..., r] = c, 1.0
     ac1 = np.empty(c1.shape)
-    # Tiles run last to first: the rows after a tile already hold their own
-    # products when its block A[I, stop:], transposed, is added to them, and
-    # a tile's own rows are written, not accumulated.
-    for start in reversed(range(0, n, rows)):
-        stop = min(start + rows, n)
-        tile, right = slice(start, stop), slice(stop - start, None)
-        shape = (stop - start, n - start)
-        g_t = gram[:shape[0] * shape[1]].reshape(shape)
-        if d == 1:  # one rounded product per entry, the bits of the matmul
-            np.multiply(h[tile], neg_h_t[:, start:], out=g_t)
-        else:
-            np.matmul(h[tile], neg_h_t[:, start:], out=g_t)
-        a_t = _sigmoid_of_negated(g_t, out=a[:g_t.size].reshape(shape))
-        np.matmul(a_t, c1[start:], out=ac1[tile])
-        if stop < n:
-            ac1[stop:] += a_t[:, right].T @ c1[tile]
-        if need_grad:
-            s_t = np.subtract(1.0, a_t, out=g_t)
-            s_t *= a_t
-            np.matmul(s_t, panel[start:], out=q[tile])
+    for i in range(k):
+        # Tiles run last to first: the rows after a tile already hold their
+        # own products when its block A[I, stop:], transposed, is added to
+        # them, and a tile's own rows are written, not accumulated.
+        for start in reversed(range(0, n, rows)):
+            stop = min(start + rows, n)
+            tile, right = slice(start, stop), slice(stop - start, None)
+            shape = (stop - start, n - start)
+            g_t = gram[:shape[0] * shape[1]].reshape(shape)
+            if d == 1:  # one rounded product per entry, the bits of the matmul
+                np.multiply(h[i, tile], neg_h_t[i, :, start:], out=g_t)
+            else:
+                np.matmul(h[i, tile], neg_h_t[i, :, start:], out=g_t)
+            a_t = _sigmoid_of_negated(g_t, out=a[:g_t.size].reshape(shape))
+            np.matmul(a_t, c1[i, start:], out=ac1[i, tile])
             if stop < n:
-                q[stop:] += s_t[:, right].T @ panel[tile]
-    ac, total = ac1[:, :r], ac1[:, r].sum()
-    cuts = ((1.0 - c) * ac).sum(axis=0)
-    vols = ac.sum(axis=0)
+                ac1[i, stop:] += a_t[:, right].T @ c1[i, tile]
+            if need_grad:
+                s_t = np.subtract(1.0, a_t, out=g_t)
+                s_t *= a_t
+                np.matmul(s_t, panel[i, start:], out=q[i, tile])
+                if stop < n:
+                    q[i, stop:] += s_t[:, right].T @ panel[i, tile]
+    ac, total = ac1[..., :r], ac1[..., r].sum(axis=-1, keepdims=True)
+    cuts = ((1.0 - c) * ac).sum(axis=-2)
+    vols = ac.sum(axis=-2)
     ratio = vols / total
     clamped = np.maximum(ratio, LOG_EPS)
     log_ratio = np.log2(clamped)
-    loss = -((cuts / total) * log_ratio).sum()
+    loss = -((cuts / total) * log_ratio).sum(axis=-1)
+    if not need_grad:
+        return loss, None
 
-    def backward(g: float) -> np.ndarray:
+    def backward(g: np.ndarray) -> np.ndarray:
         # a_k = dL/dcut_k, b_k = dL/dvol_k, s = dL/dsum(A), u = C(a+b):
         # dL/dH = (2s+u)*(SH) + sum_k ((a_k+b_k) - 2 a_k C_k) * (S(C_k*H)),
         # so row i of dL/dH is w_i (1 x (r+1)) times Q_i ((r+1) x d).
         mask = ratio >= LOG_EPS
         a_k = -log_ratio / total
         b_k = -cuts * mask / (total * total * _LN2 * clamped)
-        s = -float(a_k @ cuts + b_k @ vols) / total
-        u = c @ (a_k + b_k)
-        w = np.empty((n, r + 1))  # the layout of np.column_stack's result
-        w[:, 0], w[:, 1:] = 2.0 * s + u, (a_k + b_k) - 2.0 * a_k * c
-        return np.matmul(w[:, None, :], q.reshape(n, r + 1, d))[:, 0] * g
+        ab = a_k + b_k
+        s = -(np.vecdot(a_k, cuts) + np.vecdot(b_k, vols))[:, None] / total
+        w = np.empty((k, n, 1, r + 1))  # the layout of np.column_stack's result
+        np.add(2.0 * s, np.matmul(c, ab[..., None])[..., 0], out=w[..., 0, 0])
+        np.subtract(ab[:, None], 2.0 * a_k[:, None] * c, out=w[..., 0, 1:])
+        return np.matmul(w, q.reshape(k, n, r + 1, d))[..., 0, :] * g[:, None, None]
 
     return loss, backward
 

@@ -1,14 +1,15 @@
 """Grid sweeps over (beta, gamma, perturbation, seed) cells.
 
-One job per (beta, gamma, perturbation) group loads the data once, trains
-the group's seeds in lockstep (each bit for bit its solo ``train``) and
-evaluates each on the test split; with fewer groups than workers, each
-group's seeds are split into lockstep chunks, one job each, so every worker
-gets work.  Per-run reports are written as JSON as soon as their job ends;
-``runs.csv`` holds one row per run per metric (long format) and
-``aggregate.csv`` the per-cell mean/std over seeds.  Cell failures are
-recorded and the sweep continues.  A dead worker breaks the pool: every cell
-not yet finished, in any worker, is recorded as an error.
+The sweep parses its CSV once, before it writes anything, and each worker
+process gets the ``Dataset`` at start-up.  One job per (beta, gamma,
+perturbation) group trains the group's seeds in lockstep (each bit for bit
+its solo ``train``) and evaluates each on the test split; with fewer groups
+than workers, each group's seeds are split into lockstep chunks, one job
+each, so every worker gets work.  Per-run reports are written as JSON as
+soon as their job ends; ``runs.csv`` holds one row per run per metric (long
+format) and ``aggregate.csv`` the per-cell mean/std over seeds.  Cell
+failures are recorded and the sweep continues.  A dead worker breaks the
+pool: every cell not yet finished, in any worker, is recorded as an error.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .datasets import Dataset, inject_label_noise, load_csv, remove_files, subsample_train
 from .softbins import make_bins
-from .training import (ClassificationTask, RegressionTask, TrainConfig,
+from .training import (ClassificationTask, RegressionTask, TrainConfig, check_train_values,
                        evaluate, train, train_seeds, write_csv, write_json)
 
 
@@ -66,8 +67,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
-        if any(b < 0 for b in self.betas) or any(g < 0 for g in self.gammas):
-            raise ValueError("grid values must be non-negative")
+        for beta, gamma in product(self.betas, self.gammas):  # before any file is written
+            check_train_values({**self.train_kwargs, "beta": beta, "gamma": gamma})
         if self.noise_rates and self.fractions:
             raise ValueError("choose label noise or train-fraction perturbation, not both")
         if self.noise_rates and self.task_kind == "regression":
@@ -115,15 +116,25 @@ def build_task(ds: Dataset, kind: str, bins: int = 5,
     return RegressionTask(make_bins(lo, hi, bins), soft_labels, temperature)
 
 
+_dataset: Dataset | None = None  # the sweep's parsed CSV, in each process that runs cells
+
+
+def _hold(ds: Dataset | None) -> None:
+    """Give this process the sweep's dataset: a pool worker's initializer."""
+    global _dataset
+    _dataset = ds
+
+
 def run_cell(spec: ExperimentSpec,
              group: tuple[float, float, Perturbation]) -> list[dict | str]:
-    """Per seed of ``spec.seeds``, its test report dict or its error text.
+    """Per seed of ``spec.seeds``, its test report dict or its error text,
+    on the dataset ``run_sweep`` parsed from ``spec.data_path``.
 
     The group's seeds train in lockstep; if that raises, each trains alone,
     so a failing seed fails only its own cell, with its solo error.
     """
     beta, gamma, perturbation = group
-    ds = apply_perturbation(load_csv(spec.data_path), perturbation)
+    ds = apply_perturbation(_dataset, perturbation)
     task = build_task(ds, spec.task_kind, spec.bins, spec.lo, spec.hi,
                       spec.soft_labels, spec.temperature)
     configs = [TrainConfig(task=task, beta=beta, gamma=gamma, seed=seed,
@@ -184,9 +195,11 @@ def run_sweep(spec: ExperimentSpec) -> dict:
     """Run every cell; write per-run JSONs, runs.csv, aggregate.csv, errors.json,
     then raise ``WorkerCrashed`` if a worker died.
 
-    An ``errors.json`` left by an earlier sweep into ``out_dir`` is removed
-    first; earlier per-run JSONs are kept.
+    The CSV is parsed first, so a missing or malformed one raises before
+    anything is written.  An ``errors.json`` left by an earlier sweep into
+    ``out_dir`` is removed; earlier per-run JSONs are kept.
     """
+    ds = load_csv(spec.data_path)
     runs_dir = os.path.join(spec.out_dir, "runs")
     os.makedirs(runs_dir, exist_ok=True)
     errors_path = os.path.join(spec.out_dir, "errors.json")
@@ -207,7 +220,10 @@ def run_sweep(spec: ExperimentSpec) -> dict:
 
     jobs, crashed = _jobs(spec), False
     if spec.jobs > 1:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+        # Forked workers inherit the dataset from the initializer's arguments
+        # without pickling it.
+        with ProcessPoolExecutor(max_workers=spec.jobs, initializer=_hold,
+                                 initargs=(ds,)) as pool:
             futures = {pool.submit(_worker, job_spec, group): (job_spec, first)
                        for job_spec, group, first in jobs}
             for future in as_completed(futures):
@@ -218,8 +234,12 @@ def run_sweep(spec: ExperimentSpec) -> dict:
                     crashed = True
                     record(first, [f"{type(exc).__name__}: {exc}"] * len(job_spec.seeds))
     else:
-        for job_spec, group, first in jobs:
-            record(first, _worker(job_spec, group))
+        _hold(ds)
+        try:
+            for job_spec, group, first in jobs:
+                record(first, _worker(job_spec, group))
+        finally:
+            _hold(None)
 
     run_rows = []
     for index, report in sorted(reports.items()):

@@ -66,14 +66,7 @@ class TrainConfig:
     samples_per_input: int = 1
 
     def __post_init__(self):
-        if self.beta < 0 or self.gamma < 0:
-            raise ValueError("beta and gamma must be non-negative")
-        if self.patience > self.epochs:
-            raise ValueError("patience cannot exceed the epoch budget")
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2: the similarity graph needs a batch")
-        if self.samples_per_input < 1:
-            raise ValueError("samples_per_input must be >= 1")
+        check_train_values(vars(self))
 
     def echo(self) -> dict:
         if isinstance(self.task, ClassificationTask):
@@ -86,6 +79,29 @@ class TrainConfig:
         return {**{f.name: getattr(self, f.name) for f in fields(self)},
                 "task": task, "hidden": list(self.hidden),
                 "warmup_fraction": WARMUP_FRACTION}
+
+
+def check_train_values(values: dict) -> None:
+    """Raise ``ValueError`` unless these ``TrainConfig`` field values, the
+    rest at their defaults, can train a model.  A config checks itself here;
+    a sweep checks its grid and train flags here before it writes anything."""
+    v = {f.name: values.get(f.name, f.default) for f in fields(TrainConfig)}
+    if not (np.isfinite(v["beta"]) and np.isfinite(v["gamma"])):
+        raise ValueError("beta and gamma must be finite")
+    if v["beta"] < 0 or v["gamma"] < 0:
+        raise ValueError("beta and gamma must be non-negative")
+    if not (np.isfinite(v["lr"]) and v["lr"] > 0):
+        raise ValueError(f"lr must be positive and finite, got {v['lr']}")
+    if v["epochs"] < 1:
+        raise ValueError(f"epochs must be >= 1, got {v['epochs']}")
+    if v["patience"] > v["epochs"]:
+        raise ValueError("patience cannot exceed the epoch budget")
+    if v["batch_size"] < 2:
+        raise ValueError("batch_size must be >= 2: the similarity graph needs a batch")
+    if any(width < 1 for width in v["hidden"]):
+        raise ValueError(f"hidden widths must be >= 1, got {list(v['hidden'])}")
+    if v["samples_per_input"] < 1:
+        raise ValueError("samples_per_input must be >= 1")
 
 
 class TrainingDiverged(RuntimeError):
@@ -225,7 +241,7 @@ def train_seeds(configs: list[TrainConfig],
                 for run in active]).swapaxes(0, 1)
             # Bound, not inlined into the call: with two tile buffers the inlined
             # gather moved ``evaluate``'s minor faults 10x; with one block
-            # (``entropy._se_slice``) neither form faults after two calls.
+            # (``entropy._se_stack``) neither form faults after two calls.
             assignment = membership[idx]
             step += 1
             try:

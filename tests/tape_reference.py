@@ -4,7 +4,7 @@ closed-form step in ``bottletree.coder``.
 Every head here is the fused tape node that training used before the step
 became closed form: the encoder's matmul, bias row, activation, ``cols`` and
 ``clamp`` nodes, then one node each for the KL term, the reparameterized
-sample, the task loss, the structural entropy (over ``entropy._se_slice``)
+sample, the task loss, the structural entropy (over ``entropy._se_stack``)
 and the weighted total.  ``tape_step`` runs that graph and one ``backward``
 from the summed loss, so its gradient carries the tape's accumulation order;
 the tests pin ``combined_loss`` to it bit for bit.  ``tape_check`` runs the
@@ -19,7 +19,7 @@ import numpy as np
 
 from bottletree.autodiff import LOG_EPS, Tensor, finite_difference_check, softmax_values
 from bottletree.coder import LOGVAR_MAX, LOGVAR_MIN
-from bottletree.entropy import _check_embeddings, _se_slice
+from bottletree.entropy import _check_embeddings, _se_stack
 
 
 def constant(values):
@@ -81,15 +81,13 @@ def se_loss(embeddings, assignment):
     h = embeddings.values
     _check_embeddings(h)
     c = assignment
-    slices = zip(h.reshape((-1,) + h.shape[-2:]), c.reshape((-1,) + c.shape[-2:]))
-    parts = [_se_slice(h_s, c_s, embeddings.requires_grad) for h_s, c_s in slices]
-    loss = np.array([value for value, _ in parts]).reshape(h.shape[:-2])
+    loss, back = _se_stack(h.reshape((-1,) + h.shape[-2:]), c.reshape((-1,) + c.shape[-2:]),
+                           embeddings.requires_grad)
 
     def grad_fn(g):
-        grads = [back(float(g_s)) for (_, back), g_s in zip(parts, np.reshape(g, -1))]
-        return np.array(grads).reshape(h.shape)
+        return back(np.reshape(g, -1)).reshape(h.shape)
 
-    return Tensor._from_op(loss, [(embeddings, grad_fn)])
+    return Tensor._from_op(loss.reshape(h.shape[:-2]), [(embeddings, grad_fn)])
 
 
 def _average(terms):

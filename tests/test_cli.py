@@ -96,6 +96,14 @@ class TestGen:
         assert not out.exists()
         assert "need at least 1 feature, got dim=0" in capsys.readouterr().err
 
+    def test_zero_rows_exit_two_without_file(self, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        rc = main(["gen", "regression", "--lo", "0", "--hi", "5", "--n", "0", "--dim", "3",
+                   "--seed", "0", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert "need at least 1 row, got n=0" in capsys.readouterr().err
+
     def test_out_env_var_sets_default_dir(self, blob_csv, tmp_path, monkeypatch):
         monkeypatch.setenv("BOTTLETREE_OUT", str(tmp_path / "envout"))
         rc = main(["gen", "blobs", "--classes", "2", "--n", "20", "--dim", "3",
@@ -105,7 +113,35 @@ class TestGen:
         assert any(f.endswith(".csv") for f in files)
 
 
+# Train flags no run can use, each with the fragment of its error message.
+UNUSABLE_TRAIN_FLAGS = {
+    "no-epochs": (["--epochs", "0", "--patience", "0"], "epochs must be >= 1"),
+    "negative-lr": (["--lr", "-1"], "lr must be positive and finite"),
+    "zero-lr": (["--lr", "0"], "lr must be positive and finite"),
+    "nan-lr": (["--lr", "nan"], "lr must be positive and finite"),
+    "zero-width": (["--hidden", "0"], "hidden widths must be >= 1"),
+    "zero-second-width": (["--hidden", "8,0"], "hidden widths must be >= 1"),
+    "nan-beta": (["--beta", "nan"], "beta and gamma must be finite"),
+    "inf-gamma": (["--gamma", "inf"], "beta and gamma must be finite"),
+}
+# A sweep also takes grids, and at one time ran flags that train rejected.
+UNUSABLE_SWEEP_FLAGS = {
+    **UNUSABLE_TRAIN_FLAGS,
+    "batch-of-one": (["--batch-size", "1"], "batch_size must be >= 2"),
+    "nan-grid": (["--gammas", "0", "nan"], "beta and gamma must be finite"),
+}
+
+
 class TestTrain:
+    @pytest.mark.parametrize("case", list(UNUSABLE_TRAIN_FLAGS))
+    def test_unusable_flags_exit_two_without_files(self, blob_csv, tmp_path, capsys, case):
+        flags, message = UNUSABLE_TRAIN_FLAGS[case]
+        out = tmp_path / "run"
+        assert main(["train", "--data", blob_csv, "--task", "classification",
+                     "--out-dir", str(out), *FAST, *flags]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_writes_report_and_history(self, blob_csv, tmp_path):
         out = tmp_path / "run"
         rc = main(["train", "--data", blob_csv, "--task", "classification",
@@ -325,29 +361,52 @@ class TestSweep:
         fractions = {r["perturb_value"] for r in runs}
         assert fractions == {"0.9", "0.7", "0.5", "0.3"}
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_child_failure_recorded_sweep_continues(self, blob_csv, tmp_path):
-        # batch_size below 2 fails config validation inside the child run
+        # lr 1e100 overflows each seed's loss at step 2, inside the child run
         spec = ExperimentSpec(
             data_path=blob_csv, task_kind="classification", betas=(0.01,),
             gammas=(0.0,), seeds=(0, 1), out_dir=str(tmp_path / "fail"),
-            train_kwargs={"epochs": 1, "patience": 0, "batch_size": 1,
-                          "hidden": (4,)})
+            train_kwargs={"epochs": 1, "patience": 0, "batch_size": 16,
+                          "hidden": (4,), "lr": 1e100})
         summary = run_sweep(spec)
         assert summary["failed"] == 2
         errors = json.loads((tmp_path / "fail" / "errors.json").read_text())
         assert len(errors) == 2
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_clean_rerun_removes_stale_errors_json(self, blob_csv, tmp_path):
         out = tmp_path / "rerun"
-        kwargs = {"epochs": 1, "patience": 0, "hidden": (4,)}
+        kwargs = {"epochs": 1, "patience": 0, "hidden": (4,), "batch_size": 16}
         spec = ExperimentSpec(data_path=blob_csv, task_kind="classification",
                               betas=(0.01,), gammas=(0.0,), seeds=(0,), out_dir=str(out),
-                              train_kwargs={**kwargs, "batch_size": 1})
+                              train_kwargs={**kwargs, "lr": 1e100})
         assert run_sweep(spec)["failed"] == 1
         assert (out / "errors.json").exists()
         assert run_sweep(replace(spec, train_kwargs=kwargs))["failed"] == 0
         assert not (out / "errors.json").exists()
         assert os.listdir(out / "runs") == ["run_b0.01_g0_pnone_s0.json"]
+
+    @pytest.mark.parametrize("case", list(UNUSABLE_SWEEP_FLAGS))
+    def test_unusable_train_flags_rejected_before_training(self, blob_csv, tmp_path, capsys,
+                                                          case):
+        flags, message = UNUSABLE_SWEEP_FLAGS[case]
+        out = tmp_path / "bad"
+        assert main(["sweep", "--data", blob_csv, "--task", "classification",
+                     "--seeds", "0", "1", "--out-dir", str(out), *FAST, *flags]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["missing", "malformed"])
+    def test_unreadable_data_exits_two_before_writing(self, tmp_path, capsys, case):
+        data, out = tmp_path / "data.csv", tmp_path / "out"
+        if case == "malformed":
+            data.write_text("split,y,x0\ntrain,0,not-a-number\n")
+        assert main(["sweep", "--data", str(data), "--task", "classification",
+                     "--seeds", "0", "--jobs", "2", "--out-dir", str(out), *FAST]) == 2
+        err = capsys.readouterr().err
+        assert ("FileNotFoundError" if case == "missing" else "DatasetParseError") in err
+        assert not out.exists()
 
     def test_killed_worker_keeps_finished_cells_and_exits_two(self, blob_csv, tmp_path,
                                                                monkeypatch, capsys):
@@ -516,7 +575,7 @@ SABOTAGE = {
                _on_output(lambda out: (*out[:2], out[2] * math.log(2.0)))),
     "reduction": (verify, "soft_cuts",  # sum_{i,k} A_ik Y'_kj without (1 - Y'_ij)
                   lambda original: lambda adj, c: (adj @ c).sum(axis=0)),
-    "soft": (entropy, "_se_slice",  # the fused form in nats
+    "soft": (entropy, "_se_stack",  # the fused form in nats
              _on_output(lambda out: (out[0] * math.log(2.0), out[1]))),
     "bounds": (entropy, "_class_terms", _on_output(lambda out: (*out[:2], -out[2]))),
     "invariance": (entropy, "_class_terms", _on_output(_total_plus_one)),
@@ -572,7 +631,7 @@ class TestVerify:
         # sabotage one route with the natural log (its loss in nats is ln 2
         # times its loss in bits): the set-theoretic oracle must catch the
         # wrong base in that route and only there
-        helper, loss_at = {"matrix": ("_class_terms", 2), "fused": ("_se_slice", 0)}[route]
+        helper, loss_at = {"matrix": ("_class_terms", 2), "fused": ("_se_stack", 0)}[route]
         original = getattr(entropy, helper)
 
         def in_nats(*args):

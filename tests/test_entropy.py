@@ -16,6 +16,7 @@ from bottletree.entropy import (DegenerateBatchError, DimensionError,
                                 structural_entropy_definition,
                                 tree_from_assignment)
 from bottletree.softbins import distance_matrix, make_bins, soft_cuts, soft_volumes, soften
+from bottletree.verify import MULTI_TILE_ROWS
 
 
 def ring_graph_4():
@@ -469,16 +470,49 @@ class TestFusedSeLoss:
             tracemalloc.stop()
         assert peak < 1 << 20  # one 3000 x 3000 graph is 69 MiB
 
-    def test_stack_gives_each_slice_its_solo_value_and_gradient(self):
+    @pytest.mark.parametrize("n, d, soft, need_grad", [
+        (20, 2, False, True), (20, 2, True, True), (20, 1, True, True),
+        (MULTI_TILE_ROWS[0], 2, True, True), (MULTI_TILE_ROWS[1], 3, False, True),
+        (MULTI_TILE_ROWS[1], 1, True, False), (20, 2, False, False),
+    ], ids=["hard", "soft", "d1", "soft-tiles", "hard-tiles", "d1-tiles-forward",
+            "forward"])
+    def test_stack_gives_each_slice_its_solo_value_and_gradient(self, n, d, soft, need_grad):
         rng = np.random.default_rng(71)
-        h, labels = rng.standard_normal((3, 20, 2)), rng.integers(0, 3, size=(3, 20))
+        h = rng.standard_normal((3, n, d))
+        if soft:
+            c = rng.dirichlet(np.ones(3), size=(3, n))
+        else:
+            c = hard_assignment(rng.integers(0, 3, size=(3, n)), 3)
         weights = (1.0, -2.0, 0.5)
-        loss, backward = se_loss(h, hard_assignment(labels, 3), need_grad=True)
-        stacked = backward(np.asarray(weights))
+        loss, backward = se_loss(h, c, need_grad=need_grad)
+        stacked = backward(np.asarray(weights)) if need_grad else None
         for s, w in enumerate(weights):
-            value, alone = se_loss(h[s], hard_assignment(labels[s], 3), need_grad=True)
+            value, alone = se_loss(h[s], c[s], need_grad=need_grad)
             assert loss[s] == value
-            assert np.array_equal(stacked[s], alone(w))
+            if need_grad:
+                assert stacked[s].tobytes() == alone(w).tobytes()
+            else:
+                assert backward is None and alone is None
+
+    @pytest.mark.parametrize("need_grad", [False, True], ids=["forward", "with-panel"])
+    def test_stack_holds_one_tile_block(self, need_grad):
+        # The slices take turns in the call's one block of Gram and graph
+        # tiles, 1 MB here; every other array is O(S * n * (r+1) * d), 384 kB.
+        # A block per slice would hold 8 MB, and 8 slices' graphs 256 MB.
+        import tracemalloc
+
+        rng = np.random.default_rng(73)
+        k, n, d, r = 8, 2000, 1, 2
+        h = rng.standard_normal((k, n, d))
+        c = hard_assignment(rng.integers(0, r, size=(k, n)), r)
+        block = 2 * (entropy.SE_BLOCK_ENTRIES // n) * n * 8
+        tracemalloc.start()
+        try:
+            se_loss(h, c, need_grad=need_grad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= block + 8 * k * n * (r + 1) * d * 8
 
     def test_rejects_bad_inputs(self):
         c = hard_assignment([0, 1, 0], 2)

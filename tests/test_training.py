@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from dataclasses import replace
 
@@ -42,6 +43,16 @@ class TestTrainConfig:
             TrainConfig(task=task, patience=30, epochs=20)
         with pytest.raises(ValueError):
             TrainConfig(task=task, batch_size=1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("lr", 0.0), ("lr", -1.0), ("lr", math.inf), ("lr", math.nan),
+        ("epochs", 0), ("hidden", (0,)), ("hidden", (8, 0)),
+        ("beta", math.nan), ("beta", math.inf), ("gamma", math.nan), ("gamma", math.inf),
+    ], ids=lambda value: str(value).replace(" ", ""))
+    def test_unusable_values_rejected(self, field, value):
+        overrides = {"epochs": 0, "patience": 0} if field == "epochs" else {field: value}
+        with pytest.raises(ValueError):
+            TrainConfig(task=ClassificationTask(2), **overrides)
 
     def test_echo_round_trips_to_json(self):
         import json
@@ -148,8 +159,9 @@ class TestTrain:
         assert len(result.history) == 3 and built == [y.shape]
 
     def test_early_stopping_halts_after_patience(self, easy_blobs):
-        # lr=0 -> no parameter changes -> dev metric never improves after epoch 0
-        cfg = blob_config(easy_blobs, lr=0.0, epochs=8, patience=2)
+        # lr=1e-300 -> every update is below an ulp of the weights it moves ->
+        # the dev metric never improves after epoch 0
+        cfg = blob_config(easy_blobs, lr=1e-300, epochs=8, patience=2)
         result = train(cfg, easy_blobs.subset("train"), easy_blobs.subset("dev"))
         assert len(result.history) == 4  # epoch 0 improves, then patience+1 bad ones
 
