@@ -30,8 +30,7 @@ from .entropy import (DegenerateBatchError, EncodingTree,  # noqa: E402
                       entropy_report, hard_assignment,
                       intermediate_layer_entropy, se_loss, se_loss_matrix,
                       structural_entropy_definition, tree_from_assignment)
-from .metrics import (accuracy, average_ranks, macro_f1, macro_recall,  # noqa: E402
-                      pearson, per_class_f1, spearman)
+from .metrics import average_ranks, macro_f1, pearson, spearman  # noqa: E402
 from .softbins import (BinSpec, distance_matrix, make_bins, nearest_bin,  # noqa: E402
                        soft_cuts, soft_volumes, soften)
 from .sweep import ExperimentSpec, Perturbation, run_sweep  # noqa: E402

@@ -95,8 +95,8 @@ def gen_blobs(num_classes: int, n: int, dim: int, spread: float, seed: int) -> D
         raise ValueError("need at least one sample per class")
     if dim < 1:
         raise ValueError(f"need at least 1 feature, got dim={dim}")
-    if spread <= 0:
-        raise ValueError("spread must be positive")
+    if not (np.isfinite(spread) and spread > 0):
+        raise ValueError(f"spread must be positive and finite, got {spread}")
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((num_classes, dim))
     means /= np.linalg.norm(means, axis=1, keepdims=True)
@@ -114,10 +114,10 @@ def gen_regression(n: int, dim: int, noise_std: float, lo: float, hi: float,
     The clean target is a sum of sinusoids of two random linear projections,
     mapped affinely from its [-1.5, 1.5] range onto [lo, hi].
     """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if noise_std < 0:
-        raise ValueError("noise_std must be non-negative")
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
+    if not (np.isfinite(noise_std) and noise_std >= 0):
+        raise ValueError(f"noise_std must be non-negative and finite, got {noise_std}")
     if n < 1:
         raise ValueError(f"need at least 1 row, got n={n}")
     if dim < 1:

@@ -1,4 +1,4 @@
-"""Evaluation metrics: macro-F1/recall, accuracy, Pearson, Spearman.
+"""Evaluation metrics: macro-F1/recall and accuracy, Pearson, Spearman.
 
 Hand-rolled so the edge contracts are explicit: empty classes contribute
 F1 = 0, constant inputs give correlation 0 with a warning, and Spearman uses
@@ -23,11 +23,6 @@ def _check_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def accuracy(preds, golds) -> float:
-    preds, golds = _check_pair(preds, golds)
-    return float(np.mean(preds == golds))
-
-
 def confusion_matrix(preds, golds, num_classes: int) -> np.ndarray:
     """(r, r) integer counts: row ``c`` holds the rows of gold class ``c``,
     column ``k`` those predicted as ``k``."""
@@ -49,34 +44,19 @@ def _f1_of(confusion: np.ndarray) -> np.ndarray:
     return out
 
 
-def _recall_of(confusion: np.ndarray) -> float:
-    support = confusion.sum(axis=1)
-    recalls = np.zeros(confusion.shape[0])
-    np.divide(np.diag(confusion), support, out=recalls, where=support > 0)
-    return float(recalls.mean())
-
-
-def per_class_f1(preds, golds, num_classes: int) -> np.ndarray:
-    """F1 per class; a class never predicted nor present scores 0."""
-    return _f1_of(confusion_matrix(preds, golds, num_classes))
-
-
 def macro_f1(preds, golds, num_classes: int) -> float:
-    return float(per_class_f1(preds, golds, num_classes).mean())
-
-
-def macro_recall(preds, golds, num_classes: int) -> float:
-    """Unweighted mean of per-class recall; absent classes contribute 0."""
-    return _recall_of(confusion_matrix(preds, golds, num_classes))
+    return float(_f1_of(confusion_matrix(preds, golds, num_classes)).mean())
 
 
 def classification_scores(preds, golds, num_classes: int) -> dict:
     """Accuracy, macro-F1, macro-recall and per-class F1 from one confusion
-    matrix, with the values of the functions of those names."""
+    matrix.  A class never predicted nor present scores F1 0 and recall 0,
+    and counts in the unweighted means."""
     confusion = confusion_matrix(preds, golds, num_classes)
-    f1 = _f1_of(confusion)
+    f1, recall, support = _f1_of(confusion), np.zeros(num_classes), confusion.sum(axis=1)
+    np.divide(np.diag(confusion), support, out=recall, where=support > 0)
     return {"accuracy": float(np.trace(confusion) / confusion.sum()),
-            "macro_f1": float(f1.mean()), "macro_recall": _recall_of(confusion),
+            "macro_f1": float(f1.mean()), "macro_recall": float(recall.mean()),
             "per_class_f1": f1.tolist()}
 
 

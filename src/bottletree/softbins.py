@@ -61,14 +61,18 @@ def distance_matrix(labels, bins: BinSpec) -> np.ndarray:
     return np.abs(y[..., None] - centers)
 
 
+def check_temperature(temperature: float) -> None:
+    if not (np.isfinite(temperature) and temperature > 0):
+        raise ValueError(f"temperature must be positive and finite, got {temperature}")
+
+
 def soften(distances: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """Row-stochastic membership: softmax of negated distances.
 
     Closer bin centers get higher probability; temperature 1 is the plain
     softmax, smaller values approach the hard nearest-bin limit.
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    check_temperature(temperature)
     return check_membership(softmax_values(-distances / temperature, -1))
 
 

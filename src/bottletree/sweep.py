@@ -1,15 +1,17 @@
 """Grid sweeps over (beta, gamma, perturbation, seed) cells.
 
-The sweep parses its CSV once, before it writes anything, and each worker
-process gets the ``Dataset`` at start-up.  One job per (beta, gamma,
-perturbation) group trains the group's seeds in lockstep (each bit for bit
-its solo ``train``) and evaluates each on the test split; with fewer groups
-than workers, each group's seeds are split into lockstep chunks, one job
-each, so every worker gets work.  Per-run reports are written as JSON as
-soon as their job ends; ``runs.csv`` holds one row per run per metric (long
-format) and ``aggregate.csv`` the per-cell mean/std over seeds.  Cell
-failures are recorded and the sweep continues.  A dead worker breaks the
-pool: every cell not yet finished, in any worker, is recorded as an error.
+The sweep checks its values, parses its CSV once and builds its task from
+the unperturbed data, all before it writes anything, and each worker process
+gets the ``Dataset`` and the task at start-up, so every cell bins as
+``train`` does.  One job per (beta, gamma, perturbation) group trains the
+group's seeds in lockstep (each bit for bit its solo ``train``) and
+evaluates each on the test split; with fewer groups than workers, each
+group's seeds are split into lockstep chunks, one job each, so every worker
+gets work.  Per-run reports are written as JSON as soon as their job ends;
+``runs.csv`` holds one row per run per metric (long format) and
+``aggregate.csv`` the per-cell mean/std over seeds.  Cell failures are
+recorded and the sweep continues.  A dead worker breaks the pool: every cell
+not yet finished, in any worker, is recorded as an error.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from itertools import product
 import numpy as np
 
 from .datasets import Dataset, inject_label_noise, load_csv, remove_files, subsample_train
-from .softbins import make_bins
+from .softbins import check_temperature, make_bins
 from .training import (ClassificationTask, RegressionTask, TrainConfig, check_train_values,
                        evaluate, train, train_seeds, write_csv, write_json)
 
@@ -64,11 +66,19 @@ class ExperimentSpec:
     temperature: float = 1.0
     train_kwargs: dict = field(default_factory=dict)  # lr/epochs/patience/...
 
-    def __post_init__(self):
+    def __post_init__(self):  # before any file is written
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
-        for beta, gamma in product(self.betas, self.gammas):  # before any file is written
+        for beta, gamma in product(self.betas, self.gammas):
             check_train_values({**self.train_kwargs, "beta": beta, "gamma": gamma})
+        if self.task_kind == "regression":
+            check_temperature(self.temperature)
+        if not all(0.0 <= rate <= 1.0 for rate in self.noise_rates):
+            raise ValueError(f"noise rates must lie in [0, 1], got {list(self.noise_rates)}")
+        if not all(0.0 < fraction <= 1.0 for fraction in self.fractions):
+            raise ValueError(f"fractions must lie in (0, 1], got {list(self.fractions)}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.noise_rates and self.fractions:
             raise ValueError("choose label noise or train-fraction perturbation, not both")
         if self.noise_rates and self.task_kind == "regression":
@@ -116,28 +126,29 @@ def build_task(ds: Dataset, kind: str, bins: int = 5,
     return RegressionTask(make_bins(lo, hi, bins), soft_labels, temperature)
 
 
-_dataset: Dataset | None = None  # the sweep's parsed CSV, in each process that runs cells
+# The sweep's parsed CSV and the task built from it, in each process that runs cells.
+_dataset: Dataset | None = None
+_task: ClassificationTask | RegressionTask | None = None
 
 
-def _hold(ds: Dataset | None) -> None:
-    """Give this process the sweep's dataset: a pool worker's initializer."""
-    global _dataset
-    _dataset = ds
+def _hold(ds: Dataset | None, task) -> None:
+    """Give this process the sweep's dataset and task: a pool worker's initializer."""
+    global _dataset, _task
+    _dataset, _task = ds, task
 
 
 def run_cell(spec: ExperimentSpec,
              group: tuple[float, float, Perturbation]) -> list[dict | str]:
     """Per seed of ``spec.seeds``, its test report dict or its error text,
-    on the dataset ``run_sweep`` parsed from ``spec.data_path``.
+    on the dataset ``run_sweep`` parsed from ``spec.data_path``, perturbed.
+    The task, and so a regression's bins, is the unperturbed dataset's.
 
     The group's seeds train in lockstep; if that raises, each trains alone,
     so a failing seed fails only its own cell, with its solo error.
     """
     beta, gamma, perturbation = group
     ds = apply_perturbation(_dataset, perturbation)
-    task = build_task(ds, spec.task_kind, spec.bins, spec.lo, spec.hi,
-                      spec.soft_labels, spec.temperature)
-    configs = [TrainConfig(task=task, beta=beta, gamma=gamma, seed=seed,
+    configs = [TrainConfig(task=_task, beta=beta, gamma=gamma, seed=seed,
                            **spec.train_kwargs) for seed in spec.seeds]
     train_set, dev_set = ds.subset("train"), ds.subset("dev")
     try:
@@ -166,7 +177,7 @@ def _jobs(spec: ExperimentSpec) -> list[tuple[ExperimentSpec, tuple, int]]:
     each group's seeds are split into ``ceil(jobs / groups)`` near-equal chunks.
     """
     groups, seeds = spec.groups(), spec.seeds
-    parts = min(len(seeds), -(-max(spec.jobs, 1) // max(len(groups), 1)))
+    parts = min(len(seeds), -(-spec.jobs // max(len(groups), 1)))
     bounds = [len(seeds) * i // parts for i in range(parts + 1)]
     return [(replace(spec, seeds=seeds[lo:hi]), group, g * len(seeds) + lo)
             for g, group in enumerate(groups) for lo, hi in zip(bounds, bounds[1:])]
@@ -195,11 +206,14 @@ def run_sweep(spec: ExperimentSpec) -> dict:
     """Run every cell; write per-run JSONs, runs.csv, aggregate.csv, errors.json,
     then raise ``WorkerCrashed`` if a worker died.
 
-    The CSV is parsed first, so a missing or malformed one raises before
-    anything is written.  An ``errors.json`` left by an earlier sweep into
-    ``out_dir`` is removed; earlier per-run JSONs are kept.
+    The CSV is parsed and the task built from it first, so a missing or
+    malformed CSV, or one the task cannot use, raises before anything is
+    written.  An ``errors.json`` left by an earlier sweep into ``out_dir``
+    is removed; earlier per-run JSONs are kept.
     """
     ds = load_csv(spec.data_path)
+    task = build_task(ds, spec.task_kind, spec.bins, spec.lo, spec.hi,
+                      spec.soft_labels, spec.temperature)
     runs_dir = os.path.join(spec.out_dir, "runs")
     os.makedirs(runs_dir, exist_ok=True)
     errors_path = os.path.join(spec.out_dir, "errors.json")
@@ -223,7 +237,7 @@ def run_sweep(spec: ExperimentSpec) -> dict:
         # Forked workers inherit the dataset from the initializer's arguments
         # without pickling it.
         with ProcessPoolExecutor(max_workers=spec.jobs, initializer=_hold,
-                                 initargs=(ds,)) as pool:
+                                 initargs=(ds, task)) as pool:
             futures = {pool.submit(_worker, job_spec, group): (job_spec, first)
                        for job_spec, group, first in jobs}
             for future in as_completed(futures):
@@ -234,12 +248,12 @@ def run_sweep(spec: ExperimentSpec) -> dict:
                     crashed = True
                     record(first, [f"{type(exc).__name__}: {exc}"] * len(job_spec.seeds))
     else:
-        _hold(ds)
+        _hold(ds, task)
         try:
             for job_spec, group, first in jobs:
                 record(first, _worker(job_spec, group))
         finally:
-            _hold(None)
+            _hold(None, None)
 
     run_rows = []
     for index, report in sorted(reports.items()):

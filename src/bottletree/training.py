@@ -24,7 +24,7 @@ from .autodiff import NonFiniteError
 from .coder import EncoderParams, combined_loss, encode, init_params
 from .datasets import replacing
 from .entropy import hard_assignment
-from .softbins import BinSpec, distance_matrix, nearest_bin, soften
+from .softbins import BinSpec, check_temperature, distance_matrix, nearest_bin, soften
 
 REPORT_SCHEMA_VERSION = 1
 WARMUP_FRACTION = 0.1  # of all optimizer steps
@@ -48,6 +48,9 @@ class RegressionTask:
     temperature: float = 1.0
     kind = "regression"
     latent_dim = 1
+
+    def __post_init__(self):  # checked whatever soft_labels says
+        check_temperature(self.temperature)
 
 
 @dataclass
@@ -94,6 +97,8 @@ def check_train_values(values: dict) -> None:
         raise ValueError(f"lr must be positive and finite, got {v['lr']}")
     if v["epochs"] < 1:
         raise ValueError(f"epochs must be >= 1, got {v['epochs']}")
+    if v["patience"] < 0:
+        raise ValueError(f"patience must be >= 0, got {v['patience']}")
     if v["patience"] > v["epochs"]:
         raise ValueError("patience cannot exceed the epoch budget")
     if v["batch_size"] < 2:

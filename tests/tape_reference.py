@@ -1,5 +1,5 @@
-"""The training step as the autodiff tape builds it: the reference for the
-closed-form step in ``bottletree.coder``.
+"""The training step as the autodiff tape (``tape.Tensor``) builds it: the
+reference for the closed-form step in ``bottletree.coder``.
 
 Every head here is the fused tape node that training used before the step
 became closed form: the encoder's matmul, bias row, activation, ``cols`` and
@@ -16,8 +16,9 @@ records no tape.
 from __future__ import annotations
 
 import numpy as np
+from tape import Tensor
 
-from bottletree.autodiff import LOG_EPS, Tensor, finite_difference_check, softmax_values
+from bottletree.autodiff import LOG_EPS, finite_difference_check, softmax_values
 from bottletree.coder import LOGVAR_MAX, LOGVAR_MIN
 from bottletree.entropy import _check_embeddings, _se_stack
 

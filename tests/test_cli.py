@@ -16,7 +16,7 @@ import pytest
 
 from bottletree import coder, entropy, sweep, verify
 from bottletree.cli import main
-from bottletree.datasets import gen_blobs, load_csv, save_csv
+from bottletree.datasets import gen_blobs, gen_regression, load_csv, save_csv, subsample_train
 from bottletree.sweep import ExperimentSpec, run_sweep
 from bottletree.verify import ALL_CHECKS, run_checks
 
@@ -96,6 +96,23 @@ class TestGen:
         assert not out.exists()
         assert "need at least 1 feature, got dim=0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, flags, message", [
+        (["blobs", "--classes", "2"], ["--spread", "nan"], "spread must be positive and finite"),
+        (["blobs", "--classes", "2"], ["--spread", "inf"], "spread must be positive and finite"),
+        (["regression", "--lo", "0", "--hi", "5"], ["--noise-std", "nan"],
+         "noise_std must be non-negative and finite"),
+        (["regression", "--lo=-inf", "--hi", "5"], [], "need finite lo < hi"),
+    ], ids=["nan-spread", "inf-spread", "nan-noise-std", "infinite-lo"])
+    def test_non_finite_values_exit_two_without_file(self, kind, flags, message, tmp_path,
+                                                     capsys):
+        # each of these once wrote a CSV that load_csv rejects
+        out = tmp_path / "never.csv"
+        rc = main(["gen", *kind, "--n", "20", "--dim", "3", "--seed", "0", *flags,
+                   "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert message in capsys.readouterr().err
+
     def test_zero_rows_exit_two_without_file(self, tmp_path, capsys):
         out = tmp_path / "never.csv"
         rc = main(["gen", "regression", "--lo", "0", "--hi", "5", "--n", "0", "--dim", "3",
@@ -123,13 +140,24 @@ UNUSABLE_TRAIN_FLAGS = {
     "zero-second-width": (["--hidden", "8,0"], "hidden widths must be >= 1"),
     "nan-beta": (["--beta", "nan"], "beta and gamma must be finite"),
     "inf-gamma": (["--gamma", "inf"], "beta and gamma must be finite"),
+    "negative-patience": (["--patience", "-1"], "patience must be >= 0"),
 }
 # A sweep also takes grids, and at one time ran flags that train rejected.
 UNUSABLE_SWEEP_FLAGS = {
     **UNUSABLE_TRAIN_FLAGS,
     "batch-of-one": (["--batch-size", "1"], "batch_size must be >= 2"),
     "nan-grid": (["--gammas", "0", "nan"], "beta and gamma must be finite"),
+    "noise-above-one": (["--noise-rates", "0.2", "1.5"], "noise rates must lie in [0, 1]"),
+    "negative-noise": (["--noise-rates", "-0.1"], "noise rates must lie in [0, 1]"),
+    "nan-noise": (["--noise-rates", "nan"], "noise rates must lie in [0, 1]"),
+    "zero-fraction": (["--fractions", "0"], "fractions must lie in (0, 1]"),
+    "fraction-above-one": (["--fractions", "0.5", "1.5"], "fractions must lie in (0, 1]"),
+    "zero-jobs": (["--jobs", "0"], "jobs must be >= 1"),
+    "negative-jobs": (["--jobs", "-1"], "jobs must be >= 1"),
 }
+# Softening temperatures no regression run can use, with soft or hard labels.
+UNUSABLE_TAU = pytest.mark.parametrize("tau", ["0", "-1", "nan", "inf"])
+SOFT_OR_HARD = pytest.mark.parametrize("labels", [[], ["--hard-labels"]], ids=["soft", "hard"])
 
 
 class TestTrain:
@@ -140,6 +168,17 @@ class TestTrain:
         assert main(["train", "--data", blob_csv, "--task", "classification",
                      "--out-dir", str(out), *FAST, *flags]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @UNUSABLE_TAU
+    @SOFT_OR_HARD
+    def test_unusable_temperature_exits_two_without_files(self, regression_csv, tmp_path,
+                                                          capsys, tau, labels):
+        out = tmp_path / "run"
+        assert main(["train", "--data", regression_csv, "--task", "regression",
+                     "--tau", tau, *labels, "--out-dir", str(out), *FAST]) == 2
+        err = capsys.readouterr().err
+        assert "temperature must be positive and finite" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_writes_report_and_history(self, blob_csv, tmp_path):
@@ -397,6 +436,47 @@ class TestSweep:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @UNUSABLE_TAU
+    @SOFT_OR_HARD
+    def test_unusable_temperature_rejected_before_training(self, regression_csv, tmp_path,
+                                                           capsys, tau, labels):
+        out = tmp_path / "bad"
+        assert main(["sweep", "--data", regression_csv, "--task", "regression",
+                     "--tau", tau, *labels, "--seeds", "0", "--out-dir", str(out), *FAST]) == 2
+        err = capsys.readouterr().err
+        assert "temperature must be positive and finite" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("task, flags, message", [
+        ("classification", [], "dataset labels are continuous"),
+        ("regression", ["--bins", "1"], "need at least 2 bins"),
+    ], ids=["continuous-labels", "one-bin"])
+    def test_unusable_task_exits_two_before_writing(self, regression_csv, tmp_path, capsys,
+                                                    task, flags, message):
+        # the task is built from the parsed CSV before anything is written
+        out = tmp_path / "bad"
+        assert main(["sweep", "--data", regression_csv, "--task", task, *flags,
+                     "--seeds", "0", "--jobs", "2", "--out-dir", str(out), *FAST]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fraction_cells_bin_on_the_full_label_range(self, tmp_path):
+        # Without --lo/--hi, every cell bins on the whole dataset's label
+        # range, as ``train`` does, not on its subsample's.
+        ds = gen_regression(400, 3, 0.2, lo=0.0, hi=5.0, seed=5)
+        ds.y = np.random.default_rng(0).standard_normal(ds.n)
+        data, out = tmp_path / "reg.csv", tmp_path / "sweep"
+        save_csv(ds, data)
+        full = [float(ds.y.min()), float(ds.y.max())]
+        half = subsample_train(ds, 0.5, seed=0)
+        assert [half.y.min(), half.y.max()] != full  # the subsample's own range differs
+        assert main(["sweep", "--data", str(data), "--task", "regression",
+                     "--fractions", "0.5", "1", "--seeds", "0", "--out-dir", str(out),
+                     *FAST]) == 0
+        for name in ("run_b0.01_g1_pfraction0.5_s0.json", "run_b0.01_g1_pfraction1_s0.json"):
+            task = json.loads((out / "runs" / name).read_text())["config"]["task"]
+            assert [task["lo"], task["hi"]] == full
+
     @pytest.mark.parametrize("case", ["missing", "malformed"])
     def test_unreadable_data_exits_two_before_writing(self, tmp_path, capsys, case):
         data, out = tmp_path / "data.csv", tmp_path / "out"
@@ -452,7 +532,6 @@ class TestSweep:
         ((0.0, 1.0), 3, 2, [(0, 1, 2)] * 2),  # a group per worker: whole groups
         ((0.0, 1.0, 10.0), 3, 2, [(0, 1, 2)] * 3),
         ((1.0,), 3, 1, [(0, 1, 2)]),  # serial
-        ((1.0,), 3, 0, [(0, 1, 2)]),  # no pool below two jobs
     ])
     def test_jobs_split_groups_only_when_workers_would_idle(self, gammas, seeds, jobs,
                                                             chunks):

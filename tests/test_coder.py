@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from tape import Tensor
 from tape_reference import constant, parameter, tape_step
 
 from bottletree import autodiff, coder
@@ -470,14 +471,14 @@ class TestClosedFormStep:
 
     def test_the_step_records_no_tape(self, monkeypatch):
         created = []
-        original = autodiff.Tensor.__init__
+        original = Tensor.__init__
 
         def counting(self, *args, **kwargs):
             created.append(1)
             original(self, *args, **kwargs)
 
         params, *args, kwargs = step_case(stack=6, samples=2)
-        monkeypatch.setattr(autodiff.Tensor, "__init__", counting)
+        monkeypatch.setattr(Tensor, "__init__", counting)
         combined_loss(params, *args, need_grad=True, **kwargs)
         assert not created
 

@@ -5,10 +5,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from tape import Tensor
 from test_cli import gradient_overflow_blobs
 from test_coder import tensors_of
+from test_metrics import loop_f1_and_recall
 
-from bottletree import autodiff, coder, entropy, training
+from bottletree import coder, entropy, training
 from bottletree import metrics as M
 from bottletree.coder import combined_loss, init_params
 from bottletree.datasets import gen_blobs, gen_regression, save_csv
@@ -46,13 +48,19 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("lr", 0.0), ("lr", -1.0), ("lr", math.inf), ("lr", math.nan),
-        ("epochs", 0), ("hidden", (0,)), ("hidden", (8, 0)),
+        ("epochs", 0), ("patience", -1), ("hidden", (0,)), ("hidden", (8, 0)),
         ("beta", math.nan), ("beta", math.inf), ("gamma", math.nan), ("gamma", math.inf),
     ], ids=lambda value: str(value).replace(" ", ""))
     def test_unusable_values_rejected(self, field, value):
         overrides = {"epochs": 0, "patience": 0} if field == "epochs" else {field: value}
         with pytest.raises(ValueError):
             TrainConfig(task=ClassificationTask(2), **overrides)
+
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("soft_labels", [True, False], ids=["soft", "hard"])
+    def test_regression_task_rejects_unusable_temperature(self, soft_labels, temperature):
+        with pytest.raises(ValueError, match="temperature must be positive and finite"):
+            RegressionTask(make_bins(0, 5, 5), soft_labels, temperature)
 
     def test_echo_round_trips_to_json(self):
         import json
@@ -226,7 +234,7 @@ class TestTrain:
         from bottletree import training
 
         nodes, dev_params = [], []
-        original = autodiff.Tensor._from_op
+        original = Tensor._from_op
 
         def counting(*args):
             nodes.append(1)
@@ -236,7 +244,7 @@ class TestTrain:
             dev_params.append(params)
             return predict(params, X, task)
 
-        monkeypatch.setattr(autodiff.Tensor, "_from_op", staticmethod(counting))
+        monkeypatch.setattr(Tensor, "_from_op", staticmethod(counting))
         monkeypatch.setattr(training, "predict", recording_predict)
         train(blob_config(easy_blobs, epochs=2), easy_blobs.subset("train"),
               easy_blobs.subset("dev"))
@@ -417,8 +425,8 @@ class TestEvaluate:
         report = evaluate(params, X, y, cfg)
         assert len(encoded) == 1
         if kind == "classification":  # the scores of ``predict``'s classes
-            assert report.per_class_f1 == M.per_class_f1(preds, y, 3).tolist()
-            assert report.accuracy == M.accuracy(preds, y)
+            assert report.per_class_f1 == loop_f1_and_recall(preds, y, 3)[0].tolist()
+            assert report.accuracy == float(np.mean(preds == y))
         else:
             assert report.spearman == M.spearman(preds, y)
 
