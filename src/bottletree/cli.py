@@ -72,16 +72,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     tr = sub.add_parser("train", help="train one model and report test metrics")
     _add_train_flags(tr)
+    tr.add_argument("--beta", type=float, default=1e-2)
+    tr.add_argument("--gamma", type=float, default=1.0)
     tr.add_argument("--seed", type=int, default=0)
     tr.add_argument("--out-dir", default=None)
 
     sw = sub.add_parser("sweep", help="grid sweep over beta/gamma/seeds/perturbations")
     _add_train_flags(sw)
     sw.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3, 4])
-    sw.add_argument("--betas", type=float, nargs="+", default=None,
-                    help="overrides --beta with a grid")
-    sw.add_argument("--gammas", type=float, nargs="+", default=None,
-                    help="overrides --gamma with a grid")
+    sw.add_argument("--betas", type=float, nargs="+", default=[1e-2])
+    sw.add_argument("--gammas", type=float, nargs="+", default=[1.0])
     sw.add_argument("--noise-rates", type=float, nargs="+", default=[])
     sw.add_argument("--fractions", type=float, nargs="+", default=[])
     sw.add_argument("--perturb-seed", type=int, default=0)
@@ -101,8 +101,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True, help="dataset CSV path")
     p.add_argument("--task", choices=["classification", "regression"],
                    required=True)
-    p.add_argument("--beta", type=float, default=1e-2)
-    p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--patience", type=int, default=5)
@@ -181,11 +179,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    betas = tuple(args.betas) if args.betas else (args.beta,)
-    gammas = tuple(args.gammas) if args.gammas else (args.gamma,)
     spec = ExperimentSpec(
-        data_path=args.data, task_kind=args.task, betas=betas, gammas=gammas,
-        seeds=tuple(args.seeds), out_dir=args.out_dir or _default_out(),
+        data_path=args.data, task_kind=args.task, betas=tuple(args.betas),
+        gammas=tuple(args.gammas), seeds=tuple(args.seeds),
+        out_dir=args.out_dir or _default_out(),
         noise_rates=tuple(args.noise_rates), fractions=tuple(args.fractions),
         perturb_seed=args.perturb_seed, jobs=args.jobs, bins=args.bins,
         lo=args.lo, hi=args.hi, soft_labels=not args.hard_labels,

@@ -143,9 +143,9 @@ def inject_label_noise(ds: Dataset, rate: float, seed: int) -> Dataset:
     A reassignment may land on the original class.  Dev/test are untouched.
     """
     if not ds.is_classification:
-        raise ValueError("label noise applies to classification datasets only")
+        raise ValueError("label noise applies to classification only")
     if not 0.0 <= rate <= 1.0:
-        raise ValueError("rate must lie in [0, 1]")
+        raise ValueError(f"noise rates must lie in [0, 1], got {rate}")
     train_idx = ds.indices("train")
     k = int(np.floor(rate * train_idx.size))
     y = ds.y.copy()
@@ -160,7 +160,7 @@ def inject_label_noise(ds: Dataset, rate: float, seed: int) -> Dataset:
 def subsample_train(ds: Dataset, fraction: float, seed: int) -> Dataset:
     """Keep a uniform floor(fraction * n_train) subset of the train split."""
     if not 0.0 < fraction <= 1.0:
-        raise ValueError("fraction must lie in (0, 1]")
+        raise ValueError(f"fractions must lie in (0, 1], got {fraction}")
     train_idx = ds.indices("train")
     k = int(np.floor(fraction * train_idx.size))
     if k == 0:
@@ -173,6 +173,8 @@ def subsample_train(ds: Dataset, fraction: float, seed: int) -> Dataset:
 
 
 def save_csv(ds: Dataset, path) -> None:
+    if not (np.isfinite(ds.X).all() and np.isfinite(ds.y).all()):
+        raise ValueError("cannot save non-finite features or labels: load_csv rejects them")
     # one %-format per row, written as it is formatted; %.17g round-trips float64
     row_fmt = ",".join(["%s", "%d" if ds.is_classification else "%.17g"]
                        + ["%.17g"] * ds.dim) + "\n"

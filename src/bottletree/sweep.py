@@ -1,17 +1,21 @@
 """Grid sweeps over (beta, gamma, perturbation, seed) cells.
 
-The sweep checks its values, parses its CSV once and builds its task from
-the unperturbed data, all before it writes anything, and each worker process
-gets the ``Dataset`` and the task at start-up, so every cell bins as
-``train`` does.  One job per (beta, gamma, perturbation) group trains the
+Before it writes anything, the sweep parses its CSV once and builds its
+task from the unperturbed data, every cell's ``TrainConfig`` and each
+perturbed dataset, so a bad value, or a fraction that empties the train
+split, raises and writes nothing.  Each worker process gets the perturbed
+datasets and the config template at start-up, so every cell bins as
+``train`` does.  Beta and gamma come only from the grids (``sweep --betas``,
+``--gammas``).  One job per (beta, gamma, perturbation) group trains the
 group's seeds in lockstep (each bit for bit its solo ``train``) and
 evaluates each on the test split; with fewer groups than workers, each
 group's seeds are split into lockstep chunks, one job each, so every worker
-gets work.  Per-run reports are written as JSON as soon as their job ends;
-``runs.csv`` holds one row per run per metric (long format) and
-``aggregate.csv`` the per-cell mean/std over seeds.  Cell failures are
-recorded and the sweep continues.  A dead worker breaks the pool: every cell
-not yet finished, in any worker, is recorded as an error.
+gets work, and no more workers start than there are jobs.  Per-run reports
+are written as JSON as soon as their job ends; ``runs.csv`` holds one row
+per run per metric (long format) and ``aggregate.csv`` the per-cell
+mean/std over seeds.  Cell failures are recorded and the sweep continues.
+A dead worker breaks the pool: every cell not yet finished, in any worker,
+is recorded as an error.
 """
 
 from __future__ import annotations
@@ -26,9 +30,9 @@ from itertools import product
 import numpy as np
 
 from .datasets import Dataset, inject_label_noise, load_csv, remove_files, subsample_train
-from .softbins import check_temperature, make_bins
-from .training import (ClassificationTask, RegressionTask, TrainConfig, check_train_values,
-                       evaluate, train, train_seeds, write_csv, write_json)
+from .softbins import make_bins
+from .training import (ClassificationTask, RegressionTask, TrainConfig, evaluate, train,
+                       train_seeds, write_csv, write_json)
 
 
 class WorkerCrashed(RuntimeError):
@@ -45,6 +49,12 @@ class Perturbation:
         if self.kind == "none":
             return "none"
         return f"{self.kind}{self.value:g}"
+
+    def apply(self, ds: Dataset) -> Dataset:
+        if self.kind == "none":
+            return ds
+        perturb = inject_label_noise if self.kind == "noise" else subsample_train
+        return perturb(ds, self.value, self.seed)
 
 
 @dataclass
@@ -66,24 +76,13 @@ class ExperimentSpec:
     temperature: float = 1.0
     train_kwargs: dict = field(default_factory=dict)  # lr/epochs/patience/...
 
-    def __post_init__(self):  # before any file is written
+    def __post_init__(self):  # ``run_sweep`` checks the rest before writing
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
-        for beta, gamma in product(self.betas, self.gammas):
-            check_train_values({**self.train_kwargs, "beta": beta, "gamma": gamma})
-        if self.task_kind == "regression":
-            check_temperature(self.temperature)
-        if not all(0.0 <= rate <= 1.0 for rate in self.noise_rates):
-            raise ValueError(f"noise rates must lie in [0, 1], got {list(self.noise_rates)}")
-        if not all(0.0 < fraction <= 1.0 for fraction in self.fractions):
-            raise ValueError(f"fractions must lie in (0, 1], got {list(self.fractions)}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.noise_rates and self.fractions:
             raise ValueError("choose label noise or train-fraction perturbation, not both")
-        if self.noise_rates and self.task_kind == "regression":
-            raise ValueError("label noise applies to classification only; "
-                             "a regression sweep may perturb train fractions")
         counts = Counter(map(_cell_name, self.cells()))  # a cell's name is its identity
         if repeated := [name for name, k in counts.items() if k > 1]:
             raise ValueError(f"the grid repeats cells {repeated}; seeds and grid values "
@@ -103,16 +102,6 @@ class ExperimentSpec:
         return [(*group, seed) for group in self.groups() for seed in self.seeds]
 
 
-def apply_perturbation(ds: Dataset, p: Perturbation) -> Dataset:
-    if p.kind == "none":
-        return ds
-    if p.kind == "noise":
-        return inject_label_noise(ds, p.value, p.seed)
-    if p.kind == "fraction":
-        return subsample_train(ds, p.value, p.seed)
-    raise ValueError(f"unknown perturbation kind {p.kind!r}")
-
-
 def build_task(ds: Dataset, kind: str, bins: int = 5,
                lo: float | None = None, hi: float | None = None,
                soft_labels: bool = True, temperature: float = 1.0):
@@ -126,15 +115,15 @@ def build_task(ds: Dataset, kind: str, bins: int = 5,
     return RegressionTask(make_bins(lo, hi, bins), soft_labels, temperature)
 
 
-# The sweep's parsed CSV and the task built from it, in each process that runs cells.
-_dataset: Dataset | None = None
-_task: ClassificationTask | RegressionTask | None = None
+# The sweep's perturbed datasets and its config template, in each process that runs cells.
+_datasets: dict[Perturbation, Dataset] = {}
+_template: TrainConfig | None = None
 
 
-def _hold(ds: Dataset | None, task) -> None:
-    """Give this process the sweep's dataset and task: a pool worker's initializer."""
-    global _dataset, _task
-    _dataset, _task = ds, task
+def _hold(datasets: dict[Perturbation, Dataset], template: TrainConfig | None) -> None:
+    """Give this process the sweep's datasets and template: a pool worker's initializer."""
+    global _datasets, _template
+    _datasets, _template = datasets, template
 
 
 def run_cell(spec: ExperimentSpec,
@@ -147,9 +136,8 @@ def run_cell(spec: ExperimentSpec,
     so a failing seed fails only its own cell, with its solo error.
     """
     beta, gamma, perturbation = group
-    ds = apply_perturbation(_dataset, perturbation)
-    configs = [TrainConfig(task=_task, beta=beta, gamma=gamma, seed=seed,
-                           **spec.train_kwargs) for seed in spec.seeds]
+    ds = _datasets[perturbation]
+    configs = [replace(_template, beta=beta, gamma=gamma, seed=seed) for seed in spec.seeds]
     train_set, dev_set = ds.subset("train"), ds.subset("dev")
     try:
         results = train_seeds(configs, train_set, dev_set)
@@ -206,14 +194,18 @@ def run_sweep(spec: ExperimentSpec) -> dict:
     """Run every cell; write per-run JSONs, runs.csv, aggregate.csv, errors.json,
     then raise ``WorkerCrashed`` if a worker died.
 
-    The CSV is parsed and the task built from it first, so a missing or
-    malformed CSV, or one the task cannot use, raises before anything is
-    written.  An ``errors.json`` left by an earlier sweep into ``out_dir``
-    is removed; earlier per-run JSONs are kept.
+    The CSV is parsed, the task and every cell's config built and each
+    perturbation applied first, so a bad CSV, task, train value, perturbation
+    or seed raises before anything is written.  An ``errors.json`` left by an
+    earlier sweep into ``out_dir`` is removed; earlier per-run JSONs are kept.
     """
     ds = load_csv(spec.data_path)
-    task = build_task(ds, spec.task_kind, spec.bins, spec.lo, spec.hi,
-                      spec.soft_labels, spec.temperature)
+    template = TrainConfig(task=build_task(ds, spec.task_kind, spec.bins, spec.lo, spec.hi,
+                                           spec.soft_labels, spec.temperature),
+                           **spec.train_kwargs)
+    for beta, gamma, seed in product(spec.betas, spec.gammas, spec.seeds):
+        replace(template, beta=beta, gamma=gamma, seed=seed)  # a config checks itself
+    datasets = {p: p.apply(ds) for p in spec.perturbations()}
     runs_dir = os.path.join(spec.out_dir, "runs")
     os.makedirs(runs_dir, exist_ok=True)
     errors_path = os.path.join(spec.out_dir, "errors.json")
@@ -233,11 +225,12 @@ def run_sweep(spec: ExperimentSpec) -> dict:
                            outcome)
 
     jobs, crashed = _jobs(spec), False
-    if spec.jobs > 1:
-        # Forked workers inherit the dataset from the initializer's arguments
-        # without pickling it.
-        with ProcessPoolExecutor(max_workers=spec.jobs, initializer=_hold,
-                                 initargs=(ds, task)) as pool:
+    workers = min(spec.jobs, len(jobs))  # a fork pool starts all its workers at once
+    if workers > 1:
+        # Forked workers inherit the datasets from the initializer's arguments
+        # without pickling them.
+        with ProcessPoolExecutor(max_workers=workers, initializer=_hold,
+                                 initargs=(datasets, template)) as pool:
             futures = {pool.submit(_worker, job_spec, group): (job_spec, first)
                        for job_spec, group, first in jobs}
             for future in as_completed(futures):
@@ -248,12 +241,12 @@ def run_sweep(spec: ExperimentSpec) -> dict:
                     crashed = True
                     record(first, [f"{type(exc).__name__}: {exc}"] * len(job_spec.seeds))
     else:
-        _hold(ds, task)
+        _hold(datasets, template)
         try:
             for job_spec, group, first in jobs:
                 record(first, _worker(job_spec, group))
         finally:
-            _hold(None, None)
+            _hold({}, None)
 
     run_rows = []
     for index, report in sorted(reports.items()):

@@ -68,8 +68,27 @@ class TrainConfig:
     use_mu_for_graph: bool = False
     samples_per_input: int = 1
 
-    def __post_init__(self):
-        check_train_values(vars(self))
+    def __post_init__(self):  # a sweep builds one per cell before it writes
+        if not (np.isfinite(self.beta) and np.isfinite(self.gamma)):
+            raise ValueError("beta and gamma must be finite")
+        if self.beta < 0 or self.gamma < 0:
+            raise ValueError("beta and gamma must be non-negative")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.patience < 0:
+            raise ValueError(f"patience must be >= 0, got {self.patience}")
+        if self.patience > self.epochs:
+            raise ValueError("patience cannot exceed the epoch budget")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.batch_size < 2:
+            raise ValueError("batch_size must be >= 2: the similarity graph needs a batch")
+        if any(width < 1 for width in self.hidden):
+            raise ValueError(f"hidden widths must be >= 1, got {list(self.hidden)}")
+        if self.samples_per_input < 1:
+            raise ValueError("samples_per_input must be >= 1")
 
     def echo(self) -> dict:
         if isinstance(self.task, ClassificationTask):
@@ -82,31 +101,6 @@ class TrainConfig:
         return {**{f.name: getattr(self, f.name) for f in fields(self)},
                 "task": task, "hidden": list(self.hidden),
                 "warmup_fraction": WARMUP_FRACTION}
-
-
-def check_train_values(values: dict) -> None:
-    """Raise ``ValueError`` unless these ``TrainConfig`` field values, the
-    rest at their defaults, can train a model.  A config checks itself here;
-    a sweep checks its grid and train flags here before it writes anything."""
-    v = {f.name: values.get(f.name, f.default) for f in fields(TrainConfig)}
-    if not (np.isfinite(v["beta"]) and np.isfinite(v["gamma"])):
-        raise ValueError("beta and gamma must be finite")
-    if v["beta"] < 0 or v["gamma"] < 0:
-        raise ValueError("beta and gamma must be non-negative")
-    if not (np.isfinite(v["lr"]) and v["lr"] > 0):
-        raise ValueError(f"lr must be positive and finite, got {v['lr']}")
-    if v["epochs"] < 1:
-        raise ValueError(f"epochs must be >= 1, got {v['epochs']}")
-    if v["patience"] < 0:
-        raise ValueError(f"patience must be >= 0, got {v['patience']}")
-    if v["patience"] > v["epochs"]:
-        raise ValueError("patience cannot exceed the epoch budget")
-    if v["batch_size"] < 2:
-        raise ValueError("batch_size must be >= 2: the similarity graph needs a batch")
-    if any(width < 1 for width in v["hidden"]):
-        raise ValueError(f"hidden widths must be >= 1, got {list(v['hidden'])}")
-    if v["samples_per_input"] < 1:
-        raise ValueError("samples_per_input must be >= 1")
 
 
 class TrainingDiverged(RuntimeError):

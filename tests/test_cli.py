@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from bottletree import coder, entropy, sweep, verify
-from bottletree.cli import main
+from bottletree.cli import build_parser, main
 from bottletree.datasets import gen_blobs, gen_regression, load_csv, save_csv, subsample_train
 from bottletree.sweep import ExperimentSpec, run_sweep
 from bottletree.verify import ALL_CHECKS, run_checks
@@ -113,6 +113,16 @@ class TestGen:
         assert not out.exists()
         assert message in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_draws_exit_two_without_file(self, tmp_path, capsys):
+        # a finite spread whose draws overflow to inf once wrote a CSV load_csv rejects
+        out = tmp_path / "never.csv"
+        rc = main(["gen", "blobs", "--classes", "2", "--n", "20", "--dim", "3",
+                   "--spread", "1e308", "--seed", "0", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert "cannot save non-finite features or labels" in capsys.readouterr().err
+
     def test_zero_rows_exit_two_without_file(self, tmp_path, capsys):
         out = tmp_path / "never.csv"
         rc = main(["gen", "regression", "--lo", "0", "--hi", "5", "--n", "0", "--dim", "3",
@@ -141,6 +151,7 @@ UNUSABLE_TRAIN_FLAGS = {
     "nan-beta": (["--beta", "nan"], "beta and gamma must be finite"),
     "inf-gamma": (["--gamma", "inf"], "beta and gamma must be finite"),
     "negative-patience": (["--patience", "-1"], "patience must be >= 0"),
+    "negative-seed": (["--seed", "-1"], "seed must be >= 0"),  # sweep: --seeds, a prefix
 }
 # A sweep also takes grids, and at one time ran flags that train rejected.
 UNUSABLE_SWEEP_FLAGS = {
@@ -447,6 +458,36 @@ class TestSweep:
         assert "temperature must be positive and finite" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_emptying_fraction_exits_two_before_writing(self, tmp_path, capsys):
+        # 0.01 of a 60-row set's 36 train rows is none: once every cell failed, exit 0
+        data, out = tmp_path / "blobs.csv", tmp_path / "bad"
+        save_csv(gen_blobs(2, 60, 3, spread=0.4, seed=1), data)
+        assert main(["sweep", "--data", str(data), "--task", "classification",
+                     "--fractions", "1", "0.01", "--seeds", "0", "--out-dir", str(out),
+                     *FAST]) == 2
+        assert "subsampling would leave an empty train split" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("train_kwargs", [{"lr": -1.0}, {"learning_rate": 0.1}],
+                             ids=["unusable-value", "unknown-field"])
+    def test_unusable_train_kwargs_raise_before_writing(self, blob_csv, tmp_path,
+                                                        train_kwargs):
+        # the spec holds them as given; run_sweep builds its config template first
+        out = tmp_path / "bad"
+        spec = ExperimentSpec(data_path=blob_csv, task_kind="classification", betas=(0.01,),
+                              gammas=(1.0,), seeds=(0,), out_dir=str(out),
+                              train_kwargs=train_kwargs)
+        with pytest.raises((ValueError, TypeError)):
+            run_sweep(spec)
+        assert not out.exists()
+
+    def test_beta_and_gamma_are_grid_prefixes(self, blob_csv):
+        # one value each, read as --betas and --gammas: no flag overrides a grid
+        args = build_parser().parse_args(["sweep", "--data", blob_csv, "--task",
+                                          "classification", "--beta", "0.5", "--gamma", "2"])
+        assert (args.betas, args.gammas) == ([0.5], [2.0])
+        assert not hasattr(args, "beta") and not hasattr(args, "gamma")
+
     @pytest.mark.parametrize("task, flags, message", [
         ("classification", [], "dataset labels are continuous"),
         ("regression", ["--bins", "1"], "need at least 2 bins"),
@@ -590,6 +631,29 @@ class TestSweep:
                      "--fractions", "0.5", "--seeds", "0", "--out-dir", str(out), *FAST]) == 0
         assert not (out / "errors.json").exists()
         assert os.listdir(out / "runs") == ["run_b0.01_g1_pfraction0.5_s0.json"]
+
+    @pytest.mark.parametrize("gammas, pools", [(["1"], []), (["0", "1"], [2])],
+                             ids=["one-job", "two-jobs"])
+    def test_no_more_workers_than_jobs(self, blob_csv, tmp_path, monkeypatch, gammas, pools):
+        # a fork pool starts every worker at once, so --jobs 3 with one job
+        # forks none, and with two jobs two
+        started = []
+
+        class CountingPool(sweep.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", CountingPool)
+        base = ["sweep", "--data", blob_csv, "--task", "classification", "--gammas", *gammas,
+                "--seeds", "0", *FAST]
+        outs = [tmp_path / "serial", tmp_path / "jobs3"]
+        assert main([*base, "--out-dir", str(outs[0])]) == 0
+        assert main([*base, "--jobs", "3", "--out-dir", str(outs[1])]) == 0
+        assert started == pools
+        serial, pooled = ({p.relative_to(out): p.read_bytes() for p in out.rglob("*")
+                           if p.is_file()} for out in outs)
+        assert serial == pooled and len(serial) == 2 + len(gammas)
 
     def test_parallel_jobs_match_serial(self, blob_csv, tmp_path):
         base = ["sweep", "--data", blob_csv, "--task", "classification",

@@ -183,6 +183,16 @@ class TestCsvRoundTrip:
             save_csv(ds, path)
             assert load_csv(path).equals(ds)
 
+    @pytest.mark.parametrize("array", ["X", "y"])
+    def test_non_finite_values_are_not_saved(self, tmp_path, array):
+        # load_csv would reject the file: save_csv opens none
+        ds = gen_regression(20, 3, 0.1, lo=0.0, hi=5.0, seed=0)
+        getattr(ds, array)[4] = np.nan
+        path = tmp_path / "never.csv"
+        with pytest.raises(ValueError, match="cannot save non-finite"):
+            save_csv(ds, path)
+        assert not path.exists()
+
     def test_non_numeric_cell_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("split,y,x0\ntrain,1,0.5\ntrain,2,oops\n")

@@ -48,7 +48,7 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("lr", 0.0), ("lr", -1.0), ("lr", math.inf), ("lr", math.nan),
-        ("epochs", 0), ("patience", -1), ("hidden", (0,)), ("hidden", (8, 0)),
+        ("epochs", 0), ("patience", -1), ("seed", -1), ("hidden", (0,)), ("hidden", (8, 0)),
         ("beta", math.nan), ("beta", math.inf), ("gamma", math.nan), ("gamma", math.inf),
     ], ids=lambda value: str(value).replace(" ", ""))
     def test_unusable_values_rejected(self, field, value):
