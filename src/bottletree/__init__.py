@@ -36,7 +36,7 @@ from .softbins import (BinSpec, distance_matrix, make_bins, nearest_bin,  # noqa
 from .sweep import ExperimentSpec, Perturbation, run_sweep  # noqa: E402
 from .training import (Adam, ClassificationTask, MetricsReport,  # noqa: E402
                        RegressionTask, TrainConfig, TrainResult,
-                       TrainingDiverged, evaluate, predict, train)
+                       TrainingDiverged, config_for, evaluate, predict, train)
 from .verify import ALL_CHECKS, CheckResult, run_checks  # noqa: E402
 
 __version__ = "0.1.0"

@@ -17,8 +17,8 @@ from .coder import save_checkpoint
 from .datasets import gen_blobs, gen_regression, load_csv, remove_files, save_csv
 from .entropy import build_adjacency, entropy_report, hard_assignment
 from .softbins import distance_matrix, make_bins, soften
-from .sweep import ExperimentSpec, build_task, run_sweep
-from .training import (HISTORY_FIELDS, TrainConfig, TrainingDiverged, evaluate, train,
+from .sweep import ExperimentSpec, run_sweep
+from .training import (HISTORY_FIELDS, TrainingDiverged, config_for, evaluate, train,
                        write_csv, write_json)
 from .verify import ALL_CHECKS, _random_instance, run_checks
 
@@ -108,27 +108,25 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hidden", type=_hidden, default=(64,),
                    help="comma-separated hidden widths, e.g. 64,32")
     p.add_argument("--activation", choices=["relu", "sigmoid"], default="relu")
-    p.add_argument("--use-mu-graph", action="store_true",
+    p.add_argument("--use-mu-graph", action="store_true", dest="use_mu_for_graph",
                    help="build the similarity graph from the posterior mean")
-    p.add_argument("--samples", type=int, default=1,
-                   help="latent samples per input per step")
+    p.add_argument("--samples", type=int, default=1, dest="samples_per_input",
+                   metavar="SAMPLES", help="latent samples per input per step")
     p.add_argument("--bins", type=int, default=5, help="regression bin count")
     p.add_argument("--lo", type=float, default=None,
                    help="label-range lower bound (default: from data)")
     p.add_argument("--hi", type=float, default=None,
                    help="label-range upper bound (default: from data)")
-    p.add_argument("--hard-labels", action="store_true",
+    p.add_argument("--hard-labels", action="store_false", dest="soft_labels",
                    help="nearest-bin hard labels instead of softened ones")
-    p.add_argument("--tau", type=float, default=1.0,
+    p.add_argument("--tau", type=float, default=1.0, dest="temperature", metavar="TAU",
                    help="softening temperature")
 
 
-def _train_kwargs(args) -> dict:
-    return {"lr": args.lr, "epochs": args.epochs, "patience": args.patience,
-            "batch_size": args.batch_size, "hidden": args.hidden,
-            "activation": args.activation,
-            "use_mu_for_graph": args.use_mu_graph,
-            "samples_per_input": args.samples}
+# The flags of ``_add_train_flags`` that ``config_for`` takes, each dest its keyword.
+RUN_FLAGS = ("lr", "epochs", "patience", "batch_size", "hidden", "activation",
+             "use_mu_for_graph", "samples_per_input", "bins", "lo", "hi", "soft_labels",
+             "temperature")
 
 
 def cmd_gen(args) -> int:
@@ -140,7 +138,6 @@ def cmd_gen(args) -> int:
                             args.seed)
         default_name = f"regression_n{args.n}_d{args.dim}_s{args.seed}.csv"
     out = args.out or os.path.join(_default_out(), default_name)
-    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     save_csv(ds, out)
     print(f"wrote {ds.n} rows to {out}")
     return 0
@@ -148,10 +145,8 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     ds = load_csv(args.data)
-    task = build_task(ds, args.task, args.bins, args.lo, args.hi,
-                      not args.hard_labels, args.tau)
-    config = TrainConfig(task=task, beta=args.beta, gamma=args.gamma,
-                         seed=args.seed, **_train_kwargs(args))
+    config = config_for(ds, args.task, beta=args.beta, gamma=args.gamma, seed=args.seed,
+                        **{name: getattr(args, name) for name in RUN_FLAGS})
     out_dir = args.out_dir or _default_out()
     os.makedirs(out_dir, exist_ok=True)
     # Each outcome removes the other's files, left by an earlier run here.
@@ -172,8 +167,8 @@ def cmd_train(args) -> int:
     write_json(report_path, report.to_json_dict())
     write_csv(history_path, HISTORY_FIELDS, result.history)
     save_checkpoint(result.params, model_path, seed=config.seed)
-    name = "macro_f1" if task.kind == "classification" else "spearman"
-    print(f"test {name} = {report.headline:.6f} "
+    name = "macro_f1" if config.task.kind == "classification" else "spearman"
+    print(f"test {name} = {getattr(report, name):.6f} "
           f"(best dev epoch {result.best_epoch})")
     return 0
 
@@ -184,9 +179,8 @@ def cmd_sweep(args) -> int:
         gammas=tuple(args.gammas), seeds=tuple(args.seeds),
         out_dir=args.out_dir or _default_out(),
         noise_rates=tuple(args.noise_rates), fractions=tuple(args.fractions),
-        perturb_seed=args.perturb_seed, jobs=args.jobs, bins=args.bins,
-        lo=args.lo, hi=args.hi, soft_labels=not args.hard_labels,
-        temperature=args.tau, train_kwargs=_train_kwargs(args))
+        perturb_seed=args.perturb_seed, jobs=args.jobs,
+        train_kwargs={name: getattr(args, name) for name in RUN_FLAGS})
     summary = run_sweep(spec)
     print(f"sweep finished: {summary['succeeded']}/{summary['cells']} runs "
           f"succeeded, {summary['failed']} failed; outputs in {spec.out_dir}")

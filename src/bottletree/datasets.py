@@ -175,6 +175,7 @@ def subsample_train(ds: Dataset, fraction: float, seed: int) -> Dataset:
 def save_csv(ds: Dataset, path) -> None:
     if not (np.isfinite(ds.X).all() and np.isfinite(ds.y).all()):
         raise ValueError("cannot save non-finite features or labels: load_csv rejects them")
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     # one %-format per row, written as it is formatted; %.17g round-trips float64
     row_fmt = ",".join(["%s", "%d" if ds.is_classification else "%.17g"]
                        + ["%.17g"] * ds.dim) + "\n"

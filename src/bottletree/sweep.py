@@ -1,10 +1,11 @@
 """Grid sweeps over (beta, gamma, perturbation, seed) cells.
 
-Before it writes anything, the sweep parses its CSV once and builds its
-task from the unperturbed data, every cell's ``TrainConfig`` and each
-perturbed dataset, so a bad value, or a fraction that empties the train
-split, raises and writes nothing.  Each worker process gets the perturbed
-datasets and the config template at start-up, so every cell bins as
+Before it writes anything, the sweep parses its CSV once, resolves its
+config template from the unperturbed data with ``training.config_for``, the
+route ``train`` takes, checks every cell's ``TrainConfig`` and applies each
+perturbation, so a bad task kind or value, or a fraction that empties the
+train split, raises and writes nothing.  Each worker process gets the
+perturbed datasets and the template at start-up, so every cell bins as
 ``train`` does.  Beta and gamma come only from the grids (``sweep --betas``,
 ``--gammas``).  One job per (beta, gamma, perturbation) group trains the
 group's seeds in lockstep (each bit for bit its solo ``train``) and
@@ -30,9 +31,7 @@ from itertools import product
 import numpy as np
 
 from .datasets import Dataset, inject_label_noise, load_csv, remove_files, subsample_train
-from .softbins import make_bins
-from .training import (ClassificationTask, RegressionTask, TrainConfig, evaluate, train,
-                       train_seeds, write_csv, write_json)
+from .training import TrainConfig, config_for, evaluate, train, train_seeds, write_csv, write_json
 
 
 class WorkerCrashed(RuntimeError):
@@ -69,18 +68,15 @@ class ExperimentSpec:
     fractions: tuple[float, ...] = ()
     perturb_seed: int = 0
     jobs: int = 1
-    bins: int = 5
-    lo: float | None = None
-    hi: float | None = None
-    soft_labels: bool = True
-    temperature: float = 1.0
-    train_kwargs: dict = field(default_factory=dict)  # lr/epochs/patience/...
+    train_kwargs: dict = field(default_factory=dict)  # ``config_for``'s: bins/lr/epochs/...
 
     def __post_init__(self):  # ``run_sweep`` checks the rest before writing
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        if self.perturb_seed < 0:
+            raise ValueError(f"perturb_seed must be >= 0, got {self.perturb_seed}")
         if self.noise_rates and self.fractions:
             raise ValueError("choose label noise or train-fraction perturbation, not both")
         counts = Counter(map(_cell_name, self.cells()))  # a cell's name is its identity
@@ -100,19 +96,6 @@ class ExperimentSpec:
 
     def cells(self) -> list[tuple[float, float, Perturbation, int]]:
         return [(*group, seed) for group in self.groups() for seed in self.seeds]
-
-
-def build_task(ds: Dataset, kind: str, bins: int = 5,
-               lo: float | None = None, hi: float | None = None,
-               soft_labels: bool = True, temperature: float = 1.0):
-    """The task for ``ds``; regression bins default to the label range."""
-    if kind == "classification":
-        if not ds.is_classification:
-            raise ValueError("dataset labels are continuous; use --task regression")
-        return ClassificationTask(ds.num_classes)
-    lo = lo if lo is not None else float(ds.y.min())
-    hi = hi if hi is not None else float(ds.y.max())
-    return RegressionTask(make_bins(lo, hi, bins), soft_labels, temperature)
 
 
 # The sweep's perturbed datasets and its config template, in each process that runs cells.
@@ -200,9 +183,7 @@ def run_sweep(spec: ExperimentSpec) -> dict:
     earlier sweep into ``out_dir`` is removed; earlier per-run JSONs are kept.
     """
     ds = load_csv(spec.data_path)
-    template = TrainConfig(task=build_task(ds, spec.task_kind, spec.bins, spec.lo, spec.hi,
-                                           spec.soft_labels, spec.temperature),
-                           **spec.train_kwargs)
+    template = config_for(ds, spec.task_kind, **spec.train_kwargs)
     for beta, gamma, seed in product(spec.betas, spec.gammas, spec.seeds):
         replace(template, beta=beta, gamma=gamma, seed=seed)  # a config checks itself
     datasets = {p: p.apply(ds) for p in spec.perturbations()}

@@ -22,9 +22,9 @@ import numpy as np
 from . import metrics as M
 from .autodiff import NonFiniteError
 from .coder import EncoderParams, combined_loss, encode, init_params
-from .datasets import replacing
+from .datasets import Dataset, replacing
 from .entropy import hard_assignment
-from .softbins import BinSpec, check_temperature, distance_matrix, nearest_bin, soften
+from .softbins import BinSpec, check_temperature, distance_matrix, make_bins, nearest_bin, soften
 
 REPORT_SCHEMA_VERSION = 1
 WARMUP_FRACTION = 0.1  # of all optimizer steps
@@ -101,6 +101,24 @@ class TrainConfig:
         return {**{f.name: getattr(self, f.name) for f in fields(self)},
                 "task": task, "hidden": list(self.hidden),
                 "warmup_fraction": WARMUP_FRACTION}
+
+
+def config_for(ds: Dataset, kind: str, bins: int = 5, lo: float | None = None,
+               hi: float | None = None, soft_labels: bool = True, temperature: float = 1.0,
+               **train_kwargs) -> TrainConfig:
+    """The config of a ``kind`` run on ``ds``: the one route from the run flags
+    to a ``TrainConfig``.  Regression bins default to the label range."""
+    if kind == "classification":
+        if not ds.is_classification:
+            raise ValueError("dataset labels are continuous; use --task regression")
+        task = ClassificationTask(ds.num_classes)
+    elif kind == "regression":
+        lo = lo if lo is not None else float(ds.y.min())
+        hi = hi if hi is not None else float(ds.y.max())
+        task = RegressionTask(make_bins(lo, hi, bins), soft_labels, temperature)
+    else:
+        raise ValueError(f"unknown task kind {kind!r}: use classification or regression")
+    return TrainConfig(task=task, **train_kwargs)
 
 
 class TrainingDiverged(RuntimeError):
@@ -318,12 +336,6 @@ class MetricsReport:
     per_class_f1: list[float] | None = None
     pearson: float | None = None
     spearman: float | None = None
-
-    @property
-    def headline(self) -> float:
-        value = self.macro_f1 if self.kind == "classification" else self.spearman
-        assert value is not None
-        return value
 
     def to_json_dict(self) -> dict:
         return {"schema_version": REPORT_SCHEMA_VERSION, **asdict(self)}

@@ -123,6 +123,14 @@ class TestGen:
         assert not out.exists()
         assert "cannot save non-finite features or labels" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_refused_data_leaves_no_new_directory(self, tmp_path):
+        # the output's directory is made only once the data can be saved
+        out = tmp_path / "newdir" / "x.csv"
+        assert main(["gen", "blobs", "--classes", "2", "--n", "20", "--dim", "3",
+                     "--spread", "1e308", "--seed", "0", "--out", str(out)]) == 2
+        assert not out.parent.exists()
+
     def test_zero_rows_exit_two_without_file(self, tmp_path, capsys):
         out = tmp_path / "never.csv"
         rc = main(["gen", "regression", "--lo", "0", "--hi", "5", "--n", "0", "--dim", "3",
@@ -165,6 +173,7 @@ UNUSABLE_SWEEP_FLAGS = {
     "fraction-above-one": (["--fractions", "0.5", "1.5"], "fractions must lie in (0, 1]"),
     "zero-jobs": (["--jobs", "0"], "jobs must be >= 1"),
     "negative-jobs": (["--jobs", "-1"], "jobs must be >= 1"),
+    "negative-perturb-seed": (["--perturb-seed", "-1"], "perturb_seed must be >= 0"),
 }
 # Softening temperatures no regression run can use, with soft or hard labels.
 UNUSABLE_TAU = pytest.mark.parametrize("tau", ["0", "-1", "nan", "inf"])
@@ -480,6 +489,31 @@ class TestSweep:
         with pytest.raises((ValueError, TypeError)):
             run_sweep(spec)
         assert not out.exists()
+
+    def test_unknown_task_kind_raises_before_writing(self, blob_csv, tmp_path):
+        # once any kind but "classification" trained a regression on the class ids
+        out = tmp_path / "bad"
+        spec = ExperimentSpec(data_path=blob_csv, task_kind="clasification", betas=(0.01,),
+                              gammas=(1.0,), seeds=(0,), out_dir=str(out),
+                              train_kwargs={"epochs": 1, "patience": 0, "hidden": (4,)})
+        with pytest.raises(ValueError, match="unknown task kind 'clasification'"):
+            run_sweep(spec)
+        assert not out.exists()
+
+    def test_train_and_sweep_resolve_flags_to_one_config(self, regression_csv, tmp_path):
+        flags = ["--data", regression_csv, "--task", "regression", "--bins", "3",
+                 "--lo", "-1", "--hi", "6", "--hard-labels", "--tau", "0.5", "--samples", "2",
+                 "--use-mu-graph", *FAST]
+        assert main(["train", *flags, "--gamma", "1", "--seed", "0",
+                     "--out-dir", str(tmp_path / "train")]) == 0
+        assert main(["sweep", *flags, "--gammas", "1", "--seeds", "0",
+                     "--out-dir", str(tmp_path / "sweep")]) == 0
+        config = json.loads((tmp_path / "train" / "report.json").read_text())["config"]
+        run = tmp_path / "sweep" / "runs" / "run_b0.01_g1_pnone_s0.json"
+        assert json.loads(run.read_text())["config"] == config
+        assert config["task"] == {"kind": "regression", "bins": 3, "lo": -1.0, "hi": 6.0,
+                                  "soft_labels": False, "temperature": 0.5}
+        assert (config["samples_per_input"], config["use_mu_for_graph"]) == (2, True)
 
     def test_beta_and_gamma_are_grid_prefixes(self, blob_csv):
         # one value each, read as --betas and --gammas: no flag overrides a grid
