@@ -1,8 +1,8 @@
-"""Command-line harness: dataset generation, training, sweeps, verification.
+"""Command-line harness: argument parsing, output paths and exit codes.
 
-Exit codes: 0 success, 1 usage error, 2 runtime failure, 3 verification
-failure.  Every command is deterministic given its flags; the default output
-directory can be set with the BOTTLETREE_OUT environment variable.
+The work and every run default are the library's: ``train`` and ``sweep`` pass
+on only the flags typed.  Exit codes: 0 success, 1 usage error, 2 runtime
+failure, 3 verification failure.  BOTTLETREE_OUT sets the default output dir.
 """
 
 from __future__ import annotations
@@ -11,16 +11,12 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from .coder import save_checkpoint
 from .datasets import gen_blobs, gen_regression, load_csv, remove_files, save_csv
-from .entropy import build_adjacency, entropy_report, hard_assignment
-from .softbins import distance_matrix, make_bins, soften
 from .sweep import ExperimentSpec, run_sweep
-from .training import (HISTORY_FIELDS, TrainingDiverged, config_for, evaluate, train,
-                       write_csv, write_json)
-from .verify import ALL_CHECKS, _random_instance, run_checks
+from .training import (HISTORY_FIELDS, TrainConfig, TrainingDiverged, config_for, evaluate,
+                       train, write_csv, write_json)
+from .verify import ALL_CHECKS, debug_record, run_checks
 
 OUT_ENV = "BOTTLETREE_OUT"
 
@@ -70,22 +66,24 @@ def build_parser() -> argparse.ArgumentParser:
     reg.add_argument("--seed", type=int, required=True)
     reg.add_argument("--out", default=None, help="output CSV path")
 
-    tr = sub.add_parser("train", help="train one model and report test metrics")
+    tr = sub.add_parser("train", help="train one model and report test metrics",
+                        argument_default=argparse.SUPPRESS)
     _add_train_flags(tr)
-    tr.add_argument("--beta", type=float, default=1e-2)
-    tr.add_argument("--gamma", type=float, default=1.0)
-    tr.add_argument("--seed", type=int, default=0)
+    tr.add_argument("--beta", type=float)
+    tr.add_argument("--gamma", type=float)
+    tr.add_argument("--seed", type=int)
     tr.add_argument("--out-dir", default=None)
 
-    sw = sub.add_parser("sweep", help="grid sweep over beta/gamma/seeds/perturbations")
+    sw = sub.add_parser("sweep", help="grid sweep over beta/gamma/seeds/perturbations",
+                        argument_default=argparse.SUPPRESS)
     _add_train_flags(sw)
     sw.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3, 4])
-    sw.add_argument("--betas", type=float, nargs="+", default=[1e-2])
-    sw.add_argument("--gammas", type=float, nargs="+", default=[1.0])
-    sw.add_argument("--noise-rates", type=float, nargs="+", default=[])
-    sw.add_argument("--fractions", type=float, nargs="+", default=[])
-    sw.add_argument("--perturb-seed", type=int, default=0)
-    sw.add_argument("--jobs", type=int, default=1)
+    sw.add_argument("--betas", type=float, nargs="+", default=[TrainConfig.beta])
+    sw.add_argument("--gammas", type=float, nargs="+", default=[TrainConfig.gamma])
+    sw.add_argument("--noise-rates", type=float, nargs="+")
+    sw.add_argument("--fractions", type=float, nargs="+")
+    sw.add_argument("--perturb-seed", type=int)
+    sw.add_argument("--jobs", type=int)
     sw.add_argument("--out-dir", default=None)
 
     ver = sub.add_parser("verify", help="run the oracle/invariant/gradient suite")
@@ -101,32 +99,35 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True, help="dataset CSV path")
     p.add_argument("--task", choices=["classification", "regression"],
                    required=True)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--patience", type=int, default=5)
-    p.add_argument("--batch-size", type=int, default=128)
-    p.add_argument("--hidden", type=_hidden, default=(64,),
+    p.add_argument("--lr", type=float)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--patience", type=int)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--hidden", type=_hidden,
                    help="comma-separated hidden widths, e.g. 64,32")
-    p.add_argument("--activation", choices=["relu", "sigmoid"], default="relu")
+    p.add_argument("--activation", choices=["relu", "sigmoid"])
     p.add_argument("--use-mu-graph", action="store_true", dest="use_mu_for_graph",
                    help="build the similarity graph from the posterior mean")
-    p.add_argument("--samples", type=int, default=1, dest="samples_per_input",
+    p.add_argument("--samples", type=int, dest="samples_per_input",
                    metavar="SAMPLES", help="latent samples per input per step")
-    p.add_argument("--bins", type=int, default=5, help="regression bin count")
-    p.add_argument("--lo", type=float, default=None,
-                   help="label-range lower bound (default: from data)")
-    p.add_argument("--hi", type=float, default=None,
-                   help="label-range upper bound (default: from data)")
+    p.add_argument("--bins", type=int, help="regression bin count")
+    p.add_argument("--lo", type=float, help="label-range lower bound (default: from data)")
+    p.add_argument("--hi", type=float, help="label-range upper bound (default: from data)")
     p.add_argument("--hard-labels", action="store_false", dest="soft_labels",
                    help="nearest-bin hard labels instead of softened ones")
-    p.add_argument("--tau", type=float, default=1.0, dest="temperature", metavar="TAU",
+    p.add_argument("--tau", type=float, dest="temperature", metavar="TAU",
                    help="softening temperature")
 
 
-# The flags of ``_add_train_flags`` that ``config_for`` takes, each dest its keyword.
-RUN_FLAGS = ("lr", "epochs", "patience", "batch_size", "hidden", "activation",
-             "use_mu_for_graph", "samples_per_input", "bins", "lo", "hi", "soft_labels",
-             "temperature")
+# The sweep's own ``ExperimentSpec`` fields; the other flags' dests are ``config_for``'s.
+SPEC_FLAGS = ("seeds", "betas", "gammas", "noise_rates", "fractions", "perturb_seed", "jobs")
+
+
+def _typed(args) -> dict:
+    """Flags typed past ``--data``, ``--task`` and ``--out-dir``, by dest; lists as tuples."""
+    return {name: tuple(value) if isinstance(value, list) else value
+            for name, value in vars(args).items()
+            if name not in ("command", "data", "task", "out_dir")}
 
 
 def cmd_gen(args) -> int:
@@ -145,8 +146,7 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     ds = load_csv(args.data)
-    config = config_for(ds, args.task, beta=args.beta, gamma=args.gamma, seed=args.seed,
-                        **{name: getattr(args, name) for name in RUN_FLAGS})
+    config = config_for(ds, args.task, **_typed(args))
     out_dir = args.out_dir or _default_out()
     os.makedirs(out_dir, exist_ok=True)
     # Each outcome removes the other's files, left by an earlier run here.
@@ -174,13 +174,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    spec = ExperimentSpec(
-        data_path=args.data, task_kind=args.task, betas=tuple(args.betas),
-        gammas=tuple(args.gammas), seeds=tuple(args.seeds),
-        out_dir=args.out_dir or _default_out(),
-        noise_rates=tuple(args.noise_rates), fractions=tuple(args.fractions),
-        perturb_seed=args.perturb_seed, jobs=args.jobs,
-        train_kwargs={name: getattr(args, name) for name in RUN_FLAGS})
+    run_flags = _typed(args)
+    grid = {name: run_flags.pop(name) for name in SPEC_FLAGS if name in run_flags}
+    spec = ExperimentSpec(data_path=args.data, task_kind=args.task,
+                          out_dir=args.out_dir or _default_out(), **grid,
+                          train_kwargs=run_flags)
     summary = run_sweep(spec)
     print(f"sweep finished: {summary['succeeded']}/{summary['cells']} runs "
           f"succeeded, {summary['failed']} failed; outputs in {spec.out_dir}")
@@ -194,23 +192,9 @@ def cmd_verify(args) -> int:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status}  {r.name:<12} ({r.seconds:6.2f}s)  {r.detail}")
     if args.dump:
-        _write_debug_dump(args.dump)
+        write_json(args.dump, debug_record())
         print(f"debug record written to {args.dump}")
     return 0 if all(r.passed for r in results) else 3
-
-
-def _write_debug_dump(path: str) -> None:
-    rng = np.random.default_rng(0)
-    h, labels, n, d, r = _random_instance(rng, n=8, d=3, r=3)
-    adj = build_adjacency(h)
-    soft = soften(distance_matrix(rng.uniform(0.0, 5.0, size=n),
-                                  make_bins(0.0, 5.0, 3)))
-    record = {
-        "hard": entropy_report(adj, hard_assignment(labels, r)),
-        "soft": entropy_report(adj, soft),
-    }
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    write_json(path, record)
 
 
 def main(argv=None) -> int:

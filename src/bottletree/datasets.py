@@ -10,7 +10,7 @@ Both directions stream: ``save_csv`` formats and writes one row at a time,
 and ``load_csv`` reads line by line into one flat float buffer that becomes
 ``X`` without a copy, so memory is O(arrays), not O(file text).  Lines end
 at ``\n``, ``\r\n`` or ``\r`` (file iteration with universal newlines).
-``replacing`` is the write-then-rename helper every run artifact goes through.
+``replacing`` (write, then rename) writes every run artifact and saved CSV.
 """
 
 from __future__ import annotations
@@ -175,11 +175,10 @@ def subsample_train(ds: Dataset, fraction: float, seed: int) -> Dataset:
 def save_csv(ds: Dataset, path) -> None:
     if not (np.isfinite(ds.X).all() and np.isfinite(ds.y).all()):
         raise ValueError("cannot save non-finite features or labels: load_csv rejects them")
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     # one %-format per row, written as it is formatted; %.17g round-trips float64
     row_fmt = ",".join(["%s", "%d" if ds.is_classification else "%.17g"]
                        + ["%.17g"] * ds.dim) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with replacing(path, newline="\n") as fh:
         fh.write(f"# {ds.provenance}\nsplit,y,"
                  + ",".join(f"x{i}" for i in range(ds.dim)) + "\n")
         fh.writelines(row_fmt % (tag, y, *row.tolist())
@@ -253,8 +252,10 @@ def _is_int_token(s: str) -> bool:
 @contextmanager
 def replacing(path, **kwargs):
     """A text file under a temporary name, renamed to ``path`` once complete:
-    a reader never sees half a file; a failed write leaves ``path`` as it was, and no ``.tmp``."""
+    a reader never sees half a file; a failed write leaves ``path`` as it was, and no ``.tmp``
+    (its directory, if new, stays)."""
     tmp = f"{path}.tmp"
+    os.makedirs(os.path.dirname(tmp) or ".", exist_ok=True)
     try:
         with open(tmp, "w", encoding="utf-8", **kwargs) as fh:
             yield fh

@@ -34,8 +34,8 @@ class BinSpec:
 
 
 def make_bins(lo: float, hi: float, num_bins: int) -> BinSpec:
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    if not (lo < hi and np.isfinite(hi - lo)):  # finite ends, a span that does not overflow
+        raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
     if num_bins < 2:
         raise ValueError(f"need at least 2 bins, got {num_bins}")
     width = (hi - lo) / num_bins

@@ -3,9 +3,9 @@
 Before it writes anything, the sweep parses its CSV once, resolves its
 config template from the unperturbed data with ``training.config_for``, the
 route ``train`` takes, checks every cell's ``TrainConfig`` and applies each
-perturbation, so a bad task kind or value, or a fraction that empties the
-train split, raises and writes nothing.  Each worker process gets the
-perturbed datasets and the template at start-up, so every cell bins as
+perturbation, checking its splits, so a bad task kind or value, or a fraction
+that leaves under 2 train rows, raises and writes nothing.  Each worker gets
+the perturbed datasets and the template at start-up, so every cell bins as
 ``train`` does.  Beta and gamma come only from the grids (``sweep --betas``,
 ``--gammas``).  One job per (beta, gamma, perturbation) group trains the
 group's seeds in lockstep (each bit for bit its solo ``train``) and
@@ -31,7 +31,8 @@ from itertools import product
 import numpy as np
 
 from .datasets import Dataset, inject_label_noise, load_csv, remove_files, subsample_train
-from .training import TrainConfig, config_for, evaluate, train, train_seeds, write_csv, write_json
+from .training import (TrainConfig, check_splits, config_for, evaluate, train, train_seeds,
+                       write_csv, write_json)
 
 
 class WorkerCrashed(RuntimeError):
@@ -178,15 +179,16 @@ def run_sweep(spec: ExperimentSpec) -> dict:
     then raise ``WorkerCrashed`` if a worker died.
 
     The CSV is parsed, the task and every cell's config built and each
-    perturbation applied first, so a bad CSV, task, train value, perturbation
-    or seed raises before anything is written.  An ``errors.json`` left by an
-    earlier sweep into ``out_dir`` is removed; earlier per-run JSONs are kept.
+    perturbation applied and its splits checked first, so a bad CSV, task, train
+    value, perturbation, split or seed raises before anything is written.  An
+    ``errors.json`` left by an earlier sweep into ``out_dir`` is removed;
+    earlier per-run JSONs are kept.
     """
     ds = load_csv(spec.data_path)
     template = config_for(ds, spec.task_kind, **spec.train_kwargs)
     for beta, gamma, seed in product(spec.betas, spec.gammas, spec.seeds):
         replace(template, beta=beta, gamma=gamma, seed=seed)  # a config checks itself
-    datasets = {p: p.apply(ds) for p in spec.perturbations()}
+    datasets = {p: check_splits(p.apply(ds), spec.task_kind) for p in spec.perturbations()}
     runs_dir = os.path.join(spec.out_dir, "runs")
     os.makedirs(runs_dir, exist_ok=True)
     errors_path = os.path.join(spec.out_dir, "errors.json")

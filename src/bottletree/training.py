@@ -106,8 +106,8 @@ class TrainConfig:
 def config_for(ds: Dataset, kind: str, bins: int = 5, lo: float | None = None,
                hi: float | None = None, soft_labels: bool = True, temperature: float = 1.0,
                **train_kwargs) -> TrainConfig:
-    """The config of a ``kind`` run on ``ds``: the one route from the run flags
-    to a ``TrainConfig``.  Regression bins default to the label range."""
+    """The config of a ``kind`` run on ``ds``, its splits checked: the one route from
+    the run flags to a ``TrainConfig``.  Regression bins default to the label range."""
     if kind == "classification":
         if not ds.is_classification:
             raise ValueError("dataset labels are continuous; use --task regression")
@@ -118,7 +118,18 @@ def config_for(ds: Dataset, kind: str, bins: int = 5, lo: float | None = None,
         task = RegressionTask(make_bins(lo, hi, bins), soft_labels, temperature)
     else:
         raise ValueError(f"unknown task kind {kind!r}: use classification or regression")
+    check_splits(ds, kind)
     return TrainConfig(task=task, **train_kwargs)
+
+
+def check_splits(ds: Dataset, kind: str) -> Dataset:
+    """``ds``, if each split has the rows a ``kind`` run needs: a train batch and
+    ``evaluate``'s test graph need 2, the dev metric 1 (a regression's Spearman 2)."""
+    need = {"train": 2, "dev": 2 if kind == "regression" else 1, "test": 2}
+    for tag, least in need.items():
+        if (n := ds.indices(tag).size) < least:
+            raise ValueError(f"a {kind} run needs at least {least} {tag} rows, got {n}")
+    return ds
 
 
 class TrainingDiverged(RuntimeError):

@@ -3,7 +3,8 @@
 Each check pits one route against an independent one (set enumeration,
 brute-force summation, finite differences, Monte Carlo) on deterministic
 random instances; ``reduction`` pits the two oracles on one-hot memberships.
-The CLI ``verify`` subcommand and the acceptance tests both run these.
+The CLI ``verify`` subcommand (``--dump`` writes ``debug_record``) and the
+acceptance tests both run these.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ import numpy as np
 
 from .autodiff import finite_difference_check
 from .coder import combined_loss, init_params, kl_to_standard_normal
-from .entropy import (build_adjacency, check_membership, hard_assignment,
+from .entropy import (build_adjacency, check_membership, entropy_report, hard_assignment,
                       intermediate_layer_entropy, se_loss, se_loss_matrix,
                       tree_from_assignment)
-from .softbins import make_bins, soft_cuts, soft_volumes
+from .softbins import distance_matrix, make_bins, soft_cuts, soft_volumes, soften
 from .training import ClassificationTask, RegressionTask, batch_assignment
 
 
@@ -236,6 +237,16 @@ ALL_CHECKS: dict[str, Callable[[], CheckResult]] = {
     "grad": check_gradients,
     "kl": check_kl,
 }
+
+
+def debug_record() -> dict:
+    """The ``verify --dump`` record: ``entropy_report`` of one hard and one soft instance."""
+    rng = np.random.default_rng(0)
+    h, labels, n, _, r = _random_instance(rng, n=8, d=3, r=3)
+    adj = build_adjacency(h)
+    soft = soften(distance_matrix(rng.uniform(0.0, 5.0, size=n), make_bins(0.0, 5.0, 3)))
+    return {"hard": entropy_report(adj, hard_assignment(labels, r)),
+            "soft": entropy_report(adj, soft)}
 
 
 def run_checks(only: list[str] | None = None) -> list[CheckResult]:

@@ -18,6 +18,7 @@ from bottletree import coder, entropy, sweep, verify
 from bottletree.cli import build_parser, main
 from bottletree.datasets import gen_blobs, gen_regression, load_csv, save_csv, subsample_train
 from bottletree.sweep import ExperimentSpec, run_sweep
+from bottletree.training import config_for
 from bottletree.verify import ALL_CHECKS, run_checks
 
 
@@ -175,6 +176,34 @@ UNUSABLE_SWEEP_FLAGS = {
     "negative-jobs": (["--jobs", "-1"], "jobs must be >= 1"),
     "negative-perturb-seed": (["--perturb-seed", "-1"], "perturb_seed must be >= 0"),
 }
+# Data with a split below what a run needs: (gen flags, task, the train
+# fraction a sweep cell keeps, the error).  Each once trained, then exited 2
+# leaving an empty output directory, or, in a sweep, exited 0.
+SHORT_SPLITS = {
+    "one-test-row": (["blobs", "--classes", "2", "--n", "5", "--dim", "3", "--seed", "0"],
+                     "classification", None, "at least 2 test rows, got 1"),
+    "one-dev-row-regression": (["regression", "--n", "6", "--dim", "3", "--lo", "0",
+                                "--hi", "1", "--seed", "0"],
+                               "regression", None, "at least 2 dev rows, got 1"),
+    "one-train-row": (["blobs", "--classes", "2", "--n", "60", "--dim", "3", "--seed", "0"],
+                      "classification", 0.03, "at least 2 train rows, got 1"),  # 1 of 36
+}
+
+
+def short_split_csv(tmp_path, case) -> str:
+    path = tmp_path / "data.csv"
+    assert main(["gen", *SHORT_SPLITS[case][0], "--out", str(path)]) == 0
+    return str(path)
+
+
+def recording(calls: list, function):
+    """``function``, appending each call's (args, kwargs) to ``calls``."""
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return function(*args, **kwargs)
+    return record
+
+
 # Softening temperatures no regression run can use, with soft or hard labels.
 UNUSABLE_TAU = pytest.mark.parametrize("tau", ["0", "-1", "nan", "inf"])
 SOFT_OR_HARD = pytest.mark.parametrize("labels", [[], ["--hard-labels"]], ids=["soft", "hard"])
@@ -199,6 +228,36 @@ class TestTrain:
                      "--tau", tau, *labels, "--out-dir", str(out), *FAST]) == 2
         err = capsys.readouterr().err
         assert "temperature must be positive and finite" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", list(SHORT_SPLITS))
+    def test_short_split_exits_two_without_files(self, tmp_path, capsys, case):
+        _, task, fraction, message = SHORT_SPLITS[case]
+        data, out = short_split_csv(tmp_path, case), tmp_path / "run"
+        if fraction:  # the train split the sweep's fraction cell gets
+            save_csv(subsample_train(load_csv(data), fraction, seed=0), data)
+        assert main(["train", "--data", data, "--task", task, "--out-dir", str(out),
+                     *FAST]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_untyped_flags_leave_every_default_to_the_library(self, blob_csv, tmp_path,
+                                                              monkeypatch):
+        calls = []
+        monkeypatch.setattr("bottletree.cli.config_for", recording(calls, config_for))
+        assert main(["train", "--data", blob_csv, "--task", "classification",
+                     "--out-dir", str(tmp_path / "run")]) == 0
+        assert [kwargs for _, kwargs in calls] == [{}]
+
+    @pytest.mark.parametrize("flags", [["--hi", "inf"], ["--lo=-1e308", "--hi", "1e308"]],
+                             ids=["inf-hi", "overflowing-span"])
+    def test_non_finite_bin_centers_exit_two_without_files(self, regression_csv, tmp_path,
+                                                           capsys, flags):
+        # once rejected by soften after the output directory was made
+        out = tmp_path / "run"
+        assert main(["train", "--data", regression_csv, "--task", "regression", *flags,
+                     "--out-dir", str(out), *FAST]) == 2
+        assert "need finite lo < hi" in capsys.readouterr().err
         assert not out.exists()
 
     def test_writes_report_and_history(self, blob_csv, tmp_path):
@@ -476,6 +535,29 @@ class TestSweep:
                      *FAST]) == 2
         assert "subsampling would leave an empty train split" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("case", list(SHORT_SPLITS))
+    def test_short_split_exits_two_before_writing(self, tmp_path, capsys, case):
+        _, task, fraction, message = SHORT_SPLITS[case]
+        data, out = short_split_csv(tmp_path, case), tmp_path / "bad"
+        cells = (["--fractions", str(fraction), "--seeds", "0"] if fraction
+                 else ["--seeds", "0", "1"])
+        assert main(["sweep", "--data", data, "--task", task, *cells, "--out-dir", str(out),
+                     *FAST]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_untyped_flags_leave_every_default_to_the_library(self, blob_csv, tmp_path,
+                                                              monkeypatch):
+        calls, sweeps = [], []
+        monkeypatch.setattr(sweep, "config_for", recording(calls, config_for))
+        monkeypatch.setattr("bottletree.cli.run_sweep", recording(sweeps, run_sweep))
+        assert main(["sweep", "--data", blob_csv, "--task", "classification",
+                     "--out-dir", str(tmp_path / "sweep")]) == 0
+        assert [kwargs for _, kwargs in calls] == [{}]
+        defaults = ExperimentSpec(blob_csv, "classification", (0.01,), (1.0,), (0, 1, 2, 3, 4),
+                                  str(tmp_path / "sweep"))  # train_kwargs={}
+        assert [args for args, _ in sweeps] == [(defaults,)]
 
     @pytest.mark.parametrize("train_kwargs", [{"lr": -1.0}, {"learning_rate": 0.1}],
                              ids=["unusable-value", "unknown-field"])

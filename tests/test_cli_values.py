@@ -1,9 +1,12 @@
 """Property test of the command line over each flag's edge values.
 
-A draw starts from a usable ``gen``, ``train`` or ``sweep`` line on a 60-row
-CSV and overrides up to three of its flags, each with a value from that
-flag's edge set: 0, -1, nan, inf, 1e308, the ends of its range, and for
-``--fractions`` one that empties the train split.  Whatever the values,
+A draw starts from a usable ``gen``, ``train`` or ``sweep`` line and
+overrides up to three of its flags, each with a value from that flag's edge
+set: 0, -1, nan, inf, 1e308, the ends of its range, and for ``--fractions``
+one that empties the train split and one that leaves it one row.  ``train``
+and ``sweep`` read a CSV whose row count is drawn at the split minimums: 4
+rows leave no dev row, 5 one test row, 6 and 8 one dev row (too few for a
+regression), and 60 rows (36 train) are usable.  Whatever the values,
 ``cli.main`` returns 0, 1 (usage) or 2 (runtime failure) and prints no
 traceback.  Exit 2 leaves no new file or directory, except the one outcome
 the README documents as writing: a ``train`` that diverges writes
@@ -53,7 +56,7 @@ EDGES = {
     "sweep": {**RUN_EDGES, "--betas": [*REALS, "1"], "--gammas": [*REALS, "1"],
               "--seeds": SEEDS, "--perturb-seed": SEEDS, "--jobs": ["1", "2", "0", "-1"],
               "--noise-rates": ["0", "1", "-1", "nan", "inf", "1.5"],
-              "--fractions": ["1", "0.01", "0", "-1", "nan", "inf"]},
+              "--fractions": ["1", "0.01", "0.03", "0", "-1", "nan", "inf"]},
 }
 SMALL_RUN = ["--epochs", "1", "--patience", "0", "--batch-size", "16", "--hidden", "4"]
 
@@ -66,13 +69,22 @@ def overrides(command: str):
     return st.lists(pair, max_size=3).map(lambda pairs: [v for p in pairs for v in p])
 
 
+# Row counts at the split boundaries (train/dev/test 2/0/2, 3/1/1, 3/1/2, 4/1/3)
+# and a usable 60 (36/12/12), where a fraction of 0.01 keeps no train row and
+# one of 0.03 keeps one.
+ROWS = [4, 5, 6, 8, 60]
+
+
 @pytest.fixture(scope="module")
 def csvs(tmp_path_factory):
-    """60-row CSVs: 36 train rows, so a fraction of 0.01 keeps none."""
+    """A CSV per task and row count of ``ROWS``."""
     root = tmp_path_factory.mktemp("values")
-    paths = {"classification": root / "blobs.csv", "regression": root / "reg.csv"}
-    save_csv(gen_blobs(3, 60, 3, spread=0.4, seed=1), paths["classification"])
-    save_csv(gen_regression(60, 3, 0.2, lo=0.0, hi=5.0, seed=2), paths["regression"])
+    paths = {}
+    for n in ROWS:
+        paths["classification", n] = root / f"blobs{n}.csv"
+        paths["regression", n] = root / f"reg{n}.csv"
+        save_csv(gen_blobs(3, n, 3, spread=0.4, seed=1), paths["classification", n])
+        save_csv(gen_regression(n, 3, 0.2, lo=0.0, hi=5.0, seed=2), paths["regression", n])
     return root, paths
 
 
@@ -137,9 +149,11 @@ def test_gen_values(csvs, generator, data):
 @given(task=st.sampled_from(["classification", "regression"]), data=st.data())
 def test_train_values(csvs, task, data):
     root, paths = csvs
+    rows = data.draw(st.sampled_from(ROWS))
     extra = data.draw(overrides("train"))
-    code, err, work, left = run(root, ["train", "--data", str(paths[task]), "--task", task,
-                                       *SMALL_RUN, *extra, "--out-dir", "{work}/out"])
+    code, err, work, left = run(root, ["train", "--data", str(paths[task, rows]),
+                                       "--task", task, *SMALL_RUN, *extra,
+                                       "--out-dir", "{work}/out"])
     check(code, err, work, left, parse_run)
 
 
@@ -148,8 +162,9 @@ def test_train_values(csvs, task, data):
 @given(task=st.sampled_from(["classification", "regression"]), data=st.data())
 def test_sweep_values(csvs, task, data):
     root, paths = csvs
+    rows = data.draw(st.sampled_from(ROWS))
     extra = data.draw(overrides("sweep"))
-    code, err, work, left = run(root, ["sweep", "--data", str(paths[task]), "--task", task,
-                                       "--seeds", "0", *SMALL_RUN, *extra,
+    code, err, work, left = run(root, ["sweep", "--data", str(paths[task, rows]),
+                                       "--task", task, "--seeds", "0", *SMALL_RUN, *extra,
                                        "--out-dir", "{work}/out"])
     check(code, err, work, left, parse_sweep)

@@ -193,6 +193,22 @@ class TestCsvRoundTrip:
             save_csv(ds, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "over-earlier"])
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, earlier):
+        # The last row's tag cannot be encoded, after earlier rows reached the
+        # disk: the directory is left as it was, with no CSV or .tmp, or with
+        # an earlier CSV at the path whole.
+        ds = gen_blobs(3, 2000, 16, spread=0.4, seed=0)
+        ds.split = ds.split.astype(object)
+        ds.split[-1] = "test\ud800"
+        path = tmp_path / "data.csv"
+        if earlier:
+            save_csv(gen_blobs(2, 4, 2, 0.5, seed=0), path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(UnicodeEncodeError):
+            save_csv(ds, path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_non_numeric_cell_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("split,y,x0\ntrain,1,0.5\ntrain,2,oops\n")

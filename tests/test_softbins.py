@@ -34,6 +34,13 @@ class TestMakeBins:
         with pytest.raises(ValueError):
             make_bins(0.0, 5.0, 1)
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, np.inf), (-np.inf, 5.0), (-1e308, 1e308)],
+                             ids=["inf-hi", "inf-lo", "overflowing-span"])
+    def test_non_finite_centers_rejected(self, lo, hi):
+        # such ends once made inf or nan centers, which soften rejected mid-run
+        with pytest.raises(ValueError, match="need finite lo < hi"):
+            make_bins(lo, hi, 5)
+
     def test_centers_strictly_increasing_inside_range(self):
         bins = make_bins(-3.0, 7.0, 8)
         centers = np.asarray(bins.centers)
