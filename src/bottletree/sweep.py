@@ -2,11 +2,12 @@
 
 Before it writes anything, the sweep parses its CSV once, resolves its
 config template from the unperturbed data with ``training.config_for``, the
-route ``train`` takes, checks every cell's ``TrainConfig`` and applies each
+route ``train`` takes, builds every cell's ``TrainConfig`` and applies each
 perturbation, checking its splits, so a bad task kind or value, or a fraction
-that leaves under 2 train rows, raises and writes nothing.  Each worker gets
-the perturbed datasets and the template at start-up, so every cell bins as
-``train`` does.  Beta and gamma come only from the grids (``sweep --betas``,
+that leaves under 2 train rows, raises and writes nothing.  Every job runs in
+a pool worker, at ``jobs=1`` too; a worker gets the perturbed datasets at
+start-up, and a job carries its cells' configs, so every cell bins as
+``train`` does.  Beta and gamma come only from the grids (``--betas``,
 ``--gammas``).  One job per (beta, gamma, perturbation) group trains the
 group's seeds in lockstep (each bit for bit its solo ``train``) and
 evaluates each on the test split; with fewer groups than workers, each
@@ -72,8 +73,8 @@ class ExperimentSpec:
     train_kwargs: dict = field(default_factory=dict)  # ``config_for``'s: bins/lr/epochs/...
 
     def __post_init__(self):  # ``run_sweep`` checks the rest before writing
-        if not self.seeds:
-            raise ValueError("seeds must be non-empty")
+        if not (self.betas and self.gammas and self.seeds):
+            raise ValueError("betas, gammas and seeds must be non-empty")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.perturb_seed < 0:
@@ -99,29 +100,25 @@ class ExperimentSpec:
         return [(*group, seed) for group in self.groups() for seed in self.seeds]
 
 
-# The sweep's perturbed datasets and its config template, in each process that runs cells.
+# The sweep's perturbed datasets, in each worker process.
 _datasets: dict[Perturbation, Dataset] = {}
-_template: TrainConfig | None = None
 
 
-def _hold(datasets: dict[Perturbation, Dataset], template: TrainConfig | None) -> None:
-    """Give this process the sweep's datasets and template: a pool worker's initializer."""
-    global _datasets, _template
-    _datasets, _template = datasets, template
+def _hold(datasets: dict[Perturbation, Dataset]) -> None:
+    """Give this worker the sweep's perturbed datasets: the pool's initializer."""
+    global _datasets
+    _datasets = datasets
 
 
-def run_cell(spec: ExperimentSpec,
-             group: tuple[float, float, Perturbation]) -> list[dict | str]:
-    """Per seed of ``spec.seeds``, its test report dict or its error text,
-    on the dataset ``run_sweep`` parsed from ``spec.data_path``, perturbed.
-    The task, and so a regression's bins, is the unperturbed dataset's.
+def run_cell(perturbation: Perturbation, configs: list[TrainConfig]) -> list[dict | str]:
+    """Per config, its test report dict or its error text, on the sweep's
+    dataset perturbed by ``perturbation``.  The configs differ only in their
+    seeds, and their task, so a regression's bins, is the unperturbed data's.
 
-    The group's seeds train in lockstep; if that raises, each trains alone,
-    so a failing seed fails only its own cell, with its solo error.
+    The seeds train in lockstep; if that raises, each trains alone, so a
+    failing seed fails only its own cell, with its solo error.
     """
-    beta, gamma, perturbation = group
     ds = _datasets[perturbation]
-    configs = [replace(_template, beta=beta, gamma=gamma, seed=seed) for seed in spec.seeds]
     train_set, dev_set = ds.subset("train"), ds.subset("dev")
     try:
         results = train_seeds(configs, train_set, dev_set)
@@ -142,24 +139,24 @@ def _cell_name(cell: tuple[float, float, Perturbation, int]) -> str:
     return f"run_b{beta:g}_g{gamma:g}_p{p.tag()}_s{seed}"
 
 
-def _jobs(spec: ExperimentSpec) -> list[tuple[ExperimentSpec, tuple, int]]:
-    """(spec over a chunk of the seeds, group, index of its first cell) per job.
+def _jobs(spec: ExperimentSpec) -> list[tuple[Perturbation, range]]:
+    """(perturbation, indices of its cells in ``spec.cells()``) per job.
 
     A job is a whole group, unless there are fewer groups than workers: then
     each group's seeds are split into ``ceil(jobs / groups)`` near-equal chunks.
     """
-    groups, seeds = spec.groups(), spec.seeds
-    parts = min(len(seeds), -(-spec.jobs // max(len(groups), 1)))
-    bounds = [len(seeds) * i // parts for i in range(parts + 1)]
-    return [(replace(spec, seeds=seeds[lo:hi]), group, g * len(seeds) + lo)
-            for g, group in enumerate(groups) for lo, hi in zip(bounds, bounds[1:])]
+    groups, seeds = spec.groups(), len(spec.seeds)
+    parts = min(seeds, -(-spec.jobs // len(groups)))
+    bounds = [seeds * i // parts for i in range(parts + 1)]
+    return [(p, range(g * seeds + lo, g * seeds + hi)) for g, (_, _, p) in enumerate(groups)
+            for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _worker(spec: ExperimentSpec, group) -> list[dict | str]:
+def _worker(perturbation: Perturbation, configs: list[TrainConfig]) -> list[dict | str]:
     try:
-        return run_cell(spec, group)
-    except Exception as exc:  # recorded for every cell of the group, sweep continues
-        return [f"{type(exc).__name__}: {exc}"] * len(spec.seeds)
+        return run_cell(perturbation, configs)
+    except Exception as exc:  # recorded for every cell of the job, sweep continues
+        return [f"{type(exc).__name__}: {exc}"] * len(configs)
 
 
 RUN_METRICS = ("accuracy", "macro_f1", "macro_recall", "pearson", "spearman")
@@ -186,20 +183,20 @@ def run_sweep(spec: ExperimentSpec) -> dict:
     """
     ds = load_csv(spec.data_path)
     template = config_for(ds, spec.task_kind, **spec.train_kwargs)
-    for beta, gamma, seed in product(spec.betas, spec.gammas, spec.seeds):
-        replace(template, beta=beta, gamma=gamma, seed=seed)  # a config checks itself
+    cells = spec.cells()
+    configs = [replace(template, beta=beta, gamma=gamma, seed=seed)  # each checks itself
+               for beta, gamma, _, seed in cells]
     datasets = {p: check_splits(p.apply(ds), spec.task_kind) for p in spec.perturbations()}
     runs_dir = os.path.join(spec.out_dir, "runs")
     os.makedirs(runs_dir, exist_ok=True)
     errors_path = os.path.join(spec.out_dir, "errors.json")
     remove_files(errors_path)
 
-    cells = spec.cells()
     reports: dict[int, dict] = {}
     errors: dict[int, str] = {}
 
-    def record(first: int, outcomes: list[dict | str]) -> None:
-        for index, outcome in enumerate(outcomes, start=first):
+    def record(indices: range, outcomes: list[dict | str]) -> None:
+        for index, outcome in zip(indices, outcomes):
             if isinstance(outcome, str):
                 errors[index] = outcome
             else:
@@ -208,28 +205,19 @@ def run_sweep(spec: ExperimentSpec) -> dict:
                            outcome)
 
     jobs, crashed = _jobs(spec), False
-    workers = min(spec.jobs, len(jobs))  # a fork pool starts all its workers at once
-    if workers > 1:
-        # Forked workers inherit the datasets from the initializer's arguments
-        # without pickling them.
-        with ProcessPoolExecutor(max_workers=workers, initializer=_hold,
-                                 initargs=(datasets, template)) as pool:
-            futures = {pool.submit(_worker, job_spec, group): (job_spec, first)
-                       for job_spec, group, first in jobs}
-            for future in as_completed(futures):
-                job_spec, first = futures[future]
-                try:
-                    record(first, future.result())
-                except BrokenProcessPool as exc:
-                    crashed = True
-                    record(first, [f"{type(exc).__name__}: {exc}"] * len(job_spec.seeds))
-    else:
-        _hold(datasets, template)
-        try:
-            for job_spec, group, first in jobs:
-                record(first, _worker(job_spec, group))
-        finally:
-            _hold({}, None)
+    # A fork pool starts all its workers at once, and they inherit the
+    # datasets from the initializer's arguments without pickling them.
+    with ProcessPoolExecutor(max_workers=min(spec.jobs, len(jobs)), initializer=_hold,
+                             initargs=(datasets,)) as pool:
+        futures = {pool.submit(_worker, perturbation, [configs[i] for i in indices]): indices
+                   for perturbation, indices in jobs}
+        for future in as_completed(futures):
+            indices = futures[future]
+            try:
+                record(indices, future.result())
+            except BrokenProcessPool as exc:
+                crashed = True
+                record(indices, [f"{type(exc).__name__}: {exc}"] * len(indices))
 
     run_rows = []
     for index, report in sorted(reports.items()):

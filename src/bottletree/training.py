@@ -79,8 +79,6 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.patience < 0:
             raise ValueError(f"patience must be >= 0, got {self.patience}")
-        if self.patience > self.epochs:
-            raise ValueError("patience cannot exceed the epoch budget")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 2:

@@ -4,10 +4,8 @@ import math
 import os
 import re
 import shlex
-import signal
 import subprocess
 import sys
-import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -249,6 +247,15 @@ class TestTrain:
                      "--out-dir", str(tmp_path / "run")]) == 0
         assert [kwargs for _, kwargs in calls] == [{}]
 
+    def test_epoch_budget_below_the_default_patience_runs(self, blob_csv, tmp_path):
+        # patience >= epochs only means early stopping never fires; this run
+        # once exited 2 about the default patience of 5, a flag not typed
+        out = tmp_path / "run"
+        assert main(["train", "--data", blob_csv, "--task", "classification",
+                     "--epochs", "2", "--out-dir", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["config"]["patience"] == 5
+        assert len((out / "history.csv").read_text().splitlines()) == 1 + 2
+
     @pytest.mark.parametrize("flags", [["--hi", "inf"], ["--lo=-1e308", "--hi", "1e308"]],
                              ids=["inf-hi", "overflowing-span"])
     def test_non_finite_bin_centers_exit_two_without_files(self, regression_csv, tmp_path,
@@ -412,6 +419,55 @@ class TestTrain:
             runs.append({name: (out / name).read_bytes()
                          for name in ("history.csv", "model.json", "report.json")})
         assert runs[0] == runs[1]
+
+
+# ``bottletree`` with ``sweep.run_cell`` patched in the child: the gamma=1 and
+# gamma=10 jobs wait until the gamma=0 group's two runs are on disk, then
+# gamma=1 sends SIGKILL to its own process.  If the runs never appear both run
+# normally, and the exit code gives it away.
+KILLING_SWEEP = """
+import os, signal, sys, time
+from bottletree import sweep
+from bottletree.cli import main
+
+run_cell, runs = sweep.run_cell, os.path.join(sys.argv[sys.argv.index("--out-dir") + 1], "runs")
+
+def killing_run_cell(perturbation, configs):
+    deadline = time.monotonic() + 30
+    while configs[0].gamma != 0.0 and time.monotonic() < deadline:
+        if len([f for f in os.listdir(runs) if f.endswith(".json")]) == 2:
+            if configs[0].gamma == 1.0:
+                os.kill(os.getpid(), signal.SIGKILL)
+        time.sleep(0.02)
+    return run_cell(perturbation, configs)
+
+sweep.run_cell = killing_run_cell
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def check_killed_sweep(blob_csv: str, out: Path, jobs: str) -> None:
+    """Run ``KILLING_SWEEP`` in real forked workers: the sweep exits 2 with the
+    gamma=0 runs written and every other cell in ``errors.json``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", KILLING_SWEEP, "sweep", "--data", blob_csv,
+                           "--task", "classification", "--gammas", "0", "1", "10",
+                           "--seeds", "0", "1", "--jobs", jobs, "--out-dir", str(out), *FAST],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert "WorkerCrashed" in done.stderr
+    assert sorted(os.listdir(out / "runs")) == ["run_b0.01_g0_pnone_s0.json",
+                                                "run_b0.01_g0_pnone_s1.json"]
+    errors = json.loads((out / "errors.json").read_text())
+    # the dead worker's cells and the unfinished ones
+    assert [e["cell"] for e in errors] == ["run_b0.01_g1_pnone_s0", "run_b0.01_g1_pnone_s1",
+                                           "run_b0.01_g10_pnone_s0", "run_b0.01_g10_pnone_s1"]
+    assert all(e["error"].startswith("BrokenProcessPool: ") for e in errors)
+    for name in ("runs.csv", "aggregate.csv"):
+        with open(out / name) as fh:
+            assert {r["gamma"] for r in csv.DictReader(fh)} == {"0.0"}
 
 
 class TestSweep:
@@ -645,42 +701,15 @@ class TestSweep:
         assert ("FileNotFoundError" if case == "missing" else "DatasetParseError") in err
         assert not out.exists()
 
-    def test_killed_worker_keeps_finished_cells_and_exits_two(self, blob_csv, tmp_path,
-                                                               monkeypatch, capsys):
-        # Real forked workers: the gamma=0 group runs normally; the gamma=1 and
-        # gamma=10 groups wait until its runs are on disk, then gamma=1 sends
-        # SIGKILL to its own process while gamma=10 is still waiting in the
-        # healthy worker.  If they never appear both run normally, and the exit
-        # code gives it away.
-        out = tmp_path / "killed"
-        run_cell = sweep.run_cell
+    def test_killed_worker_keeps_finished_cells_and_exits_two(self, blob_csv, tmp_path):
+        # the gamma=10 job is still waiting in the healthy worker
+        check_killed_sweep(blob_csv, tmp_path / "killed", jobs="2")
 
-        def killing_run_cell(spec, group):
-            deadline = time.monotonic() + 30
-            while group[1] != 0.0 and time.monotonic() < deadline:
-                if len([f for f in os.listdir(out / "runs") if f.endswith(".json")]) == 2:
-                    if group[1] == 1.0:
-                        os.kill(os.getpid(), signal.SIGKILL)
-                time.sleep(0.02)
-            return run_cell(spec, group)
-
-        monkeypatch.setattr(sweep, "run_cell", killing_run_cell)
-        rc = main(["sweep", "--data", blob_csv, "--task", "classification",
-                   "--gammas", "0", "1", "10", "--seeds", "0", "1", "--jobs", "2",
-                   "--out-dir", str(out), *FAST])
-        assert rc == 2
-        assert "WorkerCrashed" in capsys.readouterr().err
-        assert sorted(os.listdir(out / "runs")) == ["run_b0.01_g0_pnone_s0.json",
-                                                    "run_b0.01_g0_pnone_s1.json"]
-        errors = json.loads((out / "errors.json").read_text())
-        # the dead worker's cells and the healthy worker's unfinished ones
-        assert [e["cell"] for e in errors] == ["run_b0.01_g1_pnone_s0",
-                                               "run_b0.01_g1_pnone_s1",
-                                               "run_b0.01_g10_pnone_s0",
-                                               "run_b0.01_g10_pnone_s1"]
-        assert all(e["error"].startswith("BrokenProcessPool: ") for e in errors)
-        with open(out / "runs.csv") as fh:
-            assert {r["gamma"] for r in csv.DictReader(fh)} == {"0.0"}
+    def test_killed_worker_at_one_job_keeps_finished_cells_and_exits_two(self, blob_csv,
+                                                                        tmp_path):
+        # --jobs 1 runs its jobs in one forked worker too, so the sweep's own
+        # process outlives the kill; the gamma=10 job never starts
+        check_killed_sweep(blob_csv, tmp_path / "killed", jobs="1")
 
     @pytest.mark.parametrize("gammas,seeds,jobs,chunks", [
         ((1.0,), 5, 2, [(0, 1), (2, 3, 4)]),  # fewer groups than workers: split
@@ -695,22 +724,20 @@ class TestSweep:
         spec = ExperimentSpec(data_path="unused.csv", task_kind="classification",
                               betas=(0.01,), gammas=gammas, seeds=tuple(range(seeds)),
                               out_dir="unused", jobs=jobs)
-        plan = sweep._jobs(spec)
-        assert [job.seeds for job, _, _ in plan] == chunks
-        cells = spec.cells()  # every cell once, at the index its job writes to
-        assert [cells[first + i] for job, group, first in plan
-                for i, seed in enumerate(job.seeds)] == [
-            (*group, seed) for job, group, _ in plan for seed in job.seeds]
-        assert sum(len(job.seeds) for job, _, _ in plan) == len(cells)
+        plan, cells = sweep._jobs(spec), spec.cells()
+        assert [tuple(cells[i][3] for i in indices) for _, indices in plan] == chunks
+        # every cell once, in order, with its own perturbation
+        assert [i for _, indices in plan for i in indices] == list(range(len(cells)))
+        assert all(cells[i][2] == p for p, indices in plan for i in indices)
 
     def test_split_group_runs_as_two_lockstep_jobs(self, blob_csv, tmp_path, monkeypatch):
         # one group of four seeds at jobs=2: two lockstep chunks of two seeds
         marks, run_cell = tmp_path / "marks", sweep.run_cell
         marks.mkdir()
 
-        def marking_run_cell(spec, group):
-            (marks / f"{os.getpid()}-{'-'.join(map(str, spec.seeds))}").touch()
-            return run_cell(spec, group)
+        def marking_run_cell(perturbation, configs):
+            (marks / f"{os.getpid()}-{'-'.join(str(c.seed) for c in configs)}").touch()
+            return run_cell(perturbation, configs)
 
         monkeypatch.setattr(sweep, "run_cell", marking_run_cell)
         assert main(["sweep", "--data", blob_csv, "--task", "classification",
@@ -733,6 +760,14 @@ class TestSweep:
         assert "the grid repeats cells" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid", ["betas", "gammas", "seeds"])
+    def test_empty_grid_rejected(self, blob_csv, grid):
+        # an empty beta or gamma grid once gave 0 cells and a header-only runs.csv
+        grids = {"betas": (0.01,), "gammas": (1.0,), "seeds": (0,), grid: ()}
+        with pytest.raises(ValueError, match="betas, gammas and seeds must be non-empty"):
+            ExperimentSpec(data_path=blob_csv, task_kind="classification", out_dir="unused",
+                           **grids)
+
     def test_regression_label_noise_rejected_before_training(self, regression_csv, tmp_path,
                                                             capsys):
         out = tmp_path / "reg_noise"
@@ -748,11 +783,11 @@ class TestSweep:
         assert not (out / "errors.json").exists()
         assert os.listdir(out / "runs") == ["run_b0.01_g1_pfraction0.5_s0.json"]
 
-    @pytest.mark.parametrize("gammas, pools", [(["1"], []), (["0", "1"], [2])],
+    @pytest.mark.parametrize("gammas, pools", [(["1"], [1, 1]), (["0", "1"], [1, 2])],
                              ids=["one-job", "two-jobs"])
     def test_no_more_workers_than_jobs(self, blob_csv, tmp_path, monkeypatch, gammas, pools):
-        # a fork pool starts every worker at once, so --jobs 3 with one job
-        # forks none, and with two jobs two
+        # every job runs in the pool, and a fork pool starts every worker at
+        # once: --jobs 1 forks one, and --jobs 3 one with one job, two with two
         started = []
 
         class CountingPool(sweep.ProcessPoolExecutor):

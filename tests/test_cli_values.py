@@ -10,7 +10,9 @@ regression), and 60 rows (36 train) are usable.  Whatever the values,
 ``cli.main`` returns 0, 1 (usage) or 2 (runtime failure) and prints no
 traceback.  Exit 2 leaves no new file or directory, except the one outcome
 the README documents as writing: a ``train`` that diverges writes
-``diverged.json``.  Exit 0 leaves artifacts that parse.
+``diverged.json``.  Exit 0 leaves artifacts that parse.  Hypothesis draws a
+fixed set of examples from each test's source text, so the same contract is
+also checked on every single (flag, edge value) pair once, drawn or not.
 """
 
 import contextlib
@@ -59,6 +61,11 @@ EDGES = {
               "--fractions": ["1", "0.01", "0.03", "0", "-1", "nan", "inf"]},
 }
 SMALL_RUN = ["--epochs", "1", "--patience", "0", "--batch-size", "16", "--hidden", "4"]
+# The usable ``gen`` line per generator that a case's overrides follow.
+GEN_BASE = {"blobs": ["--classes", "2", "--n", "60", "--dim", "2", "--seed", "0"],
+            "regression": ["--n", "60", "--dim", "2", "--lo", "0", "--hi", "5", "--seed", "0"]}
+# The flags only a regression reads.
+REGRESSION_FLAGS = {"--bins", "--lo", "--hi", "--tau"}
 
 
 def overrides(command: str):
@@ -111,6 +118,10 @@ def check(code: int, err: str, work: Path, left: set[Path], parse) -> None:
         shutil.rmtree(work)
 
 
+def parse_gen(work: Path) -> None:
+    load_csv(work / "data.csv")
+
+
 def parse_run(work: Path) -> None:
     out = work / "out"
     json.loads((out / "report.json").read_text())
@@ -135,13 +146,10 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None,
 @given(generator=st.sampled_from(["blobs", "regression"]), data=st.data())
 def test_gen_values(csvs, generator, data):
     root, _ = csvs
-    base = {"blobs": ["--classes", "2", "--n", "60", "--dim", "2", "--seed", "0"],
-            "regression": ["--n", "60", "--dim", "2", "--lo", "0", "--hi", "5",
-                           "--seed", "0"]}[generator]
     extra = data.draw(overrides(f"gen {generator}"))
-    code, err, work, left = run(root, ["gen", generator, *base, *extra,
+    code, err, work, left = run(root, ["gen", generator, *GEN_BASE[generator], *extra,
                                        "--out", "{work}/data.csv"])
-    check(code, err, work, left, lambda work: load_csv(work / "data.csv"))
+    check(code, err, work, left, parse_gen)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -168,3 +176,24 @@ def test_sweep_values(csvs, task, data):
                                        "--task", task, "--seeds", "0", *SMALL_RUN, *extra,
                                        "--out-dir", "{work}/out"])
     check(code, err, work, left, parse_sweep)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command, flag, value", [
+    (command, flag, value) for command, edges in EDGES.items()
+    for flag, values in edges.items() for value in values])
+def test_each_edge_value_alone(csvs, command, flag, value):
+    """Every edge value once, whatever the property tests draw: ``train`` and
+    ``sweep`` read the 60-row CSV, a regression's for the flags only it reads."""
+    root, paths = csvs
+    if command.startswith("gen "):
+        generator = command.split()[1]
+        argv = ["gen", generator, *GEN_BASE[generator], flag, value, "--out", "{work}/data.csv"]
+        parse = parse_gen
+    else:
+        task = "regression" if flag in REGRESSION_FLAGS else "classification"
+        seeds = ["--seeds", "0"] if command == "sweep" else []
+        argv = [command, "--data", str(paths[task, 60]), "--task", task, *seeds, *SMALL_RUN,
+                flag, value, "--out-dir", "{work}/out"]
+        parse = parse_sweep if command == "sweep" else parse_run
+    check(*run(root, argv), parse)

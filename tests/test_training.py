@@ -27,7 +27,6 @@ def blob_config(ds, **overrides):
                   lr=1e-2, epochs=8, patience=3, batch_size=32, seed=0,
                   hidden=(16,))
     kwargs.update(overrides)
-    kwargs["patience"] = min(kwargs["patience"], kwargs["epochs"])
     return TrainConfig(**kwargs)
 
 
@@ -41,8 +40,6 @@ class TestTrainConfig:
         task = ClassificationTask(2)
         with pytest.raises(ValueError):
             TrainConfig(task=task, beta=-0.1)
-        with pytest.raises(ValueError):
-            TrainConfig(task=task, patience=30, epochs=20)
         with pytest.raises(ValueError):
             TrainConfig(task=task, batch_size=1)
 
