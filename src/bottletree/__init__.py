@@ -27,8 +27,7 @@ from .datasets import (Dataset, DatasetParseError, gen_blobs, gen_regression,  #
                        subsample_train)
 from .entropy import (DegenerateBatchError, EncodingTree,  # noqa: E402
                       build_adjacency, check_graph, check_membership,
-                      entropy_report, hard_assignment,
-                      intermediate_layer_entropy, se_loss, se_loss_matrix,
+                      hard_assignment, intermediate_layer_entropy, se_loss, se_loss_matrix,
                       structural_entropy_definition, tree_from_assignment)
 from .metrics import average_ranks, macro_f1, pearson, spearman  # noqa: E402
 from .softbins import (BinSpec, distance_matrix, make_bins, nearest_bin,  # noqa: E402

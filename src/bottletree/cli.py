@@ -2,7 +2,8 @@
 
 The work and every run default are the library's: ``train`` and ``sweep`` pass
 on only the flags typed.  Exit codes: 0 success, 1 usage error, 2 runtime
-failure, 3 verification failure.  BOTTLETREE_OUT sets the default output dir.
+failure, 3 verification failure, 130 interrupted (Ctrl-C).  BOTTLETREE_OUT
+sets the default output dir.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .datasets import gen_blobs, gen_regression, load_csv, remove_files, save_cs
 from .sweep import ExperimentSpec, run_sweep
 from .training import (HISTORY_FIELDS, TrainConfig, TrainingDiverged, config_for, evaluate,
                        train, write_csv, write_json)
-from .verify import ALL_CHECKS, debug_record, run_checks
+from .verify import ALL_CHECKS, run_checks
 
 OUT_ENV = "BOTTLETREE_OUT"
 
@@ -89,9 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run the oracle/invariant/gradient suite")
     ver.add_argument("--only", default=None,
                      help=f"comma-separated subset of {','.join(ALL_CHECKS)}")
-    ver.add_argument("--dump", default=None, metavar="PATH",
-                     help="also write a JSON debug record (A, C, per-class "
-                          "cuts/volumes, loss) for one hard and one soft instance")
     return parser
 
 
@@ -187,14 +185,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     only = [s for s in (args.only or "").split(",") if s] or None
-    results = run_checks(only)
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{status}  {r.name:<12} ({r.seconds:6.2f}s)  {r.detail}")
-    if args.dump:
-        write_json(args.dump, debug_record())
-        print(f"debug record written to {args.dump}")
-    return 0 if all(r.passed for r in results) else 3
+    failed = 0
+    for r in run_checks(only):  # each line as its check ends
+        failed += not r.passed
+        print(f"{'PASS' if r.passed else 'FAIL'}  {r.name:<12} ({r.seconds:6.2f}s)  {r.detail}")
+    return 3 if failed else 0
 
 
 def main(argv=None) -> int:
@@ -209,6 +204,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"bottletree: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:  # Ctrl-C: the shell's code for SIGINT, no traceback
+        print("bottletree: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -204,6 +204,8 @@ def load_csv(path) -> Dataset:
                 header = line.split(",")
                 if header[:2] != ["split", "y"]:
                     raise DatasetParseError(f"line {lineno}: header must start with 'split,y'")
+                if len(header) < 3:
+                    raise DatasetParseError(f"line {lineno}: header names no feature column")
                 continue
             cells = line.split(",")
             if len(cells) != len(header):

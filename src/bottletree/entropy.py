@@ -342,16 +342,3 @@ def _se_stack(h: np.ndarray, c: np.ndarray, need_grad: bool):
 
     return loss, backward
 
-
-def entropy_report(adj, assignment) -> dict:
-    """JSON-ready debug record: graph, assignment, per-class cuts/volumes, loss."""
-    a, c = _check_pair(adj, assignment)
-    cuts, vols, loss = _class_terms(a, c)
-    return {
-        "adjacency": a.tolist(),
-        "assignment": c.tolist(),
-        "cut_weights": cuts.tolist(),
-        "class_volumes": vols.tolist(),
-        "volume": float(a.sum()),
-        "se_loss": loss,
-    }

@@ -3,8 +3,8 @@
 Each check pits one route against an independent one (set enumeration,
 brute-force summation, finite differences, Monte Carlo) on deterministic
 random instances; ``reduction`` pits the two oracles on one-hot memberships.
-The CLI ``verify`` subcommand (``--dump`` writes ``debug_record``) and the
-acceptance tests both run these.
+The CLI ``verify`` subcommand and the acceptance tests both run these;
+``verify`` prints one line per check and writes no file.
 """
 
 from __future__ import annotations
@@ -12,16 +12,16 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .autodiff import finite_difference_check
 from .coder import combined_loss, init_params, kl_to_standard_normal
-from .entropy import (build_adjacency, check_membership, entropy_report, hard_assignment,
+from .entropy import (build_adjacency, check_membership, hard_assignment,
                       intermediate_layer_entropy, se_loss, se_loss_matrix,
                       tree_from_assignment)
-from .softbins import distance_matrix, make_bins, soft_cuts, soft_volumes, soften
+from .softbins import make_bins, soft_cuts, soft_volumes
 from .training import ClassificationTask, RegressionTask, batch_assignment
 
 
@@ -39,10 +39,10 @@ class CheckResult:
 MULTI_TILE_ROWS = (300, 601)
 
 
-def _random_instance(rng, n=None, d=None, r=None):
+def _random_instance(rng, n=None):
     n = n or int(rng.integers(4, 33))
-    d = d or int(rng.integers(2, 9))
-    r = r or int(rng.integers(2, 6))
+    d = int(rng.integers(2, 9))
+    r = int(rng.integers(2, 6))
     h = rng.standard_normal((n, d))
     labels = rng.integers(0, r, size=n)
     return h, labels, n, d, r
@@ -239,19 +239,10 @@ ALL_CHECKS: dict[str, Callable[[], CheckResult]] = {
 }
 
 
-def debug_record() -> dict:
-    """The ``verify --dump`` record: ``entropy_report`` of one hard and one soft instance."""
-    rng = np.random.default_rng(0)
-    h, labels, n, _, r = _random_instance(rng, n=8, d=3, r=3)
-    adj = build_adjacency(h)
-    soft = soften(distance_matrix(rng.uniform(0.0, 5.0, size=n), make_bins(0.0, 5.0, 3)))
-    return {"hard": entropy_report(adj, hard_assignment(labels, r)),
-            "soft": entropy_report(adj, soft)}
-
-
-def run_checks(only: list[str] | None = None) -> list[CheckResult]:
+def run_checks(only: list[str] | None = None) -> Iterator[CheckResult]:
+    """Each check's result as the check ends; every name is vetted before any runs."""
     names = list(ALL_CHECKS) if not only else only
     unknown = [n for n in names if n not in ALL_CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; available: {list(ALL_CHECKS)}")
-    return [ALL_CHECKS[name]() for name in names]
+    return (ALL_CHECKS[name]() for name in names)

@@ -4,6 +4,7 @@ import math
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 from dataclasses import replace
@@ -59,6 +60,12 @@ def gradient_overflow_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "overflow.csv"
     save_csv(gradient_overflow_blobs(), path)
     return str(path)
+
+
+def with_src(env: dict) -> dict:
+    """``env`` with this checkout's ``src`` first on PYTHONPATH, for a child ``bottletree``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**env, "PYTHONPATH": os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))}
 
 
 FAST = ["--epochs", "3", "--patience", "2", "--batch-size", "16",
@@ -313,6 +320,18 @@ class TestTrain:
         assert report["config"]["task"]["soft_labels"] is False
         assert report["spearman"] is not None
 
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_csv_without_a_feature_column_exits_two_before_writing(self, tmp_path, capsys,
+                                                                   command):
+        # once loaded as X of shape (n, 0): a constant model, and exit 0
+        data, out = tmp_path / "labels.csv", tmp_path / "out"
+        data.write_text("split,y\n" + "".join(f"{tag},{i % 3}\n" for i, tag in enumerate(
+            ["train"] * 40 + ["dev"] * 10 + ["test"] * 10)))
+        assert main([command, "--data", str(data), "--task", "classification",
+                     "--out-dir", str(out), *FAST]) == 2
+        assert "line 1: header names no feature column" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_data_file_is_runtime_error(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path / "nope.csv"),
                    "--task", "classification", *FAST])
@@ -398,9 +417,7 @@ class TestTrain:
         differ in their last digits on two cores.  On one core the two runs
         are the same run, so there the test cannot tell them apart."""
         names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-        env = {k: v for k, v in os.environ.items() if k not in names}
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = with_src({k: v for k, v in os.environ.items() if k not in names})
 
         def cli(*args, **extra_env):
             subprocess.run([sys.executable, "-m", "bottletree", *map(str, args)],
@@ -449,13 +466,11 @@ sys.exit(main(sys.argv[1:]))
 def check_killed_sweep(blob_csv: str, out: Path, jobs: str) -> None:
     """Run ``KILLING_SWEEP`` in real forked workers: the sweep exits 2 with the
     gamma=0 runs written and every other cell in ``errors.json``."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", KILLING_SWEEP, "sweep", "--data", blob_csv,
                            "--task", "classification", "--gammas", "0", "1", "10",
                            "--seeds", "0", "1", "--jobs", jobs, "--out-dir", str(out), *FAST],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=with_src(dict(os.environ)), capture_output=True, text=True,
+                          timeout=120)
     assert done.returncode == 2, done.stderr
     assert "WorkerCrashed" in done.stderr
     assert sorted(os.listdir(out / "runs")) == ["run_b0.01_g0_pnone_s0.json",
@@ -886,7 +901,8 @@ class TestVerify:
         assert set(SABOTAGE) == set(ALL_CHECKS)  # every check needs a case here
         module, name, corrupt = SABOTAGE[check]
         monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
-        assert not run_checks([check])[0].passed
+        [result] = run_checks([check])
+        assert not result.passed
         assert main(["verify", "--only", check]) == 3
         assert f"FAIL  {check}" in capsys.readouterr().out
 
@@ -906,19 +922,27 @@ class TestVerify:
     def test_unknown_check_is_runtime_error(self):
         assert main(["verify", "--only", "bogus"]) == 2
 
-    def test_dump_writes_debug_record(self, tmp_path):
-        import math
+    def test_dump_is_not_an_option(self, tmp_path, capsys):
+        # verify runs its checks and writes no file
+        assert main(["verify", "--dump", str(tmp_path / "x")]) == 1
+        assert "unrecognized arguments: --dump" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
-        path = tmp_path / "dump.json"
-        assert main(["verify", "--only", "oracle", "--dump", str(path)]) == 0
-        record = json.loads(path.read_text())
-        for mode in ("hard", "soft"):
-            entry = record[mode]
-            vol = entry["volume"]
-            recomputed = -sum(
-                (g / vol) * math.log2(max(v / vol, 1e-12))
-                for g, v in zip(entry["cut_weights"], entry["class_volumes"]))
-            assert entry["se_loss"] == pytest.approx(recomputed, abs=1e-9)
+    def test_ctrl_c_exits_130_without_traceback(self):
+        # A shell without job control starts background jobs with SIGINT
+        # ignored, which a child inherits: give it the default back.
+        proc = subprocess.Popen([sys.executable, "-u", "-m", "bottletree", "verify"],
+                                env=with_src(dict(os.environ)), stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True,
+                                preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+        try:
+            assert proc.stdout.readline().startswith("PASS  oracle")
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 130
+        assert err == "bottletree: interrupted\n"
 
     @pytest.mark.parametrize("route", ["matrix", "fused"])
     def test_corrupted_log_base_fails_oracle(self, monkeypatch, route):
@@ -934,7 +958,7 @@ class TestVerify:
             return tuple(out)
 
         monkeypatch.setattr(entropy, helper, in_nats)
-        result = run_checks(["oracle"])[0]
+        [result] = run_checks(["oracle"])
         assert not result.passed
         gaps = dict(re.findall(r"max \|(\w+) - definition\| = (\S+?),? ", result.detail))
         assert float(gaps[route]) > 1e-3

@@ -257,6 +257,12 @@ class TestCsvRoundTrip:
         with pytest.raises(DatasetParseError):
             load_csv(path)
 
+    def test_header_without_a_feature_column_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("# a note\nsplit,y\ntrain,1\ntest,0\n")
+        with pytest.raises(DatasetParseError, match="^line 2: header names no feature column$"):
+            load_csv(path)
+
     def test_unknown_split_tag(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("split,y,x0\nvalidation,1,0.5\n")
