@@ -42,12 +42,19 @@ _LN2 = float(np.log(2.0))
 
 # Graph entries per full-width row tile of ``se_loss``; a tile forms only the
 # columns from its first row on, and a batch of <= 256 rows is one tile.  The
-# tile's two buffers (Gram and graph, 512 KiB each, one block allocated once
-# per call) fit a 2 MiB per-core L2.
+# tile's two buffers (Gram and graph, 512 KiB each, one block) fit a 2 MiB
+# per-core L2.
 # Timed on the three-pass tile against 2**14 to 2**18: fastest at n=1024 (fwd +
 # bwd) and within 6% of 2**17 at n=6000 (fwd); 2**14 pays per-tile call
 # overhead (3000 tiles at n=6000), and 2**18's buffers overflow the L2.
 SE_BLOCK_ENTRIES = 1 << 16
+# The process's tile block, made on first use and held (a forked worker has its
+# own): every call whose tiles fit takes its buffers from it, so a call
+# allocates, and faults in, no tile memory whatever the heap's layout.  Each
+# entry is written before it is read, so nothing passes from one call to the
+# next; one thread at a time may use it.
+_HELD_ENTRIES = SE_BLOCK_ENTRIES
+_held_block: np.ndarray | None = None
 
 
 class DegenerateBatchError(ValueError):
@@ -268,6 +275,17 @@ def se_loss(embeddings: np.ndarray, assignment: np.ndarray, need_grad: bool = Fa
     return loss.reshape(h.shape[:-2]), lambda g: back(np.reshape(g, -1)).reshape(h.shape)
 
 
+def _tile_block(entries: int) -> np.ndarray:
+    """Gram and graph buffers of ``entries`` float64 each, as a (2, entries)
+    block: a view of the held block when they fit in it, else a new one."""
+    global _held_block
+    if entries > _HELD_ENTRIES:
+        return np.empty((2, entries))
+    if _held_block is None:
+        _held_block = np.empty(2 * _HELD_ENTRIES)
+    return _held_block[:2 * entries].reshape(2, entries)
+
+
 def _se_stack(h: np.ndarray, c: np.ndarray, need_grad: bool):
     """``se_loss`` of a stack of (S, n, d) slices and their (S, n, r)
     memberships: the (S,) losses and the backward, g (S,) -> dL/dH * g, or
@@ -286,10 +304,7 @@ def _se_stack(h: np.ndarray, c: np.ndarray, need_grad: bool):
         panel = np.concatenate([h_t[:, None], c.transpose(0, 2, 1)[:, :, None] * h_t[:, None]],
                                axis=1).transpose(0, 3, 1, 2).reshape(k, n, -1)
         q = np.empty(panel.shape)
-    # One block, not two: freeing it sets glibc's heap-trim threshold to twice
-    # its size, so the next call reuses the pages; two 512 KiB buffers sat at
-    # that threshold and, by heap layout, were re-faulted on every call.
-    gram, a = np.empty((2, rows * n))
+    gram, a = _tile_block(rows * n)
     c1 = np.empty((k, n, r + 1))  # [C | 1]: AC and the degrees
     c1[..., :r], c1[..., r] = c, 1.0
     ac1 = np.empty(c1.shape)

@@ -17,15 +17,18 @@ are written as JSON as soon as their job ends; ``runs.csv`` holds one row
 per run per metric (long format) and ``aggregate.csv`` the per-cell
 mean/std over seeds.  Cell failures are recorded and the sweep continues.
 A dead worker breaks the pool: every cell not yet finished, in any worker,
-is recorded as an error.
+is recorded as an error.  Workers ignore SIGINT, so a Ctrl-C reaches only
+the sweep's own process: it drops the queued jobs, lets the running ones
+end, writes every finished cell as usual, names the rest ``interrupted`` in
+``errors.json`` and re-raises (the CLI exits 130).  ``run_sweep`` imports
+the pool's modules (``concurrent.futures``, ``multiprocessing``) only when
+it starts the pool, so a process that runs no sweep never loads them.
 """
 
 from __future__ import annotations
 
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from itertools import product
 
@@ -105,8 +108,12 @@ _datasets: dict[Perturbation, Dataset] = {}
 
 
 def _hold(datasets: dict[Perturbation, Dataset]) -> None:
-    """Give this worker the sweep's perturbed datasets: the pool's initializer."""
+    """Give this worker the sweep's perturbed datasets, and leave Ctrl-C to
+    the parent: the pool's initializer."""
+    import signal
+
     global _datasets
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     _datasets = datasets
 
 
@@ -173,7 +180,8 @@ def _metric_rows(report: dict) -> list[tuple[str, float]]:
 
 def run_sweep(spec: ExperimentSpec) -> dict:
     """Run every cell; write per-run JSONs, runs.csv, aggregate.csv, errors.json,
-    then raise ``WorkerCrashed`` if a worker died.
+    then raise ``KeyboardInterrupt`` if the sweep was interrupted, or
+    ``WorkerCrashed`` if a worker died.
 
     The CSV is parsed, the task and every cell's config built and each
     perturbation applied and its splits checked first, so a bad CSV, task, train
@@ -204,20 +212,38 @@ def run_sweep(spec: ExperimentSpec) -> dict:
                 write_json(os.path.join(runs_dir, _cell_name(cells[index]) + ".json"),
                            outcome)
 
-    jobs, crashed = _jobs(spec), False
+    # Imported here, not with the module: only a sweep's own process uses them.
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
+
+    def collect(future, indices: range) -> bool:
+        """Record a finished job's outcomes; True if its worker died."""
+        try:
+            record(indices, future.result())
+        except BrokenProcessPool as exc:
+            record(indices, [f"{type(exc).__name__}: {exc}"] * len(indices))
+            return True
+        return False
+
+    jobs, crashed, interrupted = _jobs(spec), False, False
     # A fork pool starts all its workers at once, and they inherit the
     # datasets from the initializer's arguments without pickling them.
     with ProcessPoolExecutor(max_workers=min(spec.jobs, len(jobs)), initializer=_hold,
                              initargs=(datasets,)) as pool:
-        futures = {pool.submit(_worker, perturbation, [configs[i] for i in indices]): indices
+        pending = {pool.submit(_worker, perturbation, [configs[i] for i in indices]): indices
                    for perturbation, indices in jobs}
-        for future in as_completed(futures):
-            indices = futures[future]
-            try:
-                record(indices, future.result())
-            except BrokenProcessPool as exc:
-                crashed = True
-                record(indices, [f"{type(exc).__name__}: {exc}"] * len(indices))
+        try:
+            for future in as_completed(pending):
+                crashed |= collect(future, pending[future])
+                del pending[future]
+        except KeyboardInterrupt:  # the queued jobs go, the running ones end
+            interrupted = True
+            pool.shutdown(cancel_futures=True)
+            for future, indices in pending.items():
+                if future.cancelled():
+                    record(indices, ["interrupted"] * len(indices))
+                else:
+                    crashed |= collect(future, indices)
 
     run_rows = []
     for index, report in sorted(reports.items()):
@@ -242,6 +268,8 @@ def run_sweep(spec: ExperimentSpec) -> dict:
     if errors:
         write_json(errors_path,
                    [{"cell": _cell_name(cells[i]), "error": errors[i]} for i in sorted(errors)])
+    if interrupted:
+        raise KeyboardInterrupt
     if crashed:
         raise WorkerCrashed(f"a sweep worker died; {len(reports)}/{len(cells)} runs "
                             "written, the rest are in errors.json")

@@ -253,59 +253,60 @@ def train_seeds(configs: list[TrainConfig],
     warmup_steps = max(1, int(WARMUP_FRACTION * config.epochs * steps_per_epoch))
     step = 0
 
-    for epoch in range(config.epochs):
-        orders = np.stack([run.shuffle_rng.permutation(n) for run in active])
-        sums = np.zeros((4, len(active)))  # task, kl, se, total per seed
-        batches = 0
-        for start in range(0, n, config.batch_size):
-            idx = orders[:, start:start + config.batch_size]
-            if idx.shape[1] < 2:
-                continue
-            xb, yb = X_train[idx], y_train[idx]
-            noise = np.array([run.noise_rng.standard_normal(
-                (config.samples_per_input, idx.shape[1], task.latent_dim))
-                for run in active]).swapaxes(0, 1)
-            # Bound, not inlined into the call: with two tile buffers the inlined
-            # gather moved ``evaluate``'s minor faults 10x; with one block
-            # (``entropy._se_stack``) neither form faults after two calls.
-            assignment = membership[idx]
-            step += 1
-            try:
-                breakdown = combined_loss(
-                    opt.params, xb, assignment, yb,
-                    kind=task.kind, beta=config.beta, gamma=config.gamma,
-                    noise=noise, use_mu_for_graph=config.use_mu_for_graph, need_grad=True)
-            except NonFiniteError as exc:  # a latent or logit overflowed: no loss terms
-                raise TrainingDiverged(step, {}, exc.what) from exc
-            finite = np.isfinite(breakdown.total)
-            if not finite.all():
-                raise TrainingDiverged(step, breakdown.scalars(int(np.argmin(finite))))
-            if not np.isfinite(breakdown.grad).all():
-                where = opt.params.locate(int(np.argmin(np.isfinite(breakdown.grad))))
-                raise TrainingDiverged(step, breakdown.scalars(where["row"]), "gradient", where)
-            opt.step(breakdown.grad, lr_scale=min(1.0, step / warmup_steps))
-            sums += [breakdown.task, breakdown.kl, breakdown.se, breakdown.total]
-            batches += 1  # breakdown is kept until replaced: freed here, its heap re-faulted
+    # numpy's overflow warnings would name a source line; the finite checks
+    # below report a diverged step as ``TrainingDiverged`` instead.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(config.epochs):
+            orders = np.stack([run.shuffle_rng.permutation(n) for run in active])
+            sums = np.zeros((4, len(active)))  # task, kl, se, total per seed
+            batches = 0
+            for start in range(0, n, config.batch_size):
+                idx = orders[:, start:start + config.batch_size]
+                if idx.shape[1] < 2:
+                    continue
+                xb, yb = X_train[idx], y_train[idx]
+                noise = np.array([run.noise_rng.standard_normal(
+                    (config.samples_per_input, idx.shape[1], task.latent_dim))
+                    for run in active]).swapaxes(0, 1)
+                assignment = membership[idx]
+                step += 1
+                try:
+                    breakdown = combined_loss(
+                        opt.params, xb, assignment, yb,
+                        kind=task.kind, beta=config.beta, gamma=config.gamma,
+                        noise=noise, use_mu_for_graph=config.use_mu_for_graph, need_grad=True)
+                except NonFiniteError as exc:  # a latent or logit overflowed: no loss terms
+                    raise TrainingDiverged(step, {}, exc.what) from exc
+                finite = np.isfinite(breakdown.total)
+                if not finite.all():
+                    raise TrainingDiverged(step, breakdown.scalars(int(np.argmin(finite))))
+                if not np.isfinite(breakdown.grad).all():
+                    where = opt.params.locate(int(np.argmin(np.isfinite(breakdown.grad))))
+                    raise TrainingDiverged(step, breakdown.scalars(where["row"]), "gradient",
+                                           where)
+                opt.step(breakdown.grad, lr_scale=min(1.0, step / warmup_steps))
+                sums += [breakdown.task, breakdown.kl, breakdown.se, breakdown.total]
+                batches += 1  # breakdown is kept until replaced: freed here, its heap re-faulted
 
-        for i, run in enumerate(active):
-            dev_metric = _headline_metric(opt.params.like(opt.params.flat[i]),
-                                          X_dev, y_dev, task)
-            run.history.append({"epoch": epoch,
-                                **{k: float(v) / max(batches, 1)
-                                   for k, v in zip(("task", "kl", "se", "total"), sums[:, i])},
-                                "dev_metric": dev_metric})
-            if dev_metric > run.best_metric:
-                run.best_metric, run.best_epoch = dev_metric, epoch
-                run.best_values = opt.params.flat[i].copy()
-                run.bad_epochs = 0
-            else:
-                run.bad_epochs += 1
-        kept = [i for i, run in enumerate(active) if run.bad_epochs <= config.patience]
-        if len(kept) < len(active):
-            if not kept:
-                break
-            active = [active[i] for i in kept]
-            opt.keep(kept)
+            for i, run in enumerate(active):
+                dev_metric = _headline_metric(opt.params.like(opt.params.flat[i]),
+                                              X_dev, y_dev, task)
+                run.history.append({"epoch": epoch,
+                                    **{k: float(v) / max(batches, 1)
+                                       for k, v in zip(("task", "kl", "se", "total"), sums[:, i])},
+                                    "dev_metric": dev_metric})
+                if dev_metric > run.best_metric:
+                    run.best_metric, run.best_epoch = dev_metric, epoch
+                    run.best_values = opt.params.flat[i].copy()
+                    run.bad_epochs = 0
+                else:
+                    run.bad_epochs += 1
+            kept = [i for i, run in enumerate(active) if run.bad_epochs <= config.patience]
+            if len(kept) < len(active):
+                if not kept:
+                    break
+                active = [active[i] for i in kept]
+                opt.keep(kept)
 
     return [TrainResult(run.init.like(run.best_values), run.history, run.best_epoch,
                         run.best_metric) for run in runs]

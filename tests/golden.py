@@ -8,9 +8,10 @@ thread.  ``tests/golden.json`` records the environment, each invocation's
 argv, exit code, stdout and stderr, and the SHA-256 of every file left
 behind; ``tests/test_golden.py`` reruns them and compares.
 
-numpy's RuntimeWarnings are silenced (``-W``): their text names a source line,
-which moves with any edit.  ``verify`` is left out, because its stdout
-carries timings.
+The children run without warning filters, so stderr is what a user sees: a
+diverged ``train`` prints only its own line (``train_seeds`` silences
+numpy's overflow warnings, whose text would name a source line).
+``verify`` is left out, because its stdout carries timings.
 
     python tests/golden.py --write   # regenerate tests/golden.json
     python tests/golden.py           # compare, listing every difference
@@ -89,9 +90,8 @@ def environment() -> dict:
 
 
 def _invoke(argv: list[str], workdir: Path, env: dict) -> dict:
-    done = subprocess.run([sys.executable, "-W", "ignore::RuntimeWarning", "-m", "bottletree",
-                           *argv], cwd=workdir, env=env, capture_output=True, text=True,
-                          timeout=300)
+    done = subprocess.run([sys.executable, "-m", "bottletree", *argv], cwd=workdir, env=env,
+                          capture_output=True, text=True, timeout=300)
     return {"argv": argv, "exit": done.returncode, "stdout": done.stdout,
             "stderr": done.stderr}
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import math
@@ -7,6 +8,8 @@ import shlex
 import signal
 import subprocess
 import sys
+import time
+from contextlib import suppress
 from dataclasses import replace
 from pathlib import Path
 
@@ -337,7 +340,6 @@ class TestTrain:
                    "--task", "classification", *FAST])
         assert rc == 2
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_gradient_blow_up_exits_two_with_dump(self, gradient_overflow_csv, tmp_path,
                                                   capsys):
         out = tmp_path / "blown"
@@ -355,7 +357,6 @@ class TestTrain:
         assert "Traceback" not in err
         assert not (out / "report.json").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("data,flags,what", [
         ("regression_csv", ["--task", "regression", "--lr", "1e100", "--hidden", "8,8,8"],
          "embedding"),
@@ -375,7 +376,19 @@ class TestTrain:
         err = capsys.readouterr().err
         assert f"diverged at step 2 (non-finite {what})" in err and "Traceback" not in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_train_prints_only_its_own_line(self, blob_csv, tmp_path):
+        # no warning filter: numpy's overflow warning, naming a source line,
+        # once came before the divergence line
+        out = tmp_path / "diverged"
+        done = subprocess.run([sys.executable, "-m", "bottletree", "train", "--data", blob_csv,
+                               "--task", "classification", "--lr", "1e200",
+                               "--out-dir", str(out)],
+                              env=with_src(dict(os.environ)), capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 2
+        assert done.stderr == ("training diverged at step 2 (non-finite softmax input); "
+                               f"dump at {out / 'diverged.json'}\n")
+
     def test_clean_rerun_removes_stale_divergence_dump(self, blob_csv, gradient_overflow_csv,
                                                        tmp_path):
         out = ["--out-dir", str(tmp_path)]
@@ -383,7 +396,6 @@ class TestTrain:
         assert main(["train", "--data", blob_csv, *out, *GRADIENT_OVERFLOW]) == 0
         assert sorted(os.listdir(tmp_path)) == ["history.csv", "model.json", "report.json"]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_rerun_removes_stale_outcome(self, blob_csv, gradient_overflow_csv,
                                                    tmp_path):
         out = ["--out-dir", str(tmp_path)]
@@ -550,7 +562,6 @@ class TestSweep:
         fractions = {r["perturb_value"] for r in runs}
         assert fractions == {"0.9", "0.7", "0.5", "0.3"}
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_child_failure_recorded_sweep_continues(self, blob_csv, tmp_path):
         # lr 1e100 overflows each seed's loss at step 2, inside the child run
         spec = ExperimentSpec(
@@ -563,7 +574,6 @@ class TestSweep:
         errors = json.loads((tmp_path / "fail" / "errors.json").read_text())
         assert len(errors) == 2
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_clean_rerun_removes_stale_errors_json(self, blob_csv, tmp_path):
         out = tmp_path / "rerun"
         kwargs = {"epochs": 1, "patience": 0, "hidden": (4,), "batch_size": 16}
@@ -726,6 +736,50 @@ class TestSweep:
         # process outlives the kill; the gamma=10 job never starts
         check_killed_sweep(blob_csv, tmp_path / "killed", jobs="1")
 
+    def test_ctrl_c_keeps_finished_cells_and_exits_130(self, blob_csv, tmp_path):
+        # A terminal's Ctrl-C signals the whole process group: the workers
+        # ignore it, the queued jobs are dropped and the running ones end.
+        argv = ["sweep", "--data", blob_csv, "--task", "classification",
+                "--gammas", *map(str, range(16)), "--seeds", "0", "--jobs", "2",
+                *FAST, "--epochs", "150", "--patience", "150"]
+        whole, cut = tmp_path / "whole", tmp_path / "cut"
+        start = time.monotonic()
+        assert main([*argv, "--out-dir", str(whole)]) == 0
+        uninterrupted = time.monotonic() - start
+        proc = subprocess.Popen([sys.executable, "-m", "bottletree", *argv,
+                                 "--out-dir", str(cut)],
+                                env=with_src(dict(os.environ)), stdout=subprocess.DEVNULL,
+                                stderr=subprocess.PIPE, text=True, start_new_session=True,
+                                preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+        try:
+            deadline = time.monotonic() + 60
+            while not any((cut / "runs").glob("*.json")) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            os.killpg(proc.pid, signal.SIGINT)
+            signalled = time.monotonic()
+            _, err = proc.communicate(timeout=60)
+            stopping = time.monotonic() - signalled
+        finally:
+            with suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+        assert proc.returncode == 130
+        assert err == "bottletree: interrupted\n"
+        assert stopping < uninterrupted / 2
+        done = sorted(p.name for p in (cut / "runs").iterdir())
+        cells = sorted(p.name for p in (whole / "runs").iterdir())
+        assert 0 < len(done) < len(cells) // 2
+        for name in done:
+            assert (cut / "runs" / name).read_bytes() == (whole / "runs" / name).read_bytes()
+        errors = json.loads((cut / "errors.json").read_text())
+        assert sorted(f"{e['cell']}.json" for e in errors) == sorted(set(cells) - set(done))
+        assert {e["error"] for e in errors} == {"interrupted"}
+        gammas = {json.loads((cut / "runs" / name).read_text())["config"]["gamma"]
+                  for name in done}
+        for name in ("runs.csv", "aggregate.csv"):  # the uninterrupted rows of those cells
+            with open(cut / name) as fh, open(whole / name) as want:
+                assert list(csv.DictReader(fh)) == [row for row in csv.DictReader(want)
+                                                    if float(row["gamma"]) in gammas]
+
     @pytest.mark.parametrize("gammas,seeds,jobs,chunks", [
         ((1.0,), 5, 2, [(0, 1), (2, 3, 4)]),  # fewer groups than workers: split
         ((1.0,), 6, 4, [(0,), (1, 2), (3,), (4, 5)]),
@@ -805,12 +859,12 @@ class TestSweep:
         # once: --jobs 1 forks one, and --jobs 3 one with one job, two with two
         started = []
 
-        class CountingPool(sweep.ProcessPoolExecutor):
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers=None, **kwargs):
                 started.append(max_workers)
                 super().__init__(max_workers, **kwargs)
 
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         base = ["sweep", "--data", blob_csv, "--task", "classification", "--gammas", *gammas,
                 "--seeds", "0", *FAST]
         outs = [tmp_path / "serial", tmp_path / "jobs3"]
@@ -820,6 +874,19 @@ class TestSweep:
         serial, pooled = ({p.relative_to(out): p.read_bytes() for p in out.rglob("*")
                            if p.is_file()} for out in outs)
         assert serial == pooled and len(serial) == 2 + len(gammas)
+
+    def test_only_a_sweep_loads_the_process_pool(self):
+        # gen, train and verify start no pool, so the package and its CLI
+        # load none of the pool's modules; run_sweep imports them itself
+        done = subprocess.run([sys.executable, "-c",
+                               "import sys, bottletree.cli; print(*sorted(sys.modules))"],
+                              env=with_src(dict(os.environ)), capture_output=True, text=True,
+                              check=True, timeout=60)
+        loaded = done.stdout.split()
+        assert "bottletree.sweep" in loaded
+        assert [m for m in loaded
+                if m.partition(".")[0] == "multiprocessing" or
+                m.startswith("concurrent.futures")] == []
 
     def test_parallel_jobs_match_serial(self, blob_csv, tmp_path):
         base = ["sweep", "--data", blob_csv, "--task", "classification",

@@ -194,7 +194,6 @@ class TestTrain:
             assert values[0] != values[1]
             assert getattr(both, term).item() == pytest.approx(np.mean(values), abs=1e-12)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_with_payload(self, easy_blobs):
         # features large enough to overflow mu^2 in the KL term
         cfg = blob_config(easy_blobs, beta=1.0, epochs=3)
@@ -296,7 +295,6 @@ class TestLockstep:
         if name == "early-stop":  # seeds leave the stack at different epochs
             assert len({len(r.history) for r in stacked}) > 1
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_gradient_divergence_names_its_row_and_parameter(self):
         # Seed 2 sends a nan into its second layer's weight gradient at step 1
         # (see ``gradient_overflow_blobs``); seed 1's first step is finite.
@@ -318,7 +316,6 @@ class TestLockstep:
         with pytest.raises(ValueError, match="only in their seed"):
             train_seeds(configs, easy_blobs.subset("train"), easy_blobs.subset("dev"))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("case", ["loss", "logits", "one-row"])
     def test_sweep_group_with_failing_seeds_records_their_solo_errors(self, tmp_path, case):
         # lr 1e100 overflows every seed's loss at step 2; lr 1e200 overflows
@@ -347,7 +344,6 @@ class TestLockstep:
         distinct = len({entry["error"] for entry in errors})
         assert distinct > 1 if case == "one-row" else distinct == 1
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_reports_the_diverging_seed_not_the_first_row(self):
         # One extreme train row overflows the KL in whichever batch each seed's
         # shuffle puts it; the stack is ordered so the first seed to diverge is
