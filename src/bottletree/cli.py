@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from .coder import save_checkpoint
 from .datasets import gen_blobs, gen_regression, load_csv, remove_files, save_csv
@@ -117,10 +118,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
                    help="softening temperature")
 
 
-# The sweep's own ``ExperimentSpec`` fields; the other flags' dests are ``config_for``'s.
-SPEC_FLAGS = ("seeds", "betas", "gammas", "noise_rates", "fractions", "perturb_seed", "jobs")
-
-
 def _typed(args) -> dict:
     """Flags typed past ``--data``, ``--task`` and ``--out-dir``, by dest; lists as tuples."""
     return {name: tuple(value) if isinstance(value, list) else value
@@ -172,8 +169,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    run_flags = _typed(args)
-    grid = {name: run_flags.pop(name) for name in SPEC_FLAGS if name in run_flags}
+    run_flags = _typed(args)  # the flags not ``ExperimentSpec``'s are ``config_for``'s
+    grid = {f.name: run_flags.pop(f.name) for f in fields(ExperimentSpec) if f.name in run_flags}
     spec = ExperimentSpec(data_path=args.data, task_kind=args.task,
                           out_dir=args.out_dir or _default_out(), **grid,
                           train_kwargs=run_flags)

@@ -60,6 +60,8 @@ class Dataset:
     def num_classes(self) -> int:
         if not self.is_classification:
             raise ValueError("regression dataset has no class count")
+        if (lowest := int(self.y.min())) < 0:
+            raise ValueError(f"class labels must be non-negative, got {lowest}")
         return int(self.y.max()) + 1
 
     def indices(self, tag: str) -> np.ndarray:
@@ -78,10 +80,10 @@ class Dataset:
                 and self.provenance == other.provenance)
 
 
-def _assign_splits(n: int, rng: np.random.Generator,
-                   fractions=(0.6, 0.2, 0.2)) -> np.ndarray:
-    n_train = int(np.floor(fractions[0] * n))
-    n_dev = int(np.floor(fractions[1] * n))
+def _assign_splits(n: int, rng: np.random.Generator) -> np.ndarray:
+    """floor(0.6 n) train, floor(0.2 n) dev and the rest test tags, shuffled."""
+    n_train = int(np.floor(0.6 * n))
+    n_dev = int(np.floor(0.2 * n))
     tags = np.array(["train"] * n_train + ["dev"] * n_dev
                     + ["test"] * (n - n_train - n_dev))
     return tags[rng.permutation(n)]

@@ -49,11 +49,11 @@ _LN2 = float(np.log(2.0))
 # overhead (3000 tiles at n=6000), and 2**18's buffers overflow the L2.
 SE_BLOCK_ENTRIES = 1 << 16
 # The process's tile block, made on first use and held (a forked worker has its
-# own): every call whose tiles fit takes its buffers from it, so a call
-# allocates, and faults in, no tile memory whatever the heap's layout.  Each
-# entry is written before it is read, so nothing passes from one call to the
-# next; one thread at a time may use it.
-_HELD_ENTRIES = SE_BLOCK_ENTRIES
+# own): every call takes its buffers from it, so a call allocates, and faults
+# in, no tile memory whatever the heap's layout.  A call whose tiles do not fit
+# (one row of n > SE_BLOCK_ENTRIES) grows it for good.  Each entry is written
+# before it is read, so nothing passes from one call to the next; one thread at
+# a time may use it.
 _held_block: np.ndarray | None = None
 
 
@@ -277,12 +277,10 @@ def se_loss(embeddings: np.ndarray, assignment: np.ndarray, need_grad: bool = Fa
 
 def _tile_block(entries: int) -> np.ndarray:
     """Gram and graph buffers of ``entries`` float64 each, as a (2, entries)
-    block: a view of the held block when they fit in it, else a new one."""
+    view of the held block, grown first if they do not fit in it."""
     global _held_block
-    if entries > _HELD_ENTRIES:
-        return np.empty((2, entries))
-    if _held_block is None:
-        _held_block = np.empty(2 * _HELD_ENTRIES)
+    if _held_block is None or _held_block.size < 2 * entries:
+        _held_block = np.empty(2 * max(entries, SE_BLOCK_ENTRIES))
     return _held_block[:2 * entries].reshape(2, entries)
 
 

@@ -148,11 +148,11 @@ class Adam:
     """Adam with bias correction over ``params.flat``, updated in place; the
     moments and each step's gradient parallel ``flat``."""
 
-    def __init__(self, params: EncoderParams, lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: EncoderParams, lr: float):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = np.zeros_like(params.flat)
         self.v = np.zeros_like(params.flat)
         self.t = 0

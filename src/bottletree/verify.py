@@ -3,8 +3,10 @@
 Each check pits one route against an independent one (set enumeration,
 brute-force summation, finite differences, Monte Carlo) on deterministic
 random instances; ``reduction`` pits the two oracles on one-hot memberships.
-The CLI ``verify`` subcommand and the acceptance tests both run these;
-``verify`` prints one line per check and writes no file.
+A check takes no arguments (its seed and sizes are fixed) and returns
+``(passed, detail)``; ``run_checks`` alone names and times it.  The CLI
+``verify`` subcommand and the acceptance tests both go through
+``run_checks``; ``verify`` prints one line per check and writes no file.
 """
 
 from __future__ import annotations
@@ -59,50 +61,45 @@ def _summation_loss(adj: np.ndarray, assignment: np.ndarray) -> float:
                 for g, v in zip(soft_cuts(adj, assignment), soft_volumes(adj, assignment)))
 
 
-def check_matrix_definition(instances: int = 100, seed: int = 1001) -> CheckResult:
+def check_matrix_definition() -> tuple[bool, str]:
     """Matrix-form and fused losses == intermediate-layer entropy from the definition."""
-    start = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1001)
     worst = 0.0
     worst_fused = 0.0
-    for _ in range(instances):
+    for _ in range(100):
         h, labels, n, d, r = _random_instance(rng)
         adj = build_adjacency(h)
         c = hard_assignment(labels, r)
         oracle_val = intermediate_layer_entropy(adj, tree_from_assignment(c))
         worst = max(worst, abs(se_loss_matrix(adj, c) - oracle_val))
         worst_fused = max(worst_fused, abs(float(se_loss(h, c)[0]) - oracle_val))
-    return CheckResult("oracle", worst <= 1e-9 and worst_fused <= 1e-9,
-                       f"max |matrix - definition| = {worst:.3e}, "
-                       f"max |fused - definition| = {worst_fused:.3e} "
-                       f"over {instances} instances",
-                       time.perf_counter() - start)
+    return (worst <= 1e-9 and worst_fused <= 1e-9,
+            f"max |matrix - definition| = {worst:.3e}, "
+            f"max |fused - definition| = {worst_fused:.3e} "
+            "over 100 instances")
 
 
-def check_soft_reduction(instances: int = 100, seed: int = 1002) -> CheckResult:
+def check_soft_reduction() -> tuple[bool, str]:
     """On one-hot memberships the soft summation == the hard tree's definition."""
-    start = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1002)
     worst = 0.0
-    for _ in range(instances):
+    for _ in range(100):
         h, labels, n, d, r = _random_instance(rng)
         adj = build_adjacency(h)
         onehot = hard_assignment(labels, r)
         definition = intermediate_layer_entropy(adj, tree_from_assignment(onehot))
         worst = max(worst, abs(_summation_loss(adj, onehot) - definition))
-    return CheckResult("reduction", worst <= 1e-12,
-                       f"max |summation - definition| = {worst:.3e} over {instances} instances",
-                       time.perf_counter() - start)
+    return (worst <= 1e-12,
+            f"max |summation - definition| = {worst:.3e} over 100 instances")
 
 
-def check_soft_consistency(instances: int = 100, seed: int = 1003) -> CheckResult:
+def check_soft_consistency() -> tuple[bool, str]:
     """Matrix and fused forms == summation form built from brute-force cuts/volumes."""
-    start = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1003)
     worst = 0.0
     worst_fused = 0.0
     worst_cons = 0.0
-    for _ in range(instances):
+    for _ in range(100):
         h, _, n, d, r = _random_instance(rng)
         adj = build_adjacency(h)
         soft = _random_soft(rng, n, r)
@@ -117,21 +114,19 @@ def check_soft_consistency(instances: int = 100, seed: int = 1003) -> CheckResul
         worst_tiled = max(worst_tiled, abs(float(se_loss(h, soft)[0])
                                            - se_loss_matrix(build_adjacency(h), soft)))
     passed = max(worst, worst_fused, worst_cons, worst_tiled) <= 1e-9
-    return CheckResult("soft", passed,
-                       f"max |matrix - summation| = {worst:.3e}, "
-                       f"max |fused - summation| = {worst_fused:.3e}, "
-                       f"max volume-conservation gap = {worst_cons:.3e}, "
-                       f"max |fused - matrix| at {MULTI_TILE_ROWS} rows = "
-                       f"{worst_tiled:.3e}",
-                       time.perf_counter() - start)
+    return (passed,
+            f"max |matrix - summation| = {worst:.3e}, "
+            f"max |fused - summation| = {worst_fused:.3e}, "
+            f"max volume-conservation gap = {worst_cons:.3e}, "
+            f"max |fused - matrix| at {MULTI_TILE_ROWS} rows = "
+            f"{worst_tiled:.3e}")
 
 
-def check_bounds(instances: int = 1000, seed: int = 1004) -> CheckResult:
+def check_bounds() -> tuple[bool, str]:
     """0 <= loss <= log2(r) for positive symmetric graphs, hard and soft."""
-    start = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1004)
     lo, hi_gap = np.inf, -np.inf
-    for i in range(instances):
+    for i in range(1000):
         n = int(rng.integers(3, 17))
         r = int(rng.integers(2, 6))
         if i % 2 == 0:
@@ -145,19 +140,17 @@ def check_bounds(instances: int = 1000, seed: int = 1004) -> CheckResult:
         lo = min(lo, value)
         hi_gap = max(hi_gap, value - math.log2(r))
     passed = lo >= -1e-12 and hi_gap <= 1e-12
-    return CheckResult("bounds", passed,
-                       f"min = {lo:.3e}, max excess over log2(r) = {hi_gap:.3e} "
-                       f"over {instances} instances",
-                       time.perf_counter() - start)
+    return (passed,
+            f"min = {lo:.3e}, max excess over log2(r) = {hi_gap:.3e} "
+            "over 1000 instances")
 
 
-def check_invariance(instances: int = 50, seed: int = 1005) -> CheckResult:
+def check_invariance() -> tuple[bool, str]:
     """Loss is scale-invariant in A and permutation-equivariant in (H, C)."""
-    start = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1005)
     worst_scale = 0.0
     worst_perm = 0.0
-    for _ in range(instances):
+    for _ in range(50):
         h, labels, n, d, r = _random_instance(rng)
         adj = build_adjacency(h)
         c = hard_assignment(labels, r)
@@ -170,20 +163,18 @@ def check_invariance(instances: int = 50, seed: int = 1005) -> CheckResult:
         worst_perm = max(worst_perm,
                          abs(se_loss_matrix(build_adjacency(h[perm]), c_p) - base))
     passed = worst_scale <= 1e-9 and worst_perm <= 1e-12
-    return CheckResult("invariance", passed,
-                       f"max scale gap = {worst_scale:.3e}, max permutation gap = "
-                       f"{worst_perm:.3e} over {instances} instances",
-                       time.perf_counter() - start)
+    return (passed,
+            f"max scale gap = {worst_scale:.3e}, max permutation gap = "
+            f"{worst_perm:.3e} over 50 instances")
 
 
-def check_gradients(batches: int = 12, seed: int = 1006, h: float = 1e-5) -> CheckResult:
+def check_gradients() -> tuple[bool, str]:
     """Full-objective gradients vs central differences with frozen noise."""
-    start = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1006)
     worst = 0.0
     n, input_dim = 8, 5
     tasks = (ClassificationTask(3), RegressionTask(make_bins(0.0, 5.0, 5)))
-    for b in range(batches):
+    for b in range(12):
         task = tasks[b % 2]
         params = init_params(input_dim, (16,), task.latent_dim, int(rng.integers(0, 2**32)))
         X = rng.standard_normal((n, input_dim))
@@ -197,38 +188,34 @@ def check_gradients(batches: int = 12, seed: int = 1006, h: float = 1e-5) -> Che
                                gamma=1.0, noise=noise, need_grad=True)
             return bd.total, bd.grad
 
-        worst = max(worst, finite_difference_check(f, params.flat, h=h))
-    return CheckResult("grad", worst < 1e-4,
-                       f"max relative gradient error = {worst:.3e} over {batches} batches",
-                       time.perf_counter() - start)
+        worst = max(worst, finite_difference_check(f, params.flat, h=1e-5))
+    return (worst < 1e-4,
+            f"max relative gradient error = {worst:.3e} over 12 batches")
 
 
-def check_kl(posteriors: int = 10, samples: int = 1_000_000,
-             seed: int = 1007) -> CheckResult:
+def check_kl() -> tuple[bool, str]:
     """Closed-form KL vs Monte Carlo; KL(0, 0) must be exactly zero."""
-    start = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1007)
     dim = 4
     worst = 0.0
-    for _ in range(posteriors):
+    for _ in range(10):
         mu = rng.standard_normal((1, dim))
         logvar = rng.uniform(-1.5, 1.5, size=(1, dim))
         closed = float(kl_to_standard_normal(mu, logvar)[0])
         sigma = np.exp(0.5 * logvar[0])
-        z = mu[0] + sigma * rng.standard_normal((samples, dim))
+        z = mu[0] + sigma * rng.standard_normal((1_000_000, dim))
         # log N(z; mu, sigma^2) - log N(z; 0, I); the 2*pi terms cancel
         log_ratio = (-0.5 * (logvar[0] + ((z - mu[0]) / sigma) ** 2)
                      + 0.5 * z ** 2).sum(axis=1)
         worst = max(worst, abs(log_ratio.mean() - closed))
     exact_zero = kl_to_standard_normal(np.zeros((3, dim)), np.zeros((3, dim)))[0] == 0.0
     passed = worst <= 1e-2 and exact_zero
-    return CheckResult("kl", passed,
-                       f"max |closed-form - Monte Carlo| = {worst:.3e} over "
-                       f"{posteriors} posteriors; KL(0,0) exactly zero: {exact_zero}",
-                       time.perf_counter() - start)
+    return (passed,
+            f"max |closed-form - Monte Carlo| = {worst:.3e} over "
+            f"10 posteriors; KL(0,0) exactly zero: {exact_zero}")
 
 
-ALL_CHECKS: dict[str, Callable[[], CheckResult]] = {
+ALL_CHECKS: dict[str, Callable[[], tuple[bool, str]]] = {
     "oracle": check_matrix_definition,
     "reduction": check_soft_reduction,
     "soft": check_soft_consistency,
@@ -239,10 +226,16 @@ ALL_CHECKS: dict[str, Callable[[], CheckResult]] = {
 }
 
 
+def _run(name: str) -> CheckResult:
+    start = time.perf_counter()
+    passed, detail = ALL_CHECKS[name]()
+    return CheckResult(name, passed, detail, time.perf_counter() - start)
+
+
 def run_checks(only: list[str] | None = None) -> Iterator[CheckResult]:
-    """Each check's result as the check ends; every name is vetted before any runs."""
+    """Each check's timed result as the check ends; every name is vetted before any runs."""
     names = list(ALL_CHECKS) if not only else only
     unknown = [n for n in names if n not in ALL_CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; available: {list(ALL_CHECKS)}")
-    return (ALL_CHECKS[name]() for name in names)
+    return map(_run, names)

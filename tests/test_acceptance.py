@@ -24,9 +24,7 @@ from bottletree.datasets import gen_blobs, gen_regression, inject_label_noise
 from bottletree.softbins import make_bins
 from bottletree.training import (ClassificationTask, RegressionTask,
                                  TrainConfig, evaluate, train, train_seeds)
-from bottletree.verify import (check_bounds, check_gradients, check_kl,
-                               check_invariance, check_matrix_definition,
-                               check_soft_consistency, check_soft_reduction)
+from bottletree.verify import run_checks
 
 
 def report(number: int, name: str, passed: bool, detail: str) -> None:
@@ -34,7 +32,7 @@ def report(number: int, name: str, passed: bool, detail: str) -> None:
 
 
 def test_criterion_01_matrix_definition_equivalence():
-    r = check_matrix_definition(instances=100)
+    [r] = run_checks(["oracle"])
     report(1, "matrix-definition equivalence", r.passed and r.seconds < 10.0,
            f"{r.detail}; runtime {r.seconds:.2f}s (< 10s)")
     assert r.passed
@@ -42,37 +40,37 @@ def test_criterion_01_matrix_definition_equivalence():
 
 
 def test_criterion_02_soft_to_hard_reduction():
-    r = check_soft_reduction(instances=100)
+    [r] = run_checks(["reduction"])
     report(2, "soft-to-hard reduction", r.passed, r.detail)
     assert r.passed
 
 
 def test_criterion_03_soft_form_consistency():
-    r = check_soft_consistency(instances=100)
+    [r] = run_checks(["soft"])
     report(3, "soft-form consistency", r.passed, r.detail)
     assert r.passed
 
 
 def test_criterion_04_entropy_bounds():
-    r = check_bounds(instances=1000)
+    [r] = run_checks(["bounds"])
     report(4, "entropy bounds", r.passed, r.detail)
     assert r.passed
 
 
 def test_criterion_05_invariance():
-    r = check_invariance()
+    [r] = run_checks(["invariance"])
     report(5, "scale/permutation invariance", r.passed, r.detail)
     assert r.passed
 
 
 def test_criterion_06_gradient_correctness():
-    r = check_gradients(batches=12)
+    [r] = run_checks(["grad"])
     report(6, "full-objective gradient vs finite differences", r.passed, r.detail)
     assert r.passed
 
 
 def test_criterion_07_kl_correctness():
-    r = check_kl(posteriors=10, samples=1_000_000)
+    [r] = run_checks(["kl"])
     report(7, "closed-form KL vs Monte Carlo", r.passed, r.detail)
     assert r.passed
 
@@ -175,3 +173,5 @@ def test_criterion_11_verify_subcommand_end_to_end(capsys):
     assert exit_code == 0
     assert elapsed < 60.0
     assert out.count("PASS") == 7
+    for name in ("oracle", "reduction", "soft", "bounds", "invariance", "grad", "kl"):
+        assert f"PASS  {name}" in out

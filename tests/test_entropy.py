@@ -512,6 +512,16 @@ class TestFusedSeLoss:
             tracemalloc.stop()
         assert peak <= block + 8 * k * n * (r + 1) * d * 8
 
+    def test_a_row_wider_than_the_block_grows_the_held_block(self, monkeypatch):
+        # One row of n > SE_BLOCK_ENTRIES entries, at the shipped size n > 65,536.
+        monkeypatch.setattr(entropy, "SE_BLOCK_ENTRIES", 8)
+        monkeypatch.setattr(entropy, "_held_block", np.empty(2 * 8))
+        rng = np.random.default_rng(74)
+        n = 11
+        self.assert_matches_composite(rng.standard_normal((n, 3)),
+                                      check_membership(rng.dirichlet(np.ones(3), size=n)))
+        assert entropy._held_block.size == 2 * n
+
     def test_rejects_bad_inputs(self):
         c = hard_assignment([0, 1, 0], 2)
         with pytest.raises(DimensionError):
