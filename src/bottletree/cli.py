@@ -1,9 +1,10 @@
 """Command-line harness: argument parsing, output paths and exit codes.
 
 The work and every run default are the library's: ``train`` and ``sweep`` pass
-on only the flags typed.  Exit codes: 0 success, 1 usage error, 2 runtime
-failure, 3 verification failure, 130 interrupted (Ctrl-C).  BOTTLETREE_OUT
-sets the default output dir.
+on only the flags typed.  Exit codes: 0 success, 1 usage error (argparse's
+2), 2 runtime failure, 3 verification failure, 130 interrupted (Ctrl-C).  A
+library warning prints as one ``bottletree: <category>: <message>`` line.
+BOTTLETREE_OUT sets the default output dir.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from dataclasses import fields
 
 from .coder import save_checkpoint
@@ -23,17 +25,6 @@ from .verify import ALL_CHECKS, run_checks
 OUT_ENV = "BOTTLETREE_OUT"
 
 
-class _UsageExit(SystemExit):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise _UsageExit(1)
-
-
 def _default_out() -> str:
     return os.environ.get(OUT_ENV, "runs")
 
@@ -43,15 +34,13 @@ def _hidden(arg: str) -> tuple[int, ...]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="bottletree",
-                     description="Probabilistic coding with an encoding-tree "
-                                 "entropy regularizer")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Parser)
+    parser = argparse.ArgumentParser(prog="bottletree",
+                                     description="Probabilistic coding with an "
+                                                 "encoding-tree entropy regularizer")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a synthetic dataset CSV")
-    gen_sub = gen.add_subparsers(dest="generator", required=True,
-                                 parser_class=_Parser)
+    gen_sub = gen.add_subparsers(dest="generator", required=True)
     blobs = gen_sub.add_parser("blobs", help="Gaussian blob classification set")
     blobs.add_argument("--classes", type=int, required=True)
     blobs.add_argument("--n", type=int, required=True)
@@ -189,21 +178,27 @@ def cmd_verify(args) -> int:
     return 3 if failed else 0
 
 
+def _show_warning(message, category, *_) -> None:
+    # one write per line, so two sweep workers' lines do not interleave
+    sys.stderr.write(f"bottletree: {category.__name__}: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageExit as exc:
-        return int(exc.code)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's: 2 after a usage error, 0 after --help
+        return 1 if exc.code else 0
     commands = {"gen": cmd_gen, "train": cmd_train, "sweep": cmd_sweep, "verify": cmd_verify}
-    try:
-        return commands[args.command](args)
-    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
-        print(f"bottletree: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except KeyboardInterrupt:  # Ctrl-C: the shell's code for SIGINT, no traceback
-        print("bottletree: interrupted", file=sys.stderr)
-        return 130
+    with warnings.catch_warnings():  # puts ``showwarning`` back on the way out
+        warnings.showwarning = _show_warning  # forked sweep workers inherit it
+        try:
+            return commands[args.command](args)
+        except (ValueError, OSError, RuntimeError, MemoryError) as exc:
+            print(f"bottletree: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
+        except KeyboardInterrupt:  # Ctrl-C: the shell's code for SIGINT, no traceback
+            print("bottletree: interrupted", file=sys.stderr)
+            return 130
 
 
 if __name__ == "__main__":

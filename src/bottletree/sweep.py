@@ -126,7 +126,7 @@ def run_cell(perturbation: Perturbation, configs: list[TrainConfig]) -> list[dic
     failing seed fails only its own cell, with its solo error.
     """
     ds = _datasets[perturbation]
-    train_set, dev_set = ds.subset("train"), ds.subset("dev")
+    train_set, dev_set, test_set = ds.subset("train"), ds.subset("dev"), ds.subset("test")
     try:
         results = train_seeds(configs, train_set, dev_set)
     except Exception:  # a seed failed: each trains alone below
@@ -135,7 +135,7 @@ def run_cell(perturbation: Perturbation, configs: list[TrainConfig]) -> list[dic
     for config, result in zip(configs, results):
         try:
             result = result or train(config, train_set, dev_set)
-            outcomes.append(evaluate(result.params, *ds.subset("test"), config).to_json_dict())
+            outcomes.append(evaluate(result.params, *test_set, config).to_json_dict())
         except Exception as exc:  # recorded for this cell, the others go on
             outcomes.append(f"{type(exc).__name__}: {exc}")
     return outcomes

@@ -415,6 +415,20 @@ class TestTrain:
         assert done.stderr == ("training diverged at step 2 (non-finite softmax input); "
                                f"dump at {out / 'diverged.json'}\n")
 
+    def test_library_warning_prints_one_line(self, tmp_path):
+        # no warning filter: softbins' range warning once printed its source
+        # path and code line
+        data = tmp_path / "r.csv"
+        assert main(["gen", "regression", "--n", "80", "--dim", "3", "--lo", "0", "--hi", "5",
+                     "--seed", "0", "--out", str(data)]) == 0
+        done = subprocess.run([sys.executable, "-m", "bottletree", "train", "--data", str(data),
+                               "--task", "regression", "--lo", "3", "--hi", "4", "--epochs", "2",
+                               "--out-dir", str(tmp_path / "out")],
+                              env=with_src(dict(os.environ)), capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0
+        assert done.stderr == "bottletree: UserWarning: labels outside declared range [3.0, 4.0]\n"
+
     def test_clean_rerun_removes_stale_divergence_dump(self, blob_csv, gradient_overflow_csv,
                                                        tmp_path):
         out = ["--out-dir", str(tmp_path)]
@@ -923,6 +937,19 @@ class TestSweep:
                 if m.partition(".")[0] == "multiprocessing" or
                 m.startswith("concurrent.futures")] == []
 
+    def test_importing_the_package_only_pins_blas(self):
+        # every name lives in its module: the package loads none, nor numpy
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = with_src({k: v for k, v in os.environ.items() if k not in names})
+        done = subprocess.run([sys.executable, "-c",
+                               "import os, sys, bottletree; print(*sorted(sys.modules)); "
+                               f"print(*(os.environ[name] for name in {names}))"],
+                              env=env, capture_output=True, text=True, check=True, timeout=60)
+        loaded, threads = done.stdout.splitlines()
+        assert [m for m in loaded.split()
+                if m == "numpy" or m.startswith(("numpy.", "bottletree."))] == []
+        assert threads.split() == ["1", "1", "1"]
+
     def test_parallel_jobs_match_serial(self, blob_csv, tmp_path):
         base = ["sweep", "--data", blob_csv, "--task", "classification",
                 "--gammas", "1", "--seeds", "0", "1", *FAST]
@@ -1058,13 +1085,83 @@ class TestVerify:
         assert all(float(gap) <= 1e-9 for other, gap in gaps.items() if other != route)
 
 
+TRAIN_FLAGS = """\
+                        [--lr LR] [--epochs EPOCHS] [--patience PATIENCE]
+                        [--batch-size BATCH_SIZE] [--hidden HIDDEN]
+                        [--activation {relu,sigmoid}] [--use-mu-graph]
+                        [--samples SAMPLES] [--bins BINS] [--lo LO] [--hi HI]
+"""
+TOP_USAGE = "usage: bottletree [-h] {gen,train,sweep,verify} ...\n"
+TRAIN_USAGE = f"""\
+usage: bottletree train [-h] --data DATA --task {{classification,regression}}
+{TRAIN_FLAGS}\
+                        [--hard-labels] [--tau TAU] [--beta BETA]
+                        [--gamma GAMMA] [--seed SEED] [--out-dir OUT_DIR]
+"""
+SWEEP_USAGE = f"""\
+usage: bottletree sweep [-h] --data DATA --task {{classification,regression}}
+{TRAIN_FLAGS}\
+                        [--hard-labels] [--tau TAU]
+                        [--seeds SEEDS [SEEDS ...]]
+                        [--betas BETAS [BETAS ...]]
+                        [--gammas GAMMAS [GAMMAS ...]]
+                        [--noise-rates NOISE_RATES [NOISE_RATES ...]]
+                        [--fractions FRACTIONS [FRACTIONS ...]]
+                        [--perturb-seed PERTURB_SEED] [--jobs JOBS]
+                        [--out-dir OUT_DIR]
+"""
+# argparse's own usage and error lines, byte for byte, at 80 columns
+USAGE_ERRORS = {
+    "train-no-data": (["train"], TRAIN_USAGE + "bottletree train: error: the following "
+                      "arguments are required: --data, --task\n"),
+    "bad-task": (["train", "--data", "x", "--task", "bogus"],
+                 TRAIN_USAGE + "bottletree train: error: argument --task: invalid choice: "
+                 "'bogus' (choose from 'classification', 'regression')\n"),
+    "empty-seeds": (["sweep", "--data", "x", "--task", "regression", "--seeds"],
+                    SWEEP_USAGE + "bottletree sweep: error: argument --seeds: expected at "
+                    "least one argument\n"),
+    "verify-bad-flag": (["verify", "--bogus"],
+                        TOP_USAGE + "bottletree: error: unrecognized arguments: --bogus\n"),
+    "gen-no-generator": (["gen"], "usage: bottletree gen [-h] {blobs,regression} ...\n"
+                         "bottletree gen: error: the following arguments are required: "
+                         "generator\n"),
+}
+
+
 class TestUsageErrors:
-    def test_no_command_exits_one(self):
+    @pytest.fixture(autouse=True)
+    def eighty_columns(self, monkeypatch):
+        # argparse wraps its usage to the terminal's width
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def test_no_command_exits_one(self, capsys):
         assert main([]) == 1
+        assert capsys.readouterr() == ("", TOP_USAGE + "bottletree: error: the following "
+                                       "arguments are required: command\n")
 
-    def test_unknown_command_exits_one(self):
+    def test_unknown_command_exits_one(self, capsys):
         assert main(["frobnicate"]) == 1
+        assert capsys.readouterr() == ("", TOP_USAGE + "bottletree: error: argument command: "
+                                       "invalid choice: 'frobnicate' (choose from 'gen', "
+                                       "'train', 'sweep', 'verify')\n")
 
-    def test_bad_flag_value_exits_one(self):
+    def test_bad_flag_value_exits_one(self, capsys):
         assert main(["gen", "blobs", "--classes", "x", "--n", "10",
                      "--dim", "3", "--seed", "0"]) == 1
+        assert capsys.readouterr() == ("", """\
+usage: bottletree gen blobs [-h] --classes CLASSES --n N --dim DIM
+                            [--spread SPREAD] --seed SEED [--out OUT]
+bottletree gen blobs: error: argument --classes: invalid int value: 'x'
+""")
+
+    @pytest.mark.parametrize("argv, stderr", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+    def test_usage_error_exits_one(self, capsys, argv, stderr):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", stderr)
+
+    def test_help_exits_zero_with_the_help_on_stdout(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr() == (build_parser().format_help(), "")
+        assert main(["gen", "blobs", "--help"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: bottletree gen blobs [-h] --classes CLASSES") and not err
