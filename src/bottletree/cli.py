@@ -30,7 +30,11 @@ def _default_out() -> str:
 
 
 def _hidden(arg: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in arg.split(",") if x)
+    try:
+        return tuple(int(x) for x in arg.split(",") if x)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integer widths, e.g. 64,32, got {arg!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -199,7 +203,3 @@ def main(argv=None) -> int:
         except KeyboardInterrupt:  # Ctrl-C: the shell's code for SIGINT, no traceback
             print("bottletree: interrupted", file=sys.stderr)
             return 130
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -84,13 +84,6 @@ def _params_from_flat(input_dim: int, hidden, latent_dim: int, activation: str,
                          views[0::2], views[1::2], flat)
 
 
-def _params_from_layers(input_dim: int, hidden, latent_dim: int, activation: str,
-                        layers: list[tuple[np.ndarray, np.ndarray]]) -> EncoderParams:
-    """Copy (weight, bias) arrays into one flat vector and view them from it."""
-    flat = np.concatenate([a.reshape(-1) for layer in layers for a in layer])
-    return _params_from_flat(input_dim, hidden, latent_dim, activation, flat)
-
-
 def init_params(input_dim: int,
                 hidden: tuple[int, ...],
                 latent_dim: int,
@@ -104,7 +97,8 @@ def init_params(input_dim: int,
     layers = [(rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in),
                np.zeros((1, fan_out)))
               for fan_in, fan_out in zip(dims[:-1], dims[1:])]
-    return _params_from_layers(input_dim, hidden, latent_dim, activation, layers)
+    flat = np.concatenate([a.reshape(-1) for layer in layers for a in layer])
+    return _params_from_flat(input_dim, hidden, latent_dim, activation, flat)
 
 
 def encode(params: EncoderParams, inputs):
@@ -219,13 +213,6 @@ class LossBreakdown:
                    for k, t in terms.items()}, "beta": self.beta, "gamma": self.gamma}
 
 
-def total_loss(task, kl, se, beta: float, gamma: float) -> LossBreakdown:
-    """``task + beta * kl - gamma * se``: entropy is maximized."""
-    beta, gamma = float(beta), float(gamma)
-    return LossBreakdown(task=task, kl=kl, se=se, total=task + beta * kl - gamma * se,
-                         beta=beta, gamma=gamma)
-
-
 def combined_loss(params: EncoderParams, inputs, assignment: np.ndarray, targets, *,
                   kind: str, beta: float, gamma: float, noise, use_mu_for_graph: bool = False,
                   need_grad: bool = False) -> LossBreakdown:
@@ -265,9 +252,10 @@ def combined_loss(params: EncoderParams, inputs, assignment: np.ndarray, targets
         se, se_backward = se_loss(mu if use_mu_for_graph else z, assignment,
                                   need_grad and gamma != 0)
         samples.append((task, se, z_backward, task_backward, se_backward))
-    breakdown = total_loss(_average([s[0] for s in samples]), kl,
-                           _average([s[1] for s in samples]), beta, gamma)
-    breakdown.mu = mu
+    task, se = _average([s[0] for s in samples]), _average([s[1] for s in samples])
+    beta, gamma = float(beta), float(gamma)
+    breakdown = LossBreakdown(task=task, kl=kl, se=se, total=task + beta * kl - gamma * se,
+                              beta=beta, gamma=gamma, mu=mu)
     if not need_grad:
         return breakdown
 
@@ -318,16 +306,3 @@ def save_checkpoint(params: EncoderParams, path, seed: int | None = None) -> Non
     with replacing(path) as fh:
         json.dump(doc, fh, sort_keys=True)
         fh.write("\n")
-
-
-def load_checkpoint(path) -> tuple[EncoderParams, int | None]:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
-        raise ValueError(f"unsupported checkpoint schema {doc.get('schema_version')!r}")
-    layers = [(np.asarray(layer["weights"], dtype=np.float64).reshape(layer["shape"]),
-               np.asarray(layer["bias"], dtype=np.float64).reshape(1, layer["shape"][1]))
-              for layer in doc["layers"]]
-    params = _params_from_layers(doc["input_dim"], doc["hidden"], doc["latent_dim"],
-                                 doc["activation"], layers)
-    return params, doc["seed"]

@@ -193,7 +193,7 @@ def load_csv(path) -> Dataset:
     feats = array("d")  # every row's features, row after row
     tags, labels, linenos = [], [], array("q")
     known = {tag: tag for tag in SPLITS}  # each row keeps a shared tag string
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # skips a leading byte-order mark
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():

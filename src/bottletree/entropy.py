@@ -158,10 +158,6 @@ class EncodingTree:
             for i in members:
                 self.nodes[f"leaf:{i}"] = TreeNode(f"leaf:{i}", (i,), cname)
 
-    @property
-    def num_classes(self) -> int:
-        return len(self.class_members)
-
 
 def tree_from_assignment(assignment) -> EncodingTree:
     """Encoding tree whose intermediate node j holds {i : C_ij = 1}."""
@@ -221,7 +217,7 @@ def structural_entropy_definition(adj, tree: EncodingTree) -> tuple[dict[str, fl
 def intermediate_layer_entropy(adj, tree: EncodingTree) -> float:
     """Structural entropy restricted to the class (intermediate) tier."""
     per_node, _ = structural_entropy_definition(adj, tree)
-    return sum(per_node[f"class:{j}"] for j in range(tree.num_classes))
+    return sum(per_node[f"class:{j}"] for j in range(len(tree.class_members)))
 
 
 def se_loss_matrix(adj, assignment) -> float:

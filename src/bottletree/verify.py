@@ -233,8 +233,9 @@ def _run(name: str) -> CheckResult:
 
 
 def run_checks(only: list[str] | None = None) -> Iterator[CheckResult]:
-    """Each check's timed result as the check ends; every name is vetted before any runs."""
-    names = list(ALL_CHECKS) if not only else only
+    """Each check's timed result as the check ends; every name is vetted before any
+    runs, and a name given twice runs once, where it first appears."""
+    names = list(dict.fromkeys(only or ALL_CHECKS))
     unknown = [n for n in names if n not in ALL_CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; available: {list(ALL_CHECKS)}")

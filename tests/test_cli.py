@@ -327,16 +327,14 @@ class TestTrain:
         assert (out1 / "model.json").read_bytes() == (out2 / "model.json").read_bytes()
 
     def test_writes_loadable_checkpoint(self, blob_csv, tmp_path):
-        from bottletree.coder import load_checkpoint
-
         out = tmp_path / "ckpt"
         rc = main(["train", "--data", blob_csv, "--task", "classification",
                    "--seed", "3", "--out-dir", str(out), *FAST])
         assert rc == 0
-        params, seed = load_checkpoint(out / "model.json")
-        assert seed == 3
-        assert params.latent_dim == 3  # class count of the blob fixture
-        assert params.hidden == (8,)
+        doc = json.loads((out / "model.json").read_text())
+        assert doc["seed"] == 3
+        assert doc["latent_dim"] == 3  # class count of the blob fixture
+        assert doc["hidden"] == [8]
 
     def test_regression_hard_labels_ablation(self, regression_csv, tmp_path):
         out = tmp_path / "hard"
@@ -1039,6 +1037,11 @@ class TestVerify:
         assert "grad" in out
         assert "oracle" not in out
 
+    def test_a_repeated_check_runs_once_where_first_given(self, capsys):
+        assert main(["verify", "--only", "invariance,oracle,invariance"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[1] for line in lines] == ["invariance", "oracle"]
+
     def test_unknown_check_is_runtime_error(self):
         assert main(["verify", "--only", "bogus"]) == 2
 
@@ -1117,6 +1120,9 @@ USAGE_ERRORS = {
     "bad-task": (["train", "--data", "x", "--task", "bogus"],
                  TRAIN_USAGE + "bottletree train: error: argument --task: invalid choice: "
                  "'bogus' (choose from 'classification', 'regression')\n"),
+    "bad-hidden": (["train", "--data", "x", "--task", "regression", "--hidden", "a"],
+                   TRAIN_USAGE + "bottletree train: error: argument --hidden: expected "
+                   "comma-separated integer widths, e.g. 64,32, got 'a'\n"),
     "empty-seeds": (["sweep", "--data", "x", "--task", "regression", "--seeds"],
                     SWEEP_USAGE + "bottletree sweep: error: argument --seeds: expected at "
                     "least one argument\n"),

@@ -28,7 +28,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bottletree.cli import main
-from bottletree.coder import load_checkpoint
 from bottletree.datasets import gen_blobs, gen_regression, load_csv, save_csv
 
 REALS = ["0", "-1", "nan", "inf", "1e308"]
@@ -126,7 +125,9 @@ def parse_run(work: Path) -> None:
     out = work / "out"
     json.loads((out / "report.json").read_text())
     assert list(csv.DictReader((out / "history.csv").open()))
-    load_checkpoint(out / "model.json")
+    model = json.loads((out / "model.json").read_text())
+    assert isinstance(model["seed"], int) and model["latent_dim"] >= 1, model
+    assert all(width >= 1 for width in model["hidden"]), model
 
 
 def parse_sweep(work: Path) -> None:

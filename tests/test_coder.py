@@ -11,9 +11,8 @@ from tape_reference import constant, parameter, tape_step
 from bottletree import autodiff, coder
 from bottletree.autodiff import LOG_EPS, DimensionError, finite_difference_check
 from bottletree.coder import (LOGVAR_MAX, LOGVAR_MIN, combined_loss, encode,
-                              init_params, kl_to_standard_normal,
-                              load_checkpoint, reparameterize, save_checkpoint,
-                              task_loss, total_loss)
+                              init_params, kl_to_standard_normal, reparameterize,
+                              save_checkpoint, task_loss)
 from bottletree.entropy import hard_assignment, se_loss
 from bottletree.softbins import make_bins
 from bottletree.training import ClassificationTask, RegressionTask, batch_assignment
@@ -342,29 +341,6 @@ class TestFusedHeads:
             composite_cross_entropy(parameter(logits), [0, 1])
 
 
-class TestTotalLoss:
-    def test_gamma_zero_recovers_bottleneck_objective(self):
-        bd = total_loss(np.float64(1.0), np.float64(0.5), np.float64(2.0), beta=0.1, gamma=0.0)
-        assert bd.total == pytest.approx(1.0 + 0.1 * 0.5)
-
-    def test_beta_gamma_zero_is_task(self):
-        assert total_loss(np.float64(1.2), np.float64(5.0), np.float64(2.0), 0.0, 0.0).total == 1.2
-
-    def test_entropy_increase_decreases_total(self):
-        task, kl = np.float64(1.0), np.float64(0.0)
-        delta = 0.7
-        lo = total_loss(task, kl, np.float64(2.0), 1.0, 1.0).total
-        hi = total_loss(task, kl, np.float64(2.0 + delta), 1.0, 1.0).total
-        assert lo - hi == pytest.approx(delta)
-
-    def test_identity_holds_to_machine_precision(self):
-        rng = np.random.default_rng(6)
-        t, k, s = rng.uniform(0, 3, 3)
-        bd = total_loss(t, k, s, beta=0.37, gamma=2.2)
-        recomputed = bd.task + bd.beta * bd.kl - bd.gamma * bd.se
-        assert abs(bd.total - recomputed) <= 1e-12
-
-
 def step_case(kind="classification", stack=None, *, hard=False, samples=1,
               use_mu_for_graph=False, activation="relu", clamp=False, floor=False,
               gamma=0.7, hidden=(8, 5), n=12, seed=0):
@@ -395,6 +371,44 @@ def step_case(kind="classification", stack=None, *, hard=False, samples=1,
     kwargs = dict(kind=kind, beta=0.3, gamma=gamma, noise=noise,
                   use_mu_for_graph=use_mu_for_graph)
     return params, X, batch_assignment(task, y), y, kwargs
+
+
+class TestTotalLoss:
+    """``combined_loss``'s total, task + beta*kl - gamma*se, on one fixed batch."""
+
+    def breakdown(self, beta, gamma, stack=None):
+        params, *args, kwargs = step_case(stack=stack)
+        return combined_loss(params, *args, **{**kwargs, "beta": beta, "gamma": gamma})
+
+    def test_gamma_zero_recovers_bottleneck_objective(self):
+        bd = self.breakdown(0.1, 0.0)
+        assert bd.se > 0.0
+        assert bd.total == bd.task + 0.1 * bd.kl
+
+    def test_beta_gamma_zero_is_task(self):
+        bd = self.breakdown(0.0, 0.0)
+        assert bd.kl > 0.0 and bd.se > 0.0
+        assert bd.total == bd.task
+
+    def test_entropy_increase_decreases_total(self, monkeypatch):
+        delta = 0.7
+        lo = self.breakdown(1.0, 1.0)
+
+        def se_plus_delta(*args):
+            se, backward = se_loss(*args)
+            return se + delta, backward
+
+        monkeypatch.setattr(coder, "se_loss", se_plus_delta)
+        hi = self.breakdown(1.0, 1.0)
+        assert (hi.task, hi.kl, hi.se) == (lo.task, lo.kl, lo.se + delta)
+        assert lo.total - hi.total == pytest.approx(delta)
+
+    def test_identity_holds_to_machine_precision(self):
+        for stack in (None, 6):  # exactly, for one model and for each row of a stack
+            bd = self.breakdown(np.float32(0.37), 2.2, stack)
+            assert type(bd.beta) is float and type(bd.gamma) is float
+            assert bd.beta == float(np.float32(0.37))
+            assert np.array_equal(bd.total, bd.task + bd.beta * bd.kl - bd.gamma * bd.se)
 
 
 STEP_GRID = {
@@ -632,16 +646,20 @@ class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         params = init_params(5, (7, 3), 2, seed=9, activation="sigmoid")
         path = tmp_path / "model.json"
+        for b in params.biases:  # nonzero, so the biases' bits are checked too
+            b[:] = np.random.default_rng(9).standard_normal(b.shape)
         save_checkpoint(params, path, seed=9)
-        loaded, seed = load_checkpoint(path)
-        assert seed == 9
-        assert loaded.activation == "sigmoid"
-        assert loaded.hidden == (7, 3)
-        for a, b in zip(tensors_of(params), tensors_of(loaded)):
-            np.testing.assert_array_equal(a, b)
-        assert_views_of_flat(loaded)
-        text = path.read_text()  # compact sorted JSON and a newline
-        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+        text = path.read_text()
+        doc = json.loads(text)
+        assert doc["seed"] == 9
+        assert doc["activation"] == "sigmoid"
+        assert doc["hidden"] == [7, 3]
+        assert len(doc["layers"]) == len(params.weights)
+        for layer, w, b in zip(doc["layers"], params.weights, params.biases):
+            weights = np.asarray(layer["weights"]).reshape(layer["shape"])
+            bias = np.asarray(layer["bias"]).reshape(1, layer["shape"][1])
+            assert weights.tobytes() == w.tobytes() and bias.tobytes() == b.tobytes()
+        assert text == json.dumps(doc, sort_keys=True) + "\n"  # compact sorted JSON and a newline
 
     def test_a_failed_save_leaves_the_previous_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "model.json"
@@ -659,6 +677,3 @@ class TestCheckpoint:
         monkeypatch.undo()
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["model.json"]  # no model.json.tmp
-        loaded, seed = load_checkpoint(path)
-        assert seed == 1
-        np.testing.assert_array_equal(loaded.flat, first.flat)

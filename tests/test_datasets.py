@@ -278,7 +278,8 @@ class TestCsvRoundTrip:
         save_csv(make(), path)
         lf = path.read_bytes()
         variants = {"crlf.csv": lf.replace(b"\n", b"\r\n"), "cr.csv": lf.replace(b"\n", b"\r"),
-                    "open.csv": lf[:-1], "crlf_open.csv": lf.replace(b"\n", b"\r\n")[:-2]}
+                    "open.csv": lf[:-1], "crlf_open.csv": lf.replace(b"\n", b"\r\n")[:-2],
+                    "bom.csv": b"\xef\xbb\xbf" + lf}  # spreadsheet exports write the mark
         for name, data in variants.items():
             (tmp_path / name).write_bytes(data)
             assert load_csv(tmp_path / name).equals(load_csv(path)), name
