@@ -30,11 +30,19 @@ def _default_out() -> str:
 
 
 def _hidden(arg: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in arg.split(",") if x)
+    try:  # an empty entry is no width: int("") raises
+        return tuple(int(x) for x in arg.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integer widths, e.g. 64,32, got {arg!r}") from None
+
+
+def _check_names(arg: str) -> list[str]:
+    names = arg.split(",")
+    if "" in names:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated check names, e.g. oracle,grad, got {arg!r}")
+    return names
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--out-dir", default=None)
 
     ver = sub.add_parser("verify", help="run the oracle/invariant/gradient suite")
-    ver.add_argument("--only", default=None,
+    ver.add_argument("--only", type=_check_names,
                      help=f"comma-separated subset of {','.join(ALL_CHECKS)}")
     return parser
 
@@ -174,9 +182,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    only = [s for s in (args.only or "").split(",") if s] or None
     failed = 0
-    for r in run_checks(only):  # each line as its check ends
+    for r in run_checks(args.only):  # each line as its check ends
         failed += not r.passed
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name:<12} ({r.seconds:6.2f}s)  {r.detail}")
     return 3 if failed else 0

@@ -145,11 +145,11 @@ def encode(params: EncoderParams, inputs):
 
 
 def reparameterize(mu: np.ndarray, logvar: np.ndarray, noise):
-    """z = mu + exp(logvar/2) * noise, deterministic given the noise draw:
-    (z, backward), with backward(g) = (d_mu, d_logvar)."""
+    """z = mu + exp(logvar/2) * noise, deterministic given the noise, per draw of
+    its leading axes: (z, backward), with backward(g) = (d_mu, d_logvar)."""
     eps = np.asarray(noise, dtype=np.float64)
-    if eps.shape != mu.shape:
-        raise DimensionError(f"noise shape {eps.shape} != posterior shape {mu.shape}")
+    if eps.shape[-mu.ndim:] != mu.shape:
+        raise DimensionError(f"noise shape {eps.shape} != (draws, *{mu.shape})")
     std = np.exp(logvar * 0.5)
     return mu + std * eps, lambda g: (g, g * eps * std * 0.5)
 
@@ -168,16 +168,18 @@ def task_loss(z: np.ndarray, targets, kind: str):
     """The task term of ``kind``: softmax cross-entropy of class logits
     against one-hot targets shaped like them ("classification"), or the
     squared error of a 1-d latent, read as the prediction, against one real
-    target per row ("regression"); each is the batch mean.  Returns (loss,
-    backward), with backward(g) = d_z.  The cross-entropy floors the
-    true-class probability at LOG_EPS; a row below the floor contributes
-    log(LOG_EPS) and no gradient.
+    target per row ("regression"); each is the batch mean, per draw of the
+    leading axes of ``z`` that the targets lack.  Returns (loss, backward),
+    with backward(g) = d_z.  The cross-entropy floors the true-class
+    probability at LOG_EPS; a row below the floor contributes log(LOG_EPS)
+    and no gradient.
     """
     if kind not in ("classification", "regression"):
         raise ValueError(f"unknown task kind {kind!r}")
     t = np.asarray(targets)
     regression = kind == "regression"
-    if z.ndim not in (2, 3) or t.shape != (z.shape[:-1] if regression else z.shape) or (
+    rows = z.shape[:-1] if regression else z.shape  # draw axes, then the targets' shape
+    if t.ndim + regression < 2 or rows[len(rows) - t.ndim:] != t.shape or (
             regression and z.shape[-1] != 1):
         raise DimensionError(f"{kind} needs one target per row of its latent: targets "
                              f"{t.shape} against {z.shape}")
@@ -220,11 +222,11 @@ def combined_loss(params: EncoderParams, inputs, assignment: np.ndarray, targets
     (of the summed (S,) total, for a stack: each row is its own model's).
 
     ``noise`` is k standard-normal draws shaped like the posterior, stacked
-    on a new leading axis; their task and entropy terms get averaged.  The
-    similarity graph is built from the sampled latent by default, or from
-    the posterior mean when ``use_mu_for_graph`` is set.  ``assignment`` is
-    the batch's membership from ``training.batch_assignment`` (or
-    ``hard_assignment`` / ``soften``); its shape is checked, not its entries.
+    on a new leading axis that the task and entropy terms keep until they
+    are averaged.  The similarity graph is built from the sampled latent by
+    default, or once from the posterior mean when ``use_mu_for_graph`` is
+    set.  ``assignment`` is the batch's membership from ``batch_assignment``
+    (or ``hard_assignment`` / ``soften``); its shape is checked, not its entries.
     A classification batch's cross-entropy reads its one-hot targets from
     ``assignment``, the hard tree of its labels; ``targets`` are read for
     regression only.  At ``gamma == 0`` the entropy runs forward only: its
@@ -245,37 +247,33 @@ def combined_loss(params: EncoderParams, inputs, assignment: np.ndarray, targets
     if draws.shape[1:] != mu.shape:
         raise DimensionError(f"noise must be (k, *posterior) against posterior {mu.shape}")
 
-    samples = []  # per draw: task, se and the backwards of z, task and se
-    for eps in draws:
-        z, z_backward = reparameterize(mu, logvar, eps)
-        task, task_backward = task_loss(z, targets, kind)
-        se, se_backward = se_loss(mu if use_mu_for_graph else z, assignment,
-                                  need_grad and gamma != 0)
-        samples.append((task, se, z_backward, task_backward, se_backward))
-    task, se = _average([s[0] for s in samples]), _average([s[1] for s in samples])
+    z, z_backward = reparameterize(mu, logvar, draws)
+    tasks, task_backward = task_loss(z, targets, kind)
+    ses, se_backward = se_loss(mu if use_mu_for_graph else z, assignment,
+                               need_grad and gamma != 0)
+    task, se = _average(tasks), _average([ses] * len(draws) if use_mu_for_graph else ses)
     beta, gamma = float(beta), float(gamma)
     breakdown = LossBreakdown(task=task, kl=kl, se=se, total=task + beta * kl - gamma * se,
                               beta=beta, gamma=gamma, mu=mu)
     if not need_grad:
         return breakdown
 
-    # Backward in the tape's order: the draws last to first, the entropy
-    # before the task within a draw, the KL term last; from the tape's seeds
-    # 1.0, -gamma and beta, each draw's task and entropy times 1/k.
-    shape, share = np.shape(breakdown.total), 1.0 / len(samples)
-    g_task, g_se = np.full(shape, share), np.full(shape, -breakdown.gamma * share)
+    # Backward in the tape's order: the entropy before the task, the draws
+    # summed last to first, the KL term last; from the tape's seeds 1.0,
+    # -gamma and beta, each draw's task and entropy times 1/k.
+    share = 1.0 / len(draws)
+    d_z, d_graph = task_backward(np.full(np.shape(tasks), share)), 0.0
+    if se_backward is not None:  # None at gamma == 0
+        d_se = se_backward(np.full(np.shape(ses), -breakdown.gamma * share))
+        if use_mu_for_graph:
+            d_graph = d_se  # the mean graph's gradient, added once per draw
+        else:
+            d_z = d_se + d_z
+    z_mu, z_logvar = z_backward(d_z)
     d_mu = d_logvar = 0.0  # the encoder's += 0.0 makes 0.0 + x the tape's x
-    for _, _, z_backward, task_backward, se_backward in reversed(samples):
-        d_z = task_backward(g_task)
-        if se_backward is not None:  # None at gamma == 0
-            d_se = se_backward(g_se)
-            if use_mu_for_graph:
-                d_mu = d_mu + d_se
-            else:
-                d_z = d_se + d_z
-        z_mu, z_logvar = z_backward(d_z)
-        d_mu, d_logvar = d_mu + z_mu, d_logvar + z_logvar
-    kl_mu, kl_logvar = kl_backward(np.full(shape, breakdown.beta))
+    for draw in reversed(range(len(draws))):
+        d_mu, d_logvar = d_mu + d_graph + z_mu[draw], d_logvar + z_logvar[draw]
+    kl_mu, kl_logvar = kl_backward(np.full(np.shape(breakdown.total), breakdown.beta))
     breakdown.grad = encoder_backward(d_mu + kl_mu, d_logvar + kl_logvar)
     return breakdown
 

@@ -98,8 +98,8 @@ def _check_pair(a, c) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_embeddings(h: np.ndarray) -> None:
-    if h.ndim not in (2, 3):
-        raise DimensionError(f"embeddings must be 2-D or a stack, got shape {h.shape}")
+    if h.ndim < 2:
+        raise DimensionError(f"embeddings must be (..., n, d), got shape {h.shape}")
     if h.shape[-2] < 2:
         raise DegenerateBatchError("need at least 2 points to build a similarity graph")
     if not np.isfinite(h).all():
@@ -255,15 +255,17 @@ def se_loss(embeddings: np.ndarray, assignment: np.ndarray, need_grad: bool = Fa
     data.  Stacks (S, n, d) and (S, n, r) give the (S,) losses of the
     slices, each with the bits it has alone: only the graph tiles run slice
     by slice, and the panel, ``[C | 1]``, the per-class terms and the
-    backward run once over the stack.  The assignment's shape is checked,
-    not its entries: it comes from ``hard_assignment`` or ``soften``, which
-    make valid ones.
+    backward run once over the stack.  Any leading axes stack likewise, and
+    a membership that lacks the embeddings' leading draw axes is shared by
+    each draw.  The assignment's shape is checked, not its entries: it comes
+    from ``hard_assignment`` or ``soften``, which make valid ones.
     """
     h = np.asarray(embeddings, dtype=np.float64)
     _check_embeddings(h)
     c = np.asarray(assignment, dtype=np.float64)
-    if c.ndim != h.ndim or c.shape[:-1] != h.shape[:-1]:
+    if not 2 <= c.ndim <= h.ndim or c.shape[:-1] != h.shape[h.ndim - c.ndim:-1]:
         raise DimensionError(f"assignment {c.shape} does not match embeddings {h.shape}")
+    c = np.broadcast_to(c, h.shape[:-1] + c.shape[-1:])
     loss, back = _se_stack(h.reshape((-1,) + h.shape[-2:]),
                            c.reshape((-1,) + c.shape[-2:]), need_grad)
     if back is None:

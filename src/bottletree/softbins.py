@@ -76,13 +76,6 @@ def soften(distances: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     return check_membership(softmax_values(-distances / temperature, -1))
 
 
-def nearest_bin(labels, bins: BinSpec) -> np.ndarray:
-    """Hard nearest-center class ids (ties resolve to the lower index)."""
-    y = np.asarray(labels, dtype=np.float64)
-    centers = np.asarray(bins.centers)
-    return np.argmin(np.abs(y[..., None] - centers), axis=-1)
-
-
 def soft_volumes(adj, assignment) -> np.ndarray:
     """Per-class soft volumes sum_i Y'_ij * d_i, by direct summation.
 

@@ -1,7 +1,9 @@
 """Training loop with warm-up, early stopping, and deterministic evaluation.
 
-The optimizer is Adam; the learning rate ramps linearly over the first 10% of
-all optimizer steps.  Each epoch ends with a dev evaluation (macro-F1 for
+The optimizer is Adam; the learning rate ramps linearly over the first
+``max(1, int(0.1 * epochs * (n_train // batch_size)))`` steps: a tenth of the
+planned full batches, counting neither a trailing partial batch nor an early
+stop.  Each epoch ends with a dev evaluation (macro-F1 for
 classification, Spearman for regression); training stops once the dev metric
 has failed to improve for more than ``patience`` consecutive epochs, and the
 best-dev parameters are returned.  Everything is a pure function of
@@ -24,10 +26,10 @@ from .autodiff import NonFiniteError
 from .coder import EncoderParams, combined_loss, encode, init_params
 from .datasets import Dataset, replacing
 from .entropy import hard_assignment
-from .softbins import BinSpec, check_temperature, distance_matrix, make_bins, nearest_bin, soften
+from .softbins import BinSpec, check_temperature, distance_matrix, make_bins, soften
 
 REPORT_SCHEMA_VERSION = 1
-WARMUP_FRACTION = 0.1  # of all optimizer steps
+WARMUP_FRACTION = 0.1  # of epochs * (n_train // batch_size), the planned full batches
 HISTORY_FIELDS = ["epoch", "task", "kl", "se", "total", "dev_metric"]
 
 
@@ -188,7 +190,7 @@ def batch_assignment(task, y_batch) -> np.ndarray:
         return hard_assignment(y_batch, task.num_classes)
     if task.soft_labels:
         return soften(distance_matrix(y_batch, task.bins), task.temperature)
-    return hard_assignment(nearest_bin(y_batch, task.bins), task.bins.num_bins)
+    return hard_assignment(distance_matrix(y_batch, task.bins).argmin(-1), task.bins.num_bins)
 
 
 @dataclass

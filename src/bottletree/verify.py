@@ -169,7 +169,8 @@ def check_invariance() -> tuple[bool, str]:
 
 
 def check_gradients() -> tuple[bool, str]:
-    """Full-objective gradients vs central differences with frozen noise."""
+    """Full-objective gradients vs central differences with frozen noise, and
+    the entropy's tiled backward vs central differences along random directions."""
     rng = np.random.default_rng(1006)
     worst = 0.0
     n, input_dim = 8, 5
@@ -189,8 +190,22 @@ def check_gradients() -> tuple[bool, str]:
             return bd.total, bd.grad
 
         worst = max(worst, finite_difference_check(f, params.flat, h=1e-5))
-    return (worst < 1e-4,
-            f"max relative gradient error = {worst:.3e} over 12 batches")
+    # A batch of 8 rows is one tile; these cross tile boundaries.  The error
+    # along v is scaled by its bound |grad| |v|, as <grad, v> may be near 0.
+    worst_tiled, step = 0.0, 1e-5
+    for n in MULTI_TILE_ROWS:
+        h, _, _, _, r = _random_instance(rng, n=n)
+        soft = _random_soft(rng, n, r)
+        grad = se_loss(h, soft, need_grad=True)[1](1.0)
+        v = rng.standard_normal((3, *h.shape))  # three directions, one stack
+        numeric = (se_loss(h + step * v, soft)[0] - se_loss(h - step * v, soft)[0]) / (2 * step)
+        error = np.abs((grad * v).sum(axis=(1, 2)) - numeric) / (
+            np.linalg.norm(grad) * np.linalg.norm(v, axis=(1, 2)))
+        worst_tiled = max(worst_tiled, float(error.max()))
+    return (worst < 1e-4 and worst_tiled < 1e-6,
+            f"max relative gradient error = {worst:.3e} over 12 batches, "
+            f"max entropy directional error = {worst_tiled:.3e} along 3 directions "
+            f"at {MULTI_TILE_ROWS} rows")
 
 
 def check_kl() -> tuple[bool, str]:

@@ -413,19 +413,30 @@ class TestTrain:
         assert done.stderr == ("training diverged at step 2 (non-finite softmax input); "
                                f"dump at {out / 'diverged.json'}\n")
 
-    def test_library_warning_prints_one_line(self, tmp_path):
-        # no warning filter: softbins' range warning once printed its source
-        # path and code line
+    @staticmethod
+    def out_of_range_train(tmp_path, *flags):
+        """stderr of a regression ``train`` whose labels leave its --lo/--hi."""
         data = tmp_path / "r.csv"
         assert main(["gen", "regression", "--n", "80", "--dim", "3", "--lo", "0", "--hi", "5",
                      "--seed", "0", "--out", str(data)]) == 0
         done = subprocess.run([sys.executable, "-m", "bottletree", "train", "--data", str(data),
                                "--task", "regression", "--lo", "3", "--hi", "4", "--epochs", "2",
-                               "--out-dir", str(tmp_path / "out")],
+                               *flags, "--out-dir", str(tmp_path / "out")],
                               env=with_src(dict(os.environ)), capture_output=True, text=True,
                               timeout=120)
         assert done.returncode == 0
-        assert done.stderr == "bottletree: UserWarning: labels outside declared range [3.0, 4.0]\n"
+        return done.stderr
+
+    def test_library_warning_prints_one_line(self, tmp_path):
+        # no warning filter: softbins' range warning once printed its source
+        # path and code line
+        assert self.out_of_range_train(tmp_path) == (
+            "bottletree: UserWarning: labels outside declared range [3.0, 4.0]\n")
+
+    def test_hard_labels_warn_of_the_range_as_soft_ones_do(self, tmp_path):
+        # hard bins once came from their own distances, without the range check
+        assert self.out_of_range_train(tmp_path, "--hard-labels") == (
+            "bottletree: UserWarning: labels outside declared range [3.0, 4.0]\n")
 
     def test_clean_rerun_removes_stale_divergence_dump(self, blob_csv, gradient_overflow_csv,
                                                        tmp_path):
@@ -1031,6 +1042,27 @@ class TestVerify:
         assert main(["verify", "--only", check]) == 3
         assert f"FAIL  {check}" in capsys.readouterr().out
 
+    def test_grad_fails_when_the_entropy_backward_is_wrong_past_the_first_tile(
+            self, monkeypatch, capsys):
+        original = entropy._se_stack
+
+        def past_first_tile_scaled(h, c, need_grad):
+            loss, backward = original(h, c, need_grad)
+            rows = min(h.shape[1], entropy.SE_BLOCK_ENTRIES // h.shape[1])
+            if backward is None or rows == h.shape[1]:
+                return loss, backward
+
+            def scaled(g):
+                out = backward(g)
+                out[:, rows:] *= 1.01
+                return out
+
+            return loss, scaled
+
+        monkeypatch.setattr(entropy, "_se_stack", past_first_tile_scaled)
+        assert main(["verify", "--only", "grad"]) == 3
+        assert "FAIL  grad" in capsys.readouterr().out
+
     def test_only_grad(self, capsys):
         assert main(["verify", "--only", "grad"]) == 0
         out = capsys.readouterr().out
@@ -1123,11 +1155,22 @@ USAGE_ERRORS = {
     "bad-hidden": (["train", "--data", "x", "--task", "regression", "--hidden", "a"],
                    TRAIN_USAGE + "bottletree train: error: argument --hidden: expected "
                    "comma-separated integer widths, e.g. 64,32, got 'a'\n"),
+    "empty-hidden-width": (["train", "--data", "x", "--task", "regression", "--hidden", "8,,4"],
+                           TRAIN_USAGE + "bottletree train: error: argument --hidden: expected "
+                           "comma-separated integer widths, e.g. 64,32, got '8,,4'\n"),
     "empty-seeds": (["sweep", "--data", "x", "--task", "regression", "--seeds"],
                     SWEEP_USAGE + "bottletree sweep: error: argument --seeds: expected at "
                     "least one argument\n"),
     "verify-bad-flag": (["verify", "--bogus"],
                         TOP_USAGE + "bottletree: error: unrecognized arguments: --bogus\n"),
+    "verify-empty-only": (["verify", "--only", ","],
+                          "usage: bottletree verify [-h] [--only ONLY]\nbottletree verify: "
+                          "error: argument --only: expected comma-separated check names, e.g. "
+                          "oracle,grad, got ','\n"),
+    "verify-empty-only-value": (["verify", "--only", ""],
+                                "usage: bottletree verify [-h] [--only ONLY]\nbottletree "
+                                "verify: error: argument --only: expected comma-separated "
+                                "check names, e.g. oracle,grad, got ''\n"),
     "gen-no-generator": (["gen"], "usage: bottletree gen [-h] {blobs,regression} ...\n"
                          "bottletree gen: error: the following arguments are required: "
                          "generator\n"),

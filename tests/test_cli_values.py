@@ -39,7 +39,7 @@ RUN_EDGES = {
     "--epochs": ["1", *COUNTS],
     "--patience": ["0", "1", "2", *COUNTS],
     "--batch-size": ["2", "60", "1", *COUNTS],
-    "--hidden": ["1", "0", "-1", "4,0", "nan"],
+    "--hidden": ["1", "0", "-1", "4,0", "nan", "", ",", "8,,4"],
     "--samples": ["1", "2", *COUNTS],
     "--bins": ["2", "1", *COUNTS],
     "--lo": [*REALS, "5"],

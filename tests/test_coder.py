@@ -475,7 +475,19 @@ class TestClosedFormStep:
         params, *args, kwargs = step_case(samples=2, gamma=gamma)
         monkeypatch.setattr(coder, "se_loss", recording)
         combined_loss(params, *args, need_grad=True, **kwargs)
-        assert asked == [gamma != 0.0] * 2
+        assert asked == [gamma != 0.0]  # once for both draws, stacked on one axis
+
+    def test_a_mean_graph_step_forms_its_entropy_once(self, monkeypatch):
+        seen = []
+
+        def recording(embeddings, assignment, need_grad=False):
+            seen.append(np.shape(embeddings))
+            return se_loss(embeddings, assignment, need_grad)
+
+        params, X, *args, kwargs = step_case(samples=3, use_mu_for_graph=True)
+        monkeypatch.setattr(coder, "se_loss", recording)
+        combined_loss(params, X, *args, need_grad=True, **kwargs)
+        assert seen == [encode(params, X)[0].shape]  # the posterior mean, not one per draw
 
     def test_no_gradient_unless_asked(self):
         params, *args, kwargs = step_case()

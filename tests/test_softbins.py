@@ -9,8 +9,14 @@ from tape_reference import constant
 
 from bottletree.entropy import (build_adjacency, check_membership,
                                 hard_assignment, se_loss_matrix)
-from bottletree.softbins import (BinSpec, distance_matrix, make_bins,
-                                 nearest_bin, soft_cuts, soft_volumes, soften)
+from bottletree.softbins import (BinSpec, distance_matrix, make_bins, soft_cuts,
+                                 soft_volumes, soften)
+from bottletree.training import RegressionTask, batch_assignment
+
+
+def hard_bin_ids(labels, bins):
+    """The hard-label run's class ids: the one-hot rows' argmax."""
+    return batch_assignment(RegressionTask(bins, soft_labels=False), labels).argmax(-1)
 
 
 def random_adj(rng, n):
@@ -89,7 +95,7 @@ class TestSoften:
         y = rng.uniform(0, 5, size=40)
         soft = soften(distance_matrix(y, bins))
         np.testing.assert_array_equal(np.argmax(soft, axis=1),
-                                      nearest_bin(y, bins))
+                                      hard_bin_ids(y, bins))
 
     @given(st.lists(st.floats(0, 5), min_size=1, max_size=20))
     @settings(max_examples=50, deadline=None)
@@ -119,7 +125,7 @@ class TestSoften:
         assert stacked.shape == (3, 16, 5)
         for row, labels in zip(stacked, y):
             assert np.array_equal(row, soften(distance_matrix(labels, bins), 0.5))
-        assert np.array_equal(nearest_bin(y, bins)[1], nearest_bin(y[1], bins))
+        assert np.array_equal(hard_bin_ids(y, bins)[1], hard_bin_ids(y[1], bins))
 
     def test_no_gradient_flows_into_membership(self):
         # labels are data: the membership is a plain array, never a tape node
@@ -228,4 +234,4 @@ class TestSoftSeLoss:
 
 def test_nearest_bin_tie_goes_to_lower_index():
     bins = make_bins(0.0, 2.0, 2)  # centers 0.5, 1.5; tie at 1.0
-    assert nearest_bin([1.0], bins)[0] == 0
+    assert hard_bin_ids([1.0], bins)[0] == 0

@@ -163,6 +163,24 @@ class TestTrain:
         result = train(blob_config(easy_blobs, epochs=3), (X, y), easy_blobs.subset("dev"))
         assert len(result.history) == 3 and built == [y.shape]
 
+    def test_warmup_ramps_over_a_tenth_of_the_planned_full_batches(self, easy_blobs,
+                                                                  monkeypatch):
+        # 180 train rows in batches of 32: 5 full batches and a trailing one of
+        # 20 rows per epoch.  The ramp is int(0.1 * 10 * 5) = 5 steps; a tenth
+        # of the 60 steps that 10 epochs hold would be 6.
+        scales = []
+        original = Adam.step
+
+        def recording(self, g, lr_scale=1.0):
+            scales.append(lr_scale)
+            original(self, g, lr_scale)
+
+        monkeypatch.setattr(Adam, "step", recording)
+        X, y = easy_blobs.subset("train")
+        assert (len(y) // 32, len(y) % 32) == (5, 20)
+        train(blob_config(easy_blobs, epochs=10, patience=0), (X, y), easy_blobs.subset("dev"))
+        assert scales[:7] == [1 / 5, 2 / 5, 3 / 5, 4 / 5, 1.0, 1.0, 1.0]
+
     def test_early_stopping_halts_after_patience(self, easy_blobs):
         # lr=1e-300 -> every update is below an ulp of the weights it moves ->
         # the dev metric never improves after epoch 0
