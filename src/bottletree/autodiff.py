@@ -4,10 +4,11 @@ routes and the checks: the log floor ``LOG_EPS``, the package's one sigmoid
 errors, and the central-difference gradient check.
 
 Nothing in the package records an autodiff tape: training
-(``coder.combined_loss``), ``evaluate``, the matrix-form reference
-``entropy.se_loss_matrix`` and ``verify`` are plain numpy.  The
-reverse-mode tape the step was once built on lives with the tests
-(``tests/tape.py``), which pin the closed form to it bit for bit.
+(``coder.combined_loss``), ``evaluate`` (its loss terms, forward only, per
+batch), the matrix-form reference ``entropy.se_loss_matrix`` and ``verify``
+are plain numpy.  The reverse-mode tape the step was once built on lives
+with the tests (``tests/tape.py``), which pin the closed form to it bit for
+bit.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ of S models runs every op once: inputs are (S, batch, d), each loss term is
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -196,17 +196,20 @@ def task_loss(z: np.ndarray, targets, kind: str):
 
 @dataclass
 class LossBreakdown:
-    """The objective, total = task + beta*kl - gamma*se, its flat gradient if
-    asked, and the posterior mean the terms were computed from, if any."""
+    """The objective's terms, its total = task + beta*kl - gamma*se, formed
+    here from them, and its flat gradient, if any."""
 
     task: np.ndarray
     kl: np.ndarray
     se: np.ndarray
-    total: np.ndarray
     beta: float
     gamma: float
     grad: np.ndarray | None = None
-    mu: np.ndarray | None = None
+    total: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.beta, self.gamma = float(self.beta), float(self.gamma)
+        self.total = self.task + self.beta * self.kl - self.gamma * self.se
 
     def scalars(self, row: int | None = None) -> dict[str, float]:
         """The terms as floats; ``row`` picks one model of a stack."""
@@ -216,10 +219,10 @@ class LossBreakdown:
 
 
 def combined_loss(params: EncoderParams, inputs, assignment: np.ndarray, targets, *,
-                  kind: str, beta: float, gamma: float, noise, use_mu_for_graph: bool = False,
-                  need_grad: bool = False) -> LossBreakdown:
-    """Full objective for one batch, and with ``need_grad`` its flat gradient
-    (of the summed (S,) total, for a stack: each row is its own model's).
+                  kind: str, beta: float, gamma: float, noise,
+                  use_mu_for_graph: bool = False) -> LossBreakdown:
+    """Full objective for one batch and its flat gradient (of the summed (S,)
+    total, for a stack: each row is its own model's).
 
     ``noise`` is k standard-normal draws shaped like the posterior, stacked
     on a new leading axis that the task and entropy terms keep until they
@@ -234,8 +237,6 @@ def combined_loss(params: EncoderParams, inputs, assignment: np.ndarray, targets
     encoder's ``+= 0.0`` clears.
     """
     mu, logvar, encoder_backward = encode(params, inputs)
-    if not need_grad:
-        encoder_backward = None  # frees the activations it holds
     if kind == "classification":
         if mu.shape[-1] != assignment.shape[-1]:
             raise DimensionError(f"latent dim {mu.shape[-1]} must equal "
@@ -249,14 +250,9 @@ def combined_loss(params: EncoderParams, inputs, assignment: np.ndarray, targets
 
     z, z_backward = reparameterize(mu, logvar, draws)
     tasks, task_backward = task_loss(z, targets, kind)
-    ses, se_backward = se_loss(mu if use_mu_for_graph else z, assignment,
-                               need_grad and gamma != 0)
+    ses, se_backward = se_loss(mu if use_mu_for_graph else z, assignment, gamma != 0)
     task, se = _average(tasks), _average([ses] * len(draws) if use_mu_for_graph else ses)
-    beta, gamma = float(beta), float(gamma)
-    breakdown = LossBreakdown(task=task, kl=kl, se=se, total=task + beta * kl - gamma * se,
-                              beta=beta, gamma=gamma, mu=mu)
-    if not need_grad:
-        return breakdown
+    breakdown = LossBreakdown(task=task, kl=kl, se=se, beta=beta, gamma=gamma)
 
     # Backward in the tape's order: the entropy before the task, the draws
     # summed last to first, the KL term last; from the tape's seeds 1.0,

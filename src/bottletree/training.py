@@ -23,9 +23,10 @@ import numpy as np
 
 from . import metrics as M
 from .autodiff import NonFiniteError
-from .coder import EncoderParams, combined_loss, encode, init_params
+from .coder import (EncoderParams, LossBreakdown, combined_loss, encode, init_params,
+                    kl_to_standard_normal, task_loss)
 from .datasets import Dataset, replacing
-from .entropy import hard_assignment
+from .entropy import hard_assignment, se_loss
 from .softbins import BinSpec, check_temperature, distance_matrix, make_bins, soften
 
 REPORT_SCHEMA_VERSION = 1
@@ -124,7 +125,7 @@ def config_for(ds: Dataset, kind: str, bins: int = 5, lo: float | None = None,
 
 def check_splits(ds: Dataset, kind: str) -> Dataset:
     """``ds``, if each split has the rows a ``kind`` run needs: a train batch and
-    ``evaluate``'s test graph need 2, the dev metric 1 (a regression's Spearman 2)."""
+    ``evaluate``'s test batch graph need 2, the dev metric 1 (a regression's Spearman 2)."""
     need = {"train": 2, "dev": 2 if kind == "regression" else 1, "test": 2}
     for tag, least in need.items():
         if (n := ds.indices(tag).size) < least:
@@ -276,7 +277,7 @@ def train_seeds(configs: list[TrainConfig],
                     breakdown = combined_loss(
                         opt.params, xb, assignment, yb,
                         kind=task.kind, beta=config.beta, gamma=config.gamma,
-                        noise=noise, use_mu_for_graph=config.use_mu_for_graph, need_grad=True)
+                        noise=noise, use_mu_for_graph=config.use_mu_for_graph)
                 except NonFiniteError as exc:  # a latent or logit overflowed: no loss terms
                     raise TrainingDiverged(step, {}, exc.what) from exc
                 finite = np.isfinite(breakdown.total)
@@ -357,27 +358,40 @@ def evaluate(params: EncoderParams, X: np.ndarray, y: np.ndarray,
              config: TrainConfig) -> MetricsReport:
     """Deterministic evaluation on one split using the posterior mean.
 
-    The loss breakdown is evaluated on the whole split in one batch with zero
-    sampling noise (so z = mu), without a gradient: ``entropy.se_loss`` then
-    visits the split's graph in row tiles without building its gradient
-    panel, and graph memory is O(tile + n * r), not n x n.  The predictions
-    come from the posterior mean that forward pass computed, and the
-    classification scores from one confusion matrix.
+    The split is encoded once.  The predictions, so every metric, read its
+    posterior mean, and the classification scores come from one confusion
+    matrix.  The loss breakdown is the unweighted mean of the terms of
+    consecutive ``config.batch_size``-row batches at zero noise (z = mu), so
+    its entropy is a batch graph's, as in ``history.csv``; a trailing batch
+    of under 2 rows is dropped, as in ``train_seeds``.  The full batches run
+    as one (m, batch, .) stack and the trailing batch as one more call, so
+    graph work is O(n * batch_size), not n x n.
     """
-    if X.shape[0] == 0:
-        raise ValueError("cannot evaluate an empty split")
+    if X.shape[0] < 2:
+        raise ValueError(f"evaluate needs 2 rows for a batch graph, got {X.shape[0]}")
     task = config.task
+    mu, logvar = encode(params, X)[:2]  # drops the backward, which holds the activations
     assignment = batch_assignment(task, y)
-    noise = np.zeros((1, X.shape[0], task.latent_dim))
-    breakdown = combined_loss(params, X, assignment, y,
-                              kind=task.kind, beta=config.beta, gamma=config.gamma,
-                              noise=noise, use_mu_for_graph=config.use_mu_for_graph)
-    preds = _predictions(breakdown.mu, task)
+    targets = assignment if isinstance(task, ClassificationTask) else y
+    batches = zip(*(_batches(a, config.batch_size) for a in (mu, logvar, targets, assignment)))
+    terms = [(task_loss(m, t, task.kind)[0], kl_to_standard_normal(m, v)[0], se_loss(m, c)[0])
+             for m, v, t, c in batches]
+    task_term, kl, se = (np.mean(np.hstack(values)) for values in zip(*terms))
+    loss = LossBreakdown(task=task_term, kl=kl, se=se, beta=config.beta, gamma=config.gamma)
+    preds = _predictions(mu, task)
     scores = (M.classification_scores(preds, y, task.num_classes)
               if isinstance(task, ClassificationTask)
               else {"pearson": M.pearson(preds, y), "spearman": M.spearman(preds, y)})
     return MetricsReport(kind=task.kind, n=int(X.shape[0]), seed=config.seed,
-                         config=config.echo(), loss=breakdown.scalars(), **scores)
+                         config=config.echo(), loss=loss.scalars(), **scores)
+
+
+def _batches(a: np.ndarray, size: int) -> list[np.ndarray]:
+    """``a``'s full ``size``-row batches as one (m, size, ...) stack, if any,
+    then its trailing batch, if it has 2 rows or more."""
+    full = len(a) - len(a) % size
+    return ([a[:full].reshape(-1, size, *a.shape[1:])] if full else []) + (
+        [a[full:]] if len(a) - full >= 2 else [])
 
 
 def write_json(path, doc) -> None:

@@ -186,7 +186,7 @@ def check_gradients() -> tuple[bool, str]:
 
         def f(flat):
             bd = combined_loss(params.like(flat), X, assignment, y, kind=task.kind, beta=0.1,
-                               gamma=1.0, noise=noise, need_grad=True)
+                               gamma=1.0, noise=noise)
             return bd.total, bd.grad
 
         worst = max(worst, finite_difference_check(f, params.flat, h=1e-5))

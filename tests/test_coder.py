@@ -59,7 +59,7 @@ def composite_squared_error(z, targets):
 def loss_and_grad(params, *args, **kwargs):
     """``f(flat) -> (loss, gradient)`` of ``combined_loss`` at ``params``'s layout."""
     def f(flat):
-        bd = combined_loss(params.like(flat), *args, need_grad=True, **kwargs)
+        bd = combined_loss(params.like(flat), *args, **kwargs)
         return bd.total.sum(), bd.grad
     return f
 
@@ -443,7 +443,7 @@ class TestClosedFormStep:
     @pytest.mark.parametrize("case", STEP_GRID)
     def test_loss_and_gradient_equal_the_tape_bit_for_bit(self, case):
         params, *args, kwargs = step_case(**STEP_GRID[case])
-        bd = combined_loss(params, *args, need_grad=True, **kwargs)
+        bd = combined_loss(params, *args, **kwargs)
         terms, grad = tape_step(params, *args, **kwargs)
         for name, values in terms.items():
             assert np.asarray(getattr(bd, name)).tobytes() == values.tobytes(), name
@@ -474,7 +474,7 @@ class TestClosedFormStep:
 
         params, *args, kwargs = step_case(samples=2, gamma=gamma)
         monkeypatch.setattr(coder, "se_loss", recording)
-        combined_loss(params, *args, need_grad=True, **kwargs)
+        combined_loss(params, *args, **kwargs)
         assert asked == [gamma != 0.0]  # once for both draws, stacked on one axis
 
     def test_a_mean_graph_step_forms_its_entropy_once(self, monkeypatch):
@@ -486,14 +486,8 @@ class TestClosedFormStep:
 
         params, X, *args, kwargs = step_case(samples=3, use_mu_for_graph=True)
         monkeypatch.setattr(coder, "se_loss", recording)
-        combined_loss(params, X, *args, need_grad=True, **kwargs)
+        combined_loss(params, X, *args, **kwargs)
         assert seen == [encode(params, X)[0].shape]  # the posterior mean, not one per draw
-
-    def test_no_gradient_unless_asked(self):
-        params, *args, kwargs = step_case()
-        bd = combined_loss(params, *args, **kwargs)
-        assert bd.grad is None
-        assert bd.total == combined_loss(params, *args, need_grad=True, **kwargs).total
 
     def test_the_step_records_no_tape(self, monkeypatch):
         created = []
@@ -505,7 +499,7 @@ class TestClosedFormStep:
 
         params, *args, kwargs = step_case(stack=6, samples=2)
         monkeypatch.setattr(Tensor, "__init__", counting)
-        combined_loss(params, *args, need_grad=True, **kwargs)
+        combined_loss(params, *args, **kwargs)
         assert not created
 
 
@@ -559,7 +553,7 @@ class TestCombinedLoss:
         for use_mu in (False, True):
             grads = [params.like(combined_loss(
                 params, X, hard_assignment(y, 2), y, kind="classification", beta=0.0,
-                gamma=gamma, noise=noise, use_mu_for_graph=use_mu, need_grad=True).grad)
+                gamma=gamma, noise=noise, use_mu_for_graph=use_mu).grad)
                 for gamma in (0.0, 1.0)]
             # the last layer's columns 2:4 are the log-variance head
             logvar = [np.concatenate([g.weights[-1][:, 2:], g.biases[-1][:, 2:]])
@@ -590,8 +584,7 @@ class TestCombinedLoss:
         X = rng.standard_normal((6, 3))
         y = rng.integers(0, 2, size=6)
         grad = combined_loss(params, X, hard_assignment(y, 2), y, kind="classification",
-                             beta=0.0, gamma=0.0, noise=rng.standard_normal((1, 6, 2)),
-                             need_grad=True).grad
+                             beta=0.0, gamma=0.0, noise=rng.standard_normal((1, 6, 2))).grad
         assert grad.shape == params.flat.shape
         views = params.like(grad)
         for t in views.weights + views.biases:

@@ -466,6 +466,70 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(result.params, X[:0], y[:0], cfg)
 
+    def test_one_row_split_rejected(self, easy_blobs):
+        cfg = blob_config(easy_blobs)
+        params = init_params(6, cfg.hidden, 2, seed=3)
+        X, y = easy_blobs.subset("test")
+        with pytest.raises(ValueError):
+            evaluate(params, X[:1], y[:1], cfg)
+
+
+def evaluate_case(kind, n, batch_size=32):
+    """Untrained params, an ``n``-row split and its config, gamma nonzero."""
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((n, 4))
+    if kind == "classification":
+        y, task = rng.integers(0, 3, size=n), ClassificationTask(3)
+    else:
+        y, task = rng.uniform(0.0, 5.0, size=n), RegressionTask(make_bins(0.0, 5.0, 4))
+    cfg = TrainConfig(task=task, beta=0.3, gamma=0.7, batch_size=batch_size, hidden=(8,))
+    return init_params(4, cfg.hidden, task.latent_dim, seed=n), X, y, cfg
+
+
+class TestEvaluateLossPerBatch:
+    """``evaluate``'s loss block is the mean of its batches' terms, as in ``history.csv``."""
+
+    # (rows, batch size): whole batches, a dropped 1-row trailing batch, a
+    # kept trailing batch, and a split shorter than one batch.
+    SPLITS = {"whole-batches": (96, 32), "one-row-trailing": (97, 32),
+              "short-trailing": (90, 32), "under-one-batch": (20, 32)}
+
+    @pytest.mark.parametrize("split", SPLITS)
+    @pytest.mark.parametrize("kind", ["classification", "regression"])
+    def test_terms_are_the_mean_over_the_batches_bit_for_bit(self, kind, split):
+        n, size = self.SPLITS[split]
+        params, X, y, cfg = evaluate_case(kind, n, size)
+        mu, logvar, _ = coder.encode(params, X)
+        assignment = batch_assignment(cfg.task, y)
+        targets = assignment if kind == "classification" else y
+        terms = {"task": [], "kl": [], "se": []}
+        for start in range(0, n, size):
+            rows = slice(start, start + size)
+            if len(mu[rows]) < 2:
+                continue
+            terms["task"].append(coder.task_loss(mu[rows], targets[rows], kind)[0])
+            terms["kl"].append(coder.kl_to_standard_normal(mu[rows], logvar[rows])[0])
+            terms["se"].append(entropy.se_loss(mu[rows], assignment[rows])[0])
+        loss = evaluate(params, X, y, cfg).loss
+        for name, values in terms.items():
+            assert loss[name] == float(np.mean(values)), name
+        assert loss["total"] == loss["task"] + 0.3 * loss["kl"] - 0.7 * loss["se"]
+
+    @pytest.mark.parametrize("kind", ["classification", "regression"])
+    def test_no_entropy_call_sees_more_than_a_batch(self, monkeypatch, kind):
+        params, X, y, cfg = evaluate_case(kind, 90)
+        shapes, original = [], training.se_loss
+
+        def recording(embeddings, assignment, *args):
+            shapes.append((embeddings.shape, assignment.shape))
+            return original(embeddings, assignment, *args)
+
+        monkeypatch.setattr(training, "se_loss", recording)
+        evaluate(params, X, y, cfg)
+        latent, members = cfg.task.latent_dim, 3 if kind == "classification" else 4
+        # the two full batches as one stack, then the 26-row trailing batch
+        assert shapes == [((2, 32, latent), (2, 32, members)), ((26, latent), (26, members))]
+
 
 def test_history_csv_columns(tmp_path, easy_blobs):
     cfg = blob_config(easy_blobs, epochs=2)
