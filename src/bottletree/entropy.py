@@ -265,7 +265,8 @@ def se_loss(embeddings: np.ndarray, assignment: np.ndarray, need_grad: bool = Fa
     c = np.asarray(assignment, dtype=np.float64)
     if not 2 <= c.ndim <= h.ndim or c.shape[:-1] != h.shape[h.ndim - c.ndim:-1]:
         raise DimensionError(f"assignment {c.shape} does not match embeddings {h.shape}")
-    c = np.broadcast_to(c, h.shape[:-1] + c.shape[-1:])
+    if math.prod(h.shape[:h.ndim - c.ndim]) != 1:  # draws share it; for one, the reshape does
+        c = np.broadcast_to(c, h.shape[:-1] + c.shape[-1:])
     loss, back = _se_stack(h.reshape((-1,) + h.shape[-2:]),
                            c.reshape((-1,) + c.shape[-2:]), need_grad)
     if back is None:

@@ -57,8 +57,8 @@ def distance_matrix(labels, bins: BinSpec) -> np.ndarray:
     if y.size and (y.min() < bins.lo or y.max() > bins.hi):
         warnings.warn(f"labels outside declared range [{bins.lo}, {bins.hi}]",
                       stacklevel=2)
-    centers = np.asarray(bins.centers)
-    return np.abs(y[..., None] - centers)
+    distances = y[..., None] - np.asarray(bins.centers)
+    return np.abs(distances, out=distances)
 
 
 def check_temperature(temperature: float) -> None:

@@ -32,6 +32,7 @@ from .softbins import BinSpec, check_temperature, distance_matrix, make_bins, so
 REPORT_SCHEMA_VERSION = 1
 WARMUP_FRACTION = 0.1  # of epochs * (n_train // batch_size), the planned full batches
 HISTORY_FIELDS = ["epoch", "task", "kl", "se", "total", "dev_metric"]
+CHUNK_ROWS = 1024  # rows per encode call over a split, and per membership chunk
 
 
 @dataclass(frozen=True)
@@ -186,12 +187,17 @@ class Adam:
 
 
 def batch_assignment(task, y_batch) -> np.ndarray:
-    """Membership for one batch's labels; labels never carry gradients."""
+    """Membership for a batch's or a split's labels, which carry no gradient.
+    A regression's is made in place in its distance matrix, ``CHUNK_ROWS``
+    rows at a time, with the bits of one call; out-of-range labels warn once."""
     if isinstance(task, ClassificationTask):
         return hard_assignment(y_batch, task.num_classes)
-    if task.soft_labels:
-        return soften(distance_matrix(y_batch, task.bins), task.temperature)
-    return hard_assignment(distance_matrix(y_batch, task.bins).argmin(-1), task.bins.num_bins)
+    membership = distance_matrix(y_batch, task.bins)
+    for start in range(0, membership.shape[-2], CHUNK_ROWS):
+        rows = membership[..., start:start + CHUNK_ROWS, :]
+        rows[...] = (soften(rows, task.temperature) if task.soft_labels
+                     else hard_assignment(rows.argmin(-1), task.bins.num_bins))
+    return membership
 
 
 @dataclass
@@ -237,8 +243,10 @@ def train_seeds(configs: list[TrainConfig],
     Every op runs once for all the models.  Each seed keeps its own init,
     shuffle and noise streams, dev metric, best-dev snapshot and early
     stopping, and gets the bits of its solo ``train``; a seed that stops
-    leaves the stack.  A step that raises for any seed ends the whole call;
-    a ``TrainingDiverged`` carries the loss terms of the first model whose
+    leaves the stack.  The train split's membership is built once, chunk by
+    chunk, and each step gathers its rows; the dev metric is ``predict``'s.
+    A step that raises for any seed ends the whole call; a
+    ``TrainingDiverged`` carries the loss terms of the first model whose
     loss, or gradient, is non-finite.
     """
     X_train, y_train = train_set
@@ -316,8 +324,29 @@ def train_seeds(configs: list[TrainConfig],
 
 
 def predict(params: EncoderParams, X: np.ndarray, task) -> np.ndarray:
-    """Deterministic predictions from the posterior mean (no sampling)."""
-    return _predictions(encode(params, X)[0], task)
+    """Deterministic predictions from the posterior mean (no sampling); the
+    encoder's memory follows a ``CHUNK_ROWS``-row chunk, not the split."""
+    return _predictions(_encode_split(params, X)[0], task)
+
+
+def _encode_split(params: EncoderParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, logvar) of a split: one ``encode`` of its rows, or, past
+    ``CHUNK_ROWS`` rows, one per chunk of that many, the last zero-padded
+    and the pad's outputs dropped.  Every call then has the same row count,
+    so a row's bits do not depend on the split's size or its offset, and
+    each call's backward, which holds its activations, is dropped at once."""
+    n = X.shape[0]
+    if n <= CHUNK_ROWS:
+        return encode(params, X)[:2]
+    mu, logvar = np.empty((2, n, params.latent_dim))
+    for start in range(0, n, CHUNK_ROWS):
+        rows = X[start:start + CHUNK_ROWS]
+        m = len(rows)
+        if m < CHUNK_ROWS:
+            rows = np.pad(rows, ((0, CHUNK_ROWS - m), (0, 0)))
+        chunk_mu, chunk_logvar = encode(params, rows)[:2]
+        mu[start:start + m], logvar[start:start + m] = chunk_mu[:m], chunk_logvar[:m]
+    return mu, logvar
 
 
 def _predictions(mu: np.ndarray, task) -> np.ndarray:
@@ -358,19 +387,20 @@ def evaluate(params: EncoderParams, X: np.ndarray, y: np.ndarray,
              config: TrainConfig) -> MetricsReport:
     """Deterministic evaluation on one split using the posterior mean.
 
-    The split is encoded once.  The predictions, so every metric, read its
-    posterior mean, and the classification scores come from one confusion
-    matrix.  The loss breakdown is the unweighted mean of the terms of
-    consecutive ``config.batch_size``-row batches at zero noise (z = mu), so
-    its entropy is a batch graph's, as in ``history.csv``; a trailing batch
-    of under 2 rows is dropped, as in ``train_seeds``.  The full batches run
-    as one (m, batch, .) stack and the trailing batch as one more call, so
-    graph work is O(n * batch_size), not n x n.
+    The split is encoded once, in ``predict``'s chunks.  The predictions, so
+    every metric, read its posterior mean, and the classification scores
+    come from one confusion matrix.  The loss breakdown is the unweighted
+    mean of the terms of consecutive ``config.batch_size``-row batches at
+    zero noise (z = mu), so its entropy is a batch graph's, as in
+    ``history.csv``; a trailing batch of under 2 rows is dropped, as in
+    ``train_seeds``.  The full batches run as one (m, batch, .) stack and
+    the trailing batch as one more call, so graph work is
+    O(n * batch_size), not n x n.
     """
     if X.shape[0] < 2:
         raise ValueError(f"evaluate needs 2 rows for a batch graph, got {X.shape[0]}")
     task = config.task
-    mu, logvar = encode(params, X)[:2]  # drops the backward, which holds the activations
+    mu, logvar = _encode_split(params, X)
     assignment = batch_assignment(task, y)
     targets = assignment if isinstance(task, ClassificationTask) else y
     batches = zip(*(_batches(a, config.batch_size) for a in (mu, logvar, targets, assignment)))
