@@ -238,9 +238,6 @@ def combined_loss(params: EncoderParams, inputs, assignment: np.ndarray, targets
     """
     mu, logvar, encoder_backward = encode(params, inputs)
     if kind == "classification":
-        if mu.shape[-1] != assignment.shape[-1]:
-            raise DimensionError(f"latent dim {mu.shape[-1]} must equal "
-                                 f"the class count {assignment.shape[-1]}")
         targets = assignment
     kl, kl_backward = kl_to_standard_normal(mu, logvar)
 

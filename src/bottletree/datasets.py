@@ -156,7 +156,7 @@ def inject_label_noise(ds: Dataset, rate: float, seed: int) -> Dataset:
         hit = rng.choice(train_idx, size=k, replace=False)
         y[hit] = rng.integers(0, ds.num_classes, size=k)
     prov = ds.provenance + f"|noise=rate={rate:.17g},seed={seed}"
-    return Dataset(ds.X.copy(), y, ds.split.copy(), prov)
+    return Dataset(ds.X, y, ds.split, prov)
 
 
 def subsample_train(ds: Dataset, fraction: float, seed: int) -> Dataset:
@@ -171,7 +171,7 @@ def subsample_train(ds: Dataset, fraction: float, seed: int) -> Dataset:
     mask = ds.split != "train"
     mask[rng.choice(train_idx, size=k, replace=False)] = True
     prov = ds.provenance + f"|subsample=fraction={fraction:.17g},seed={seed}"
-    return Dataset(ds.X[mask].copy(), ds.y[mask].copy(), ds.split[mask].copy(), prov)
+    return Dataset(ds.X[mask], ds.y[mask], ds.split[mask], prov)
 
 
 def save_csv(ds: Dataset, path) -> None:

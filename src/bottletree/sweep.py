@@ -71,7 +71,7 @@ class ExperimentSpec:
     out_dir: str
     noise_rates: tuple[float, ...] = ()
     fractions: tuple[float, ...] = ()
-    perturb_seed: int = 0
+    perturb_seed: int = 0  # the noise or fraction draws' seed: 0 without either
     jobs: int = 1
     train_kwargs: dict = field(default_factory=dict)  # ``config_for``'s: bins/lr/epochs/...
 
@@ -82,6 +82,8 @@ class ExperimentSpec:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.perturb_seed < 0:
             raise ValueError(f"perturb_seed must be >= 0, got {self.perturb_seed}")
+        if self.perturb_seed and not (self.noise_rates or self.fractions):
+            raise ValueError(f"perturb_seed {self.perturb_seed} seeds no noise rate or fraction")
         if self.noise_rates and self.fractions:
             raise ValueError("choose label noise or train-fraction perturbation, not both")
         counts = Counter(map(_cell_name, self.cells()))  # a cell's name is its identity

@@ -33,6 +33,8 @@ REPORT_SCHEMA_VERSION = 1
 WARMUP_FRACTION = 0.1  # of epochs * (n_train // batch_size), the planned full batches
 HISTORY_FIELDS = ["epoch", "task", "kl", "se", "total", "dev_metric"]
 CHUNK_ROWS = 1024  # rows per encode call over a split, and per membership chunk
+# a regression's task keywords in ``config_for``: by default 5 bins over the label range
+REGRESSION_KEYWORDS = ("bins", "lo", "hi", "soft_labels", "temperature")
 
 
 @dataclass(frozen=True)
@@ -105,23 +107,23 @@ class TrainConfig:
                 "warmup_fraction": WARMUP_FRACTION}
 
 
-def config_for(ds: Dataset, kind: str, bins: int = 5, lo: float | None = None,
-               hi: float | None = None, soft_labels: bool = True, temperature: float = 1.0,
-               **train_kwargs) -> TrainConfig:
-    """The config of a ``kind`` run on ``ds``, its splits checked: the one route from
-    the run flags to a ``TrainConfig``.  Regression bins default to the label range."""
+def config_for(ds: Dataset, kind: str, **flags) -> TrainConfig:
+    """The config of a ``kind`` run on ``ds``, its splits checked: the one route from the
+    run flags to a ``TrainConfig``.  Only a regression takes ``REGRESSION_KEYWORDS``."""
+    task_flags = {name: flags.pop(name) for name in REGRESSION_KEYWORDS if name in flags}
     if kind == "classification":
         if not ds.is_classification:
             raise ValueError("dataset labels are continuous; use --task regression")
+        if task_flags:
+            raise ValueError(f"a classification run takes no {', '.join(task_flags)}")
         task = ClassificationTask(ds.num_classes)
     elif kind == "regression":
-        lo = lo if lo is not None else float(ds.y.min())
-        hi = hi if hi is not None else float(ds.y.max())
-        task = RegressionTask(make_bins(lo, hi, bins), soft_labels, temperature)
+        ends = task_flags.pop("lo", float(ds.y.min())), task_flags.pop("hi", float(ds.y.max()))
+        task = RegressionTask(make_bins(*ends, task_flags.pop("bins", 5)), **task_flags)
     else:
         raise ValueError(f"unknown task kind {kind!r}: use classification or regression")
     check_splits(ds, kind)
-    return TrainConfig(task=task, **train_kwargs)
+    return TrainConfig(task=task, **flags)
 
 
 def check_splits(ds: Dataset, kind: str) -> Dataset:

@@ -180,6 +180,13 @@ UNUSABLE_TRAIN_FLAGS = {
     "inf-gamma": (["--gamma", "inf"], "beta and gamma must be finite"),
     "negative-patience": (["--patience", "-1"], "patience must be >= 0"),
     "negative-seed": (["--seed", "-1"], "seed must be >= 0"),  # sweep: --seeds, a prefix
+    # a classification run once dropped the regression flags and exited 0
+    "bins-on-classification": (["--bins", "3"], "a classification run takes no bins"),
+    "lo-on-classification": (["--lo", "0"], "a classification run takes no lo"),
+    "hi-on-classification": (["--hi", "5"], "a classification run takes no hi"),
+    "hard-labels-on-classification": (["--hard-labels"],
+                                      "a classification run takes no soft_labels"),
+    "tau-on-classification": (["--tau", "0.5"], "a classification run takes no temperature"),
 }
 # A sweep also takes grids, and at one time ran flags that train rejected.
 UNUSABLE_SWEEP_FLAGS = {
@@ -194,6 +201,9 @@ UNUSABLE_SWEEP_FLAGS = {
     "zero-jobs": (["--jobs", "0"], "jobs must be >= 1"),
     "negative-jobs": (["--jobs", "-1"], "jobs must be >= 1"),
     "negative-perturb-seed": (["--perturb-seed", "-1"], "perturb_seed must be >= 0"),
+    # once it ran, and no output recorded the seed
+    "unperturbed-perturb-seed": (["--perturb-seed", "3"],
+                                 "perturb_seed 3 seeds no noise rate or fraction"),
 }
 # Data with a split below what a run needs: (gen flags, task, the train
 # fraction a sweep cell keeps, the error).  Each once trained, then exited 2
@@ -235,7 +245,8 @@ class TestTrain:
         out = tmp_path / "run"
         assert main(["train", "--data", blob_csv, "--task", "classification",
                      "--out-dir", str(out), *FAST, *flags]) == 2
-        assert message in capsys.readouterr().err
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("bottletree: ValueError: ") and message in line
         assert not out.exists()
 
     @UNUSABLE_TAU
@@ -642,8 +653,16 @@ class TestSweep:
         out = tmp_path / "bad"
         assert main(["sweep", "--data", blob_csv, "--task", "classification",
                      "--seeds", "0", "1", "--out-dir", str(out), *FAST, *flags]) == 2
-        assert message in capsys.readouterr().err
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("bottletree: ValueError: ") and message in line
         assert not out.exists()
+
+    def test_perturb_seed_with_noise_rates_runs(self, blob_csv, tmp_path):
+        out = tmp_path / "noise"
+        assert main(["sweep", "--data", blob_csv, "--task", "classification",
+                     "--perturb-seed", "3", "--noise-rates", "0.2", "--seeds", "0",
+                     "--out-dir", str(out), *FAST]) == 0
+        assert os.listdir(out / "runs") == ["run_b0.01_g1_pnoise0.2_s0.json"]
 
     @UNUSABLE_TAU
     @SOFT_OR_HARD

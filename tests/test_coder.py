@@ -209,7 +209,7 @@ class TestPredictions:
     def test_classification_dim_mismatch(self):
         params = init_params(3, (4,), 2, seed=0)
         y = np.array([0, 1, 2, 0])
-        with pytest.raises(DimensionError, match="class count"):
+        with pytest.raises(DimensionError, match="one target per row of its latent"):
             combined_loss(params, np.zeros((4, 3)), hard_assignment(y, 3), y,
                           kind="classification", beta=0.1, gamma=1.0,
                           noise=np.zeros((1, 4, 2)))

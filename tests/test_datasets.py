@@ -112,6 +112,14 @@ class TestInjectLabelNoise:
         with pytest.raises(ValueError):
             inject_label_noise(ds, 0.1, seed=0)
 
+    def test_copies_only_the_labels_it_writes(self):
+        ds = gen_blobs(3, 100, 4, 1.0, seed=4)
+        labels = ds.y.copy()
+        noisy = inject_label_noise(ds, 0.5, seed=1)
+        assert np.shares_memory(noisy.X, ds.X) and np.shares_memory(noisy.split, ds.split)
+        assert not np.shares_memory(noisy.y, ds.y)
+        assert np.array_equal(ds.y, labels) and not np.array_equal(noisy.y, labels)
+
 
 class TestSubsampleTrain:
     def test_fraction_one_keeps_all_rows(self):

@@ -19,7 +19,7 @@ from bottletree.softbins import make_bins
 from bottletree.sweep import ExperimentSpec, run_sweep
 from bottletree.training import (Adam, ClassificationTask, RegressionTask,
                                  HISTORY_FIELDS, TrainConfig, TrainingDiverged,
-                                 batch_assignment, evaluate, predict, train,
+                                 batch_assignment, config_for, evaluate, predict, train,
                                  train_seeds, write_csv, write_json)
 
 
@@ -59,6 +59,15 @@ class TestTrainConfig:
     def test_regression_task_rejects_unusable_temperature(self, soft_labels, temperature):
         with pytest.raises(ValueError, match="temperature must be positive and finite"):
             RegressionTask(make_bins(0, 5, 5), soft_labels, temperature)
+
+    def test_classification_refuses_each_regression_keyword(self, easy_blobs):
+        with pytest.raises(ValueError, match="takes no bins, soft_labels, temperature$"):
+            config_for(easy_blobs, "classification", temperature=0.5, bins=3, soft_labels=True)
+
+    def test_regression_defaults_are_the_tasks_own(self):
+        ds = gen_regression(60, 3, 0.2, lo=0.0, hi=5.0, seed=2)
+        task = config_for(ds, "regression").task
+        assert task == RegressionTask(make_bins(float(ds.y.min()), float(ds.y.max()), 5))
 
     def test_echo_round_trips_to_json(self):
         import json
